@@ -1,8 +1,10 @@
 """Quadrature, cumulative layer integrals, monotone inversion and grid derivatives.
 
 Everything downstream (meshing, assembly, error measurement, bound checks)
-is built on the routines in this module.  Integrands are expected to accept
-numpy arrays; scalar-only callables are handled through a slow fallback.
+is built on the routines in this module.  Integrands must accept numpy
+arrays of any shape and are evaluated on whole batches of Gauss points at
+once; a callable that fails on array input raises EvaluationError, there is
+no point-by-point fallback.  A constant return value is broadcast.
 """
 
 import heapq
@@ -43,13 +45,21 @@ _G10 = gauss_legendre(10)
 
 
 def _vec_eval(f, x: np.ndarray) -> np.ndarray:
-    """Evaluate f on an array, tolerating scalar-only and constant callables."""
+    """Evaluate f on the array x in one call, returning an array of x's shape.
+
+    f must accept numpy arrays; a constant (scalar or broadcastable) return
+    is broadcast to x's shape.  A TypeError or ValueError from f, or a return
+    that does not broadcast, is raised as EvaluationError chained from the
+    original error.
+    """
     try:
         y = np.asarray(f(x), dtype=float)
-    except (TypeError, ValueError):
-        y = np.asarray([float(f(t)) for t in x.ravel()]).reshape(x.shape)
-    if y.shape != x.shape:
-        y = np.broadcast_to(y, x.shape).astype(float)
+        if y.shape != x.shape:
+            y = np.broadcast_to(y, x.shape).astype(float)
+    except (TypeError, ValueError) as exc:
+        raise EvaluationError(
+            f"callable failed on array input of shape {x.shape}: {exc}"
+        ) from exc
     return y
 
 
@@ -165,7 +175,9 @@ class CumulativeIntegral:
         return cls(breakpoints=bp, partial_sums=sums, integrand=integrand)
 
     def __call__(self, x):
-        xq = np.atleast_1d(np.asarray(x, dtype=float))
+        """Evaluate at x of any shape; a 0-d or scalar x returns a float."""
+        xa = np.asarray(x, dtype=float)
+        xq = xa.ravel()
         if np.any(xq < -1e-12) or np.any(xq > 1.0 + 1e-12):
             raise ParameterError("cumulative integral is only defined on [0, 1]")
         xq = np.clip(xq, 0.0, 1.0)
@@ -174,7 +186,7 @@ class CumulativeIntegral:
         lefts = self.breakpoints[idx]
         local = _panel_sums(self.integrand, lefts, xq, _G10)
         out = self.partial_sums[idx] + local
-        return float(out[0]) if np.isscalar(x) or np.ndim(x) == 0 else out
+        return float(out[0]) if xa.ndim == 0 else out.reshape(xa.shape)
 
     @property
     def total(self) -> float:

@@ -1,8 +1,10 @@
 """Command-line front end: meshes, solves, convergence tables, verification.
 
-Exit codes: 0 success, 1 failed verification, 2 usage error, 3 degenerate
-mesh regime.  CSV output uses ',' separators, '.' decimal points, LF line
-endings and a mandatory header; numbers carry 17 significant digits.
+Exit codes: 0 success, 1 failed verification or other LayerFemError, 2 usage
+error (a ParameterError, including unparsable numbers), 3 degenerate mesh
+regime.  Any other exception is a bug and propagates with its traceback.
+CSV output uses ',' separators, '.' decimal points, LF line endings and a
+mandatory header; numbers carry 17 significant digits.
 """
 
 import argparse
@@ -31,20 +33,33 @@ def _num(value) -> str:
     return _FMT % float(value)
 
 
+def _parse_float(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ParameterError(f"not a number: {text!r}") from None
+
+
 def parse_h(text: str) -> float:
     """Accept decimals and fractions like '1/64'."""
     if "/" in text:
         num, den = text.split("/", 1)
-        h = float(num) / float(den)
+        try:
+            h = _parse_float(num) / _parse_float(den)
+        except ZeroDivisionError:
+            raise ParameterError(f"h has a zero denominator: {text!r}") from None
     else:
-        h = float(text)
+        h = _parse_float(text)
     if not (0.0 < h < 1.0):
         raise ParameterError(f"h must lie in (0, 1), got {text!r}")
     return h
 
 
-def _parse_list(text: str, parse=float):
-    return [parse(tok) for tok in text.split(",") if tok]
+def _parse_list(text: str, parse=_parse_float):
+    values = [parse(tok) for tok in text.split(",") if tok]
+    if not values:
+        raise ParameterError(f"expected a comma-separated list, got {text!r}")
+    return values
 
 
 def _emit(rows, header, fmt, meta, out):
@@ -113,9 +128,12 @@ def cmd_converge(args, out) -> int:
     h_list = _parse_list(args.h, parse_h)
     family = lambda eps0: get_scenario(args.scenario, eps0)
     table = convergence_study(family, h_list, eps0_list, args.delta)
+    if args.format == "json":
+        rate = lambda r: None if r.rate is None else float(r.rate)
+    else:  # CSV and pretty print the rate as 17-digit text, blank if none
+        rate = lambda r: "" if r.rate is None else _num(r.rate)
     rows = [
-        (r.eps0, r.h, r.node_count, r.energy_error, r.l2_error,
-         "" if r.rate is None else _num(r.rate))
+        (r.eps0, r.h, r.node_count, r.energy_error, r.l2_error, rate(r))
         for r in table.rows if r.skipped_reason is None
     ]
     _emit(rows, ["eps0", "h", "nodes", "energy_err", "l2_err", "rate"],
@@ -238,7 +256,7 @@ def main(argv=None) -> int:
     except DegenerateRegimeError as exc:
         sys.stderr.write(f"degenerate regime: {exc}\n")
         return 3
-    except (ParameterError, ValueError) as exc:
+    except ParameterError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
     except LayerFemError as exc:

@@ -62,8 +62,8 @@ def compute_tau_star(coeffs, e: CumulativeIntegral, h: float) -> float:
 def build_mesh(coeffs, e: CumulativeIntegral, h: float, delta: float = 1.0,
                max_nodes: int = 10**7) -> LayerMesh:
     """Build the graded + equidistant mesh for mesh parameter h."""
-    if delta <= 0:
-        raise ParameterError("delta must be positive")
+    if not (0.0 < delta < math.inf):
+        raise ParameterError(f"delta must be positive and finite, got {delta!r}")
     tau_star = compute_tau_star(coeffs, e, h)
 
     x1 = h * delta * coeffs.eps_lower

@@ -1,5 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from layerfem.calculus import (
     CumulativeIntegral,
@@ -56,6 +61,15 @@ class TestIntegrate:
         with np.errstate(divide="ignore"), pytest.raises(EvaluationError):
             integrate(lambda t: 1.0 / (t - 0.5), 0, 1)
 
+    def test_scalar_only_integrand_raises(self):
+        # integrands are evaluated on arrays only; there is no per-point path
+        with pytest.raises(EvaluationError) as info:
+            integrate(lambda t: math.exp(-t), 0, 1)
+        assert isinstance(info.value.__cause__, TypeError)
+
+    def test_constant_return_is_broadcast(self):
+        assert integrate(lambda t: 2.0, 0, 1) == pytest.approx(2.0)
+
 
 class TestLayerIntegral:
     def test_constant_eps_e(self):
@@ -107,6 +121,50 @@ class TestLayerIntegral:
         e = layer_integral(sc.coeffs, "e")
         with pytest.raises(ParameterError):
             e(1.5)
+
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 7), (3, 1, 7)])
+    def test_any_shape_matches_scalar_calls(self, shape):
+        e = layer_integral(get_scenario("eps-exp", 1e-3).coeffs, "e")
+        x = np.random.default_rng(5).uniform(0.0, 1.0, shape)
+        got = e(x)
+        assert np.shape(got) == shape
+        if shape == ():
+            assert type(got) is float
+        scalar = [e(float(t)) for t in x.ravel()]
+        assert np.array_equal(np.ravel(got), scalar)
+
+
+# closed forms of e(x) = int_0^x dt / eps(t), written out independently of
+# problem._eps_family
+_CLOSED_FORM_E = {
+    "eps-const": lambda x, eps0: x / eps0,
+    "eps-linear": lambda x, eps0: np.log1p(x) / eps0,
+    "eps-exp": lambda x, eps0: -np.expm1(-x) / eps0,
+}
+
+_unit_points = st.one_of(
+    st.just(0.0),
+    st.floats(1e-14, 1.0),
+    st.floats(-14.0, 0.0).map(lambda p: 10.0 ** p),
+)
+
+
+@pytest.mark.parametrize("name", sorted(_CLOSED_FORM_E))
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    log10_eps0=st.floats(-12.0, -1.0),
+    x=hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, max_side=5),
+                 elements=_unit_points),
+)
+@example(log10_eps0=-12.0, x=np.array([0.0, 1e-13, 1e-12, 0.5, 1.0]))
+@example(log10_eps0=-1.0, x=np.array([[1e-13, 1.0], [0.25, 0.75]]))
+def test_e_matches_closed_form(name, log10_eps0, x):
+    eps0 = 10.0 ** log10_eps0
+    e = layer_integral(get_scenario(name, eps0).coeffs, "e")
+    got = np.asarray(e(x))
+    want = _CLOSED_FORM_E[name](x, eps0)
+    assert got.shape == x.shape
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
 
 class TestInvertMonotone:

@@ -24,6 +24,11 @@ class TestParseH:
         with pytest.raises(ParameterError):
             parse_h("2.0")
 
+    @pytest.mark.parametrize("text", ["abc", "1/x", "1/0", ""])
+    def test_unparsable_is_parameter_error(self, text):
+        with pytest.raises(ParameterError):
+            parse_h(text)
+
 
 class TestMesh:
     def test_csv_first_graded_node(self, capsys):
@@ -120,6 +125,37 @@ class TestConverge:
         assert lines[1].endswith(",")
         rates = [float(line.split(",")[-1]) for line in lines[2:]]
         assert len(rates) == 3 and all(r > 0.8 for r in rates)
+
+    def test_json_rate_is_number_or_null(self, capsys):
+        argv = ["converge", "--scenario", "manufactured", "--eps0", "0.001",
+                "--h", "1/8,1/16,1/32"]
+        code, out, _ = run_cli(argv + ["--format", "json"], capsys)
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert rows[0]["rate"] is None
+        assert all(type(r["rate"]) is float for r in rows[1:])
+        # the same rates as the CSV text, to the last bit
+        _, csv_out, _ = run_cli(argv, capsys)
+        csv_rates = [line.split(",")[-1] for line in csv_out.strip().split("\n")[2:]]
+        assert [r["rate"] for r in rows[1:]] == [float(t) for t in csv_rates]
+
+
+class TestErrorContract:
+    @pytest.mark.parametrize("bad", [["--eps0", "abc"], ["--eps0", ","],
+                                     ["--h", "1/0"], ["--delta", "nan"]])
+    def test_bad_input_is_usage_error(self, capsys, bad):
+        code, _, err = run_cli(["mesh", "--scenario", "eps-const"] + bad, capsys)
+        assert code == 2
+        assert err.startswith("usage error")
+
+    def test_internal_value_error_is_not_usage_error(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("internal failure")
+
+        monkeypatch.setattr("layerfem.cli.galerkin_solve", broken)
+        with pytest.raises(ValueError, match="internal failure"):
+            main(["solve", "--eps0", "0.001", "--h", "1/16"])
+        assert "usage error" not in capsys.readouterr().err
 
 
 class TestInterp:
