@@ -11,7 +11,7 @@ import numpy as np
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .calculus import gauss_legendre, integrate, layer_integral
+from .calculus import _gauss_map, gauss_legendre, integrate, layer_integral
 from .errors import ConfigurationError, DegenerateRegimeError
 from .fem import FemSolution, galerkin_solve
 from .mesh import LayerMesh, build_mesh
@@ -26,18 +26,11 @@ def interpolate(f, mesh: LayerMesh) -> FemSolution:
     return FemSolution(mesh=mesh, coefficients=values)
 
 
-def _gauss_grid(nodes: np.ndarray, n_quad: int):
-    rule = gauss_legendre(n_quad)
-    xl, xr = nodes[:-1], nodes[1:]
-    half = 0.5 * (xr - xl)
-    gx = 0.5 * (xl + xr)[:, None] + half[:, None] * rule.points[None, :]
-    gw = half[:, None] * rule.weights[None, :]
-    return gx, gw
-
-
 def _norms_on_elements(nodes, diff_val, diff_deriv, eps_fn, n_quad=_ERR_QUAD):
     """Per-element (integral of diff^2, integral of eps * diff'^2)."""
-    gx, gw = _gauss_grid(nodes, n_quad)
+    rule = gauss_legendre(n_quad)
+    gx, half = _gauss_map(nodes[:-1], nodes[1:], rule)
+    gw = half[:, None] * rule.weights[None, :]
     d = diff_val(gx)
     dd = diff_deriv(gx)
     l2 = (gw * d * d).sum(axis=1)
@@ -198,6 +191,7 @@ def interpolation_study(scenario, h_list, delta: float = 1.0,
     coeffs = scenario.coeffs
     e = layer_integral(coeffs, "e")
     one = ScalarFunction.constant(1.0)
+    rule = gauss_legendre(quad_points)
 
     rows = []
     for h in sorted(h_list, reverse=True):
@@ -210,18 +204,15 @@ def interpolation_study(scenario, h_list, delta: float = 1.0,
             msh.nodes, lambda x: s(x) - si(x), lambda x: s.d(x) - si.deriv(x),
             one, quad_points)
 
-        def ediff(x):
-            return lay(x) - li(x)
-
-        def ediff_d(x):
-            return lay.d(x) - li.deriv(x)
-
-        e_l2, e_wh1 = _norms_on_elements(
-            msh.nodes, ediff, ediff_d, coeffs.eps, quad_points)
-        gx, gw = _gauss_grid(msh.nodes, quad_points)
-        d = ediff(gx)
+        # the layer norms share one Gauss grid and one evaluation of E - E^I
+        gx, half = _gauss_map(msh.nodes[:-1], msh.nodes[1:], rule)
+        gw = half[:, None] * rule.weights[None, :]
+        d = lay(gx) - li(gx)
+        dd = lay.d(gx) - li.deriv(gx)
+        eps_g = coeffs.eps(gx)
         e_l2 = (gw * d * d).sum(axis=1)
-        e_invl2 = (gw * d * d / coeffs.eps(gx)).sum(axis=1)  # weight 1/eps
+        e_wh1 = (gw * eps_g * dd * dd).sum(axis=1)
+        e_invl2 = (gw * d * d / eps_g).sum(axis=1)  # weight 1/eps
         e_max_coarse = float(np.abs(d[k:]).max()) if k < len(d) else 0.0
 
         rows.append(InterpolationRow(

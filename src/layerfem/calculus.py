@@ -63,13 +63,21 @@ def _vec_eval(f, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _panel_sums(f, lefts, rights, rule: QuadratureRule) -> np.ndarray:
-    """Gauss sums of f over a batch of panels [lefts_i, rights_i]."""
-    lefts = np.asarray(lefts, dtype=float)
-    rights = np.asarray(rights, dtype=float)
+def _gauss_map(lefts, rights, rule: QuadratureRule):
+    """Gauss points of rule on each panel [lefts_i, rights_i], and the half-widths.
+
+    Returns (x, half) with x of shape (n_panels, n_points); the weights on
+    panel i are half[i] * rule.weights.
+    """
     half = 0.5 * (rights - lefts)
     mid = 0.5 * (rights + lefts)
-    x = mid[:, None] + half[:, None] * rule.points[None, :]
+    return mid[:, None] + half[:, None] * rule.points[None, :], half
+
+
+def _panel_sums(f, lefts, rights, rule: QuadratureRule) -> np.ndarray:
+    """Gauss sums of f over a batch of panels [lefts_i, rights_i]."""
+    x, half = _gauss_map(np.asarray(lefts, dtype=float),
+                         np.asarray(rights, dtype=float), rule)
     y = _vec_eval(f, x)
     if not np.all(np.isfinite(y)):
         bad = x[~np.isfinite(y)]

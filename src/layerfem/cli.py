@@ -1,8 +1,8 @@
 """Command-line front end: meshes, solves, convergence tables, verification.
 
 Exit codes: 0 success, 1 failed verification or other LayerFemError, 2 usage
-error (a ParameterError, including unparsable numbers), 3 degenerate mesh
-regime.  Any other exception is a bug and propagates with its traceback.
+error (a ParameterError, including unparsable numbers and an --output file
+that cannot be opened), 3 degenerate mesh regime.  Any other exception is a bug and propagates with its traceback.
 CSV output uses ',' separators, '.' decimal points, LF line endings and a
 mandatory header; numbers carry 17 significant digits.
 """
@@ -250,7 +250,11 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         if args.output:
-            with open(args.output, "w", newline="") as fh:
+            try:
+                fh = open(args.output, "w", newline="")
+            except OSError as exc:
+                raise ParameterError(f"cannot open --output: {exc}") from exc
+            with fh:
                 return _DISPATCH[args.command](args, fh)
         return _DISPATCH[args.command](args, sys.stdout)
     except DegenerateRegimeError as exc:

@@ -3,13 +3,15 @@
 The bilinear form is a(v, w) = (eps v', w') - (b v', w) + (c v, w); the
 convection term keeps its minus sign and there is no stabilization -- the
 layer-adapted mesh does that job.  The assembled system is tridiagonal over
-the interior nodes and is solved by a Thomas sweep with a dense fallback.
+the interior nodes and is solved by LAPACK's pivoting tridiagonal solver
+(gtsv) in O(n) time and memory, with no fallback path.
 """
 
 import numpy as np
 from dataclasses import dataclass
+from scipy.linalg import solve_banded
 
-from .calculus import _vec_eval, gauss_legendre
+from .calculus import _gauss_map, _vec_eval, gauss_legendre
 from .errors import (
     AssemblyError,
     MeshMismatchError,
@@ -55,9 +57,8 @@ class FemSolution:
 
     def deriv(self, x):
         """Element-wise slope; at nodes the right-hand element is used."""
-        nodes = self.mesh.nodes
-        slopes = np.diff(self.coefficients) / np.diff(nodes)
-        idx = np.clip(np.searchsorted(nodes, x, side="right") - 1,
+        slopes = self.slopes
+        idx = np.clip(np.searchsorted(self.mesh.nodes, x, side="right") - 1,
                       0, len(slopes) - 1)
         return slopes[idx]
 
@@ -69,15 +70,14 @@ class FemSolution:
 def _element_quadrature(scenario, mesh: LayerMesh, n_quad: int):
     """Coefficient samples and hat-function values at element Gauss points.
 
-    Returns (xl, w, gx, gw, vals) where gx, gw have shape (n_el, n_quad) and
-    vals maps each coefficient name to its samples at gx.
+    Returns (w, t, gw, vals): w holds the element widths; t, gw have shape
+    (n_el, n_quad) and hold the hat coordinate (x - x_l)/w and the weights at
+    the Gauss points gx; vals maps each coefficient name to its samples at gx.
     """
     rule = gauss_legendre(n_quad)
-    nodes = mesh.nodes
-    xl, xr = nodes[:-1], nodes[1:]
+    xl, xr = mesh.nodes[:-1], mesh.nodes[1:]
     w = xr - xl
-    half = 0.5 * w
-    gx = 0.5 * (xl + xr)[:, None] + half[:, None] * rule.points[None, :]
+    gx, half = _gauss_map(xl, xr, rule)
     gw = half[:, None] * rule.weights[None, :]
     co = scenario.coeffs
     vals = {}
@@ -87,18 +87,17 @@ def _element_quadrature(scenario, mesh: LayerMesh, n_quad: int):
             el = int(np.argwhere(~np.isfinite(y))[0][0])
             raise AssemblyError(f"non-finite {label} sample in element {el}")
         vals[label] = y
-    return xl, w, gx, gw, vals
+    return w, (gx - xl[:, None]) / w[:, None], gw, vals
 
 
 def assemble(scenario, mesh: LayerMesh, quad_points_per_element: int = 5) -> TridiagonalSystem:
     """Assemble the Galerkin tridiagonal system for the interior nodes."""
     if quad_points_per_element < 2:
         raise ParameterError("need at least 2 quadrature points per element")
-    xl, w, gx, gw, vals = _element_quadrature(scenario, mesh, quad_points_per_element)
+    w, t, gw, vals = _element_quadrature(scenario, mesh, quad_points_per_element)
     n_nodes = len(mesh.nodes)
 
-    # hat functions on each element: phi_L = (x_r - x)/w, phi_R = (x - x_l)/w
-    t = (gx - xl[:, None]) / w[:, None]       # phi_R values, in [0, 1]
+    # hat functions on each element: phi_L = (x_r - x)/w, phi_R = (x - x_l)/w = t
     phi = {"L": 1.0 - t, "R": t}
     dphi = {"L": -1.0 / w, "R": 1.0 / w}
 
@@ -137,51 +136,26 @@ def assemble(scenario, mesh: LayerMesh, quad_points_per_element: int = 5) -> Tri
     )
 
 
-_PIVOT_FLOOR = 1e-300
-
-
 def solve_tridiagonal(system: TridiagonalSystem) -> np.ndarray:
-    """Thomas elimination sweep with a dense partially-pivoted fallback."""
+    """LAPACK gtsv (Gaussian elimination with partial pivoting), then a residual check."""
     n = system.size
     sub, diag, sup, rhs = system.sub, system.diag, system.sup, system.rhs
     if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(sub))
             and np.all(np.isfinite(sup)) and np.all(np.isfinite(rhs))):
         raise SingularSystemError("system contains non-finite entries")
-
-    def dense_solve():
-        try:
-            return np.linalg.solve(system.dense(), rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError("dense fallback failed") from exc
-
-    x = None
-    d = diag.copy()
-    y = rhs.copy()
-    ok = True
-    for i in range(1, n):
-        if abs(d[i - 1]) < _PIVOT_FLOOR:
-            ok = False
-            break
-        m = sub[i - 1] / d[i - 1]
-        d[i] -= m * sup[i - 1]
-        y[i] -= m * y[i - 1]
-    if ok and abs(d[n - 1]) >= _PIVOT_FLOOR:
-        x = np.empty(n)
-        x[n - 1] = y[n - 1] / d[n - 1]
-        for i in range(n - 2, -1, -1):
-            x[i] = (y[i] - sup[i] * x[i + 1]) / d[i]
-
+    ab = np.array([np.r_[0.0, sup], diag, np.r_[sub, 0.0]])
+    try:
+        # n = 1 is a plain division, which gives inf or nan when singular
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = solve_banded((1, 1), ab, rhs, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError("system is singular") from exc
+    if not np.all(np.isfinite(x)):
+        raise SingularSystemError("system is singular to working precision")
     norm_a = np.abs(diag).max() + (np.abs(sub).max() + np.abs(sup).max() if n > 1 else 0.0)
-    if x is not None:
-        resid = np.abs(system.matvec(x) - rhs).max()
-        scale = norm_a * np.abs(x).max() + np.abs(rhs).max()
-        if resid <= 1e-10 * max(scale, 1e-300):
-            return x
-    # degraded pivots or weak residual: redo with partial pivoting
-    x = dense_solve()
     resid = np.abs(system.matvec(x) - rhs).max()
     scale = norm_a * np.abs(x).max() + np.abs(rhs).max()
-    if not np.all(np.isfinite(x)) or resid > 1e-8 * max(scale, 1e-300):
+    if resid > 1e-8 * max(scale, 1e-300):
         raise SingularSystemError("system is singular to working precision")
     return x
 
@@ -200,9 +174,7 @@ def bilinear_form(v: FemSolution, w: FemSolution, scenario,
     """Quadrature value of a(v, w) for two FE functions on the same mesh."""
     if v.mesh is not w.mesh and not np.array_equal(v.mesh.nodes, w.mesh.nodes):
         raise MeshMismatchError("bilinear_form requires a shared mesh")
-    xl, el_w, gx, gw, vals = _element_quadrature(
-        scenario, v.mesh, quad_points_per_element)
-    t = (gx - xl[:, None]) / el_w[:, None]
+    _, t, gw, vals = _element_quadrature(scenario, v.mesh, quad_points_per_element)
     v_vals = v.coefficients[:-1, None] * (1 - t) + v.coefficients[1:, None] * t
     w_vals = w.coefficients[:-1, None] * (1 - t) + w.coefficients[1:, None] * t
     v_slope = v.slopes[:, None]

@@ -197,6 +197,26 @@ def _derivative_samples(reference: FemSolution, k: int):
     return nodes[2:-2], d[2:-2]
 
 
+def _bounded_ratio(name, scenario, reference: FemSolution, k: int,
+                   bound_values, beta_factor: float,
+                   integral: Optional[CumulativeIntegral],
+                   kind: str) -> BoundCheckReport:
+    """Sup of |w^(k)| / bound_values(coeffs, xs, integral(xs), k, beta_factor)
+    on a reference solve; integral defaults to the layer integral of kind."""
+    if reference.mesh.h > 1.0 / 512 + 1e-12:
+        raise ConfigurationError("reference solve too coarse (need h <= 1/512)")
+    if integral is None:
+        integral = layer_integral(scenario.coeffs, kind)
+    xs, dk = _derivative_samples(reference, k)
+    bound = bound_values(scenario.coeffs, xs, integral(xs), k, beta_factor)
+    ratios = np.abs(dk) / bound
+    i = int(np.argmax(ratios))
+    sup = float(ratios[i])
+    return BoundCheckReport(
+        name=name, sample_count=len(xs), worst_margin=-sup,
+        worst_point=float(xs[i]), passed=bool(np.isfinite(sup)), sup_ratio=sup)
+
+
 def check_solution_bounds(scenario, reference: FemSolution, which: str,
                           beta_factor: float = 1.0,
                           e: Optional[CumulativeIntegral] = None) -> BoundCheckReport:
@@ -207,20 +227,9 @@ def check_solution_bounds(scenario, reference: FemSolution, which: str,
     """
     if which not in _WHICH_TO_K:
         raise ParameterError("which must be one of U0, U1, U2")
-    if reference.mesh.h > 1.0 / 512 + 1e-12:
-        raise ConfigurationError("reference solve too coarse (need h <= 1/512)")
-    k = _WHICH_TO_K[which]
-    if e is None:
-        e = layer_integral(scenario.coeffs, "e")
-    xs, dk = _derivative_samples(reference, k)
-    bound = solution_bound_values(scenario.coeffs, xs, e(xs), k, beta_factor)
-    ratios = np.abs(dk) / bound
-    i = int(np.argmax(ratios))
-    sup = float(ratios[i])
-    return BoundCheckReport(
-        name=f"solution-bound-{which}[{scenario.name}]",
-        sample_count=len(xs), worst_margin=-sup, worst_point=float(xs[i]),
-        passed=bool(np.isfinite(sup)), sup_ratio=sup)
+    return _bounded_ratio(
+        f"solution-bound-{which}[{scenario.name}]", scenario, reference,
+        _WHICH_TO_K[which], solution_bound_values, beta_factor, e, "e")
 
 
 def check_transformed_bounds(scenario, reference: FemSolution,
@@ -229,21 +238,10 @@ def check_transformed_bounds(scenario, reference: FemSolution,
     """Same bounded-ratio protocol against the etilde-based bounds (k = 0, 1)."""
     if which not in ("U0", "U1"):
         raise ParameterError("transformed bounds are checked for U0 and U1")
-    if reference.mesh.h > 1.0 / 512 + 1e-12:
-        raise ConfigurationError("reference solve too coarse (need h <= 1/512)")
-    k = _WHICH_TO_K[which]
-    if etilde is None:
-        etilde = layer_integral(scenario.coeffs, "etilde")
-    xs, dk = _derivative_samples(reference, k)
-    bound = transformed_bound_values(scenario.coeffs, xs, etilde(xs), k,
-                                     beta_factor)
-    ratios = np.abs(dk) / bound
-    i = int(np.argmax(ratios))
-    sup = float(ratios[i])
-    return BoundCheckReport(
-        name=f"transformed-bound-{which}[{scenario.name}]",
-        sample_count=len(xs), worst_margin=-sup, worst_point=float(xs[i]),
-        passed=bool(np.isfinite(sup)), sup_ratio=sup)
+    return _bounded_ratio(
+        f"transformed-bound-{which}[{scenario.name}]", scenario, reference,
+        _WHICH_TO_K[which], transformed_bound_values, beta_factor, etilde,
+        "etilde")
 
 
 def reference_solution(scenario, h_ref: float = 1.0 / 512,

@@ -67,6 +67,15 @@ class TestMesh:
         assert text.startswith("index,x,region")
         assert "\r" not in text  # LF line endings
 
+    def test_output_in_missing_directory_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "mesh.csv"
+        code, out, err = run_cli(
+            ["mesh", "--eps0", "0.001", "--h", "1/16",
+             "--output", str(target)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("usage error") and err.count("\n") == 1
+        assert not target.parent.exists()
+
 
 class TestSolve:
     def test_exact_column(self, capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from layerfem.analysis import energy_norm, error_report
 from layerfem.calculus import layer_integral
@@ -125,6 +127,41 @@ class TestTridiagonalSolve:
                                  sup=np.array([0.0]), rhs=np.ones(2))
         with pytest.raises(SingularSystemError):
             solve_tridiagonal(sys_)
+
+    def test_zero_first_pivot_without_dense_matrix(self, monkeypatch):
+        # [[0, 1], [1, 1]] x = (1, 2) has x = (1, 1); elimination without
+        # pivoting fails at the first pivot, and no O(n^2) matrix may be built
+        def no_dense(self):
+            raise AssertionError("dense matrix built")
+
+        monkeypatch.setattr(TridiagonalSystem, "dense", no_dense)
+        sys_ = TridiagonalSystem(sub=np.array([1.0]), diag=np.array([0.0, 1.0]),
+                                 sup=np.array([1.0]), rhs=np.array([1.0, 2.0]))
+        assert solve_tridiagonal(sys_) == pytest.approx([1.0, 1.0])
+
+
+# diag_scale 0.1 and 0 give systems far from diagonal dominance
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(n=st.integers(1, 200), seed=st.integers(0, 2**32 - 1),
+       diag_scale=st.sampled_from([0.0, 0.1, 1.0, 10.0]),
+       zero_first_pivot=st.booleans())
+@example(n=1, seed=0, diag_scale=1.0, zero_first_pivot=False)
+@example(n=2, seed=0, diag_scale=1.0, zero_first_pivot=True)
+@example(n=200, seed=1, diag_scale=0.1, zero_first_pivot=True)
+def test_solve_matches_dense(n, seed, diag_scale, zero_first_pivot):
+    rng = np.random.default_rng(seed)
+    diag = diag_scale * rng.standard_normal(n)
+    if zero_first_pivot:
+        diag[0] = 0.0
+    sys_ = TridiagonalSystem(sub=rng.standard_normal(n - 1), diag=diag,
+                             sup=rng.standard_normal(n - 1),
+                             rhs=rng.standard_normal(n))
+    dense = sys_.dense()
+    cond = np.linalg.cond(dense)
+    assume(cond <= 1e8)
+    x = solve_tridiagonal(sys_)
+    ref = np.linalg.solve(dense, sys_.rhs)
+    assert np.abs(x - ref).max() <= 1e-12 * cond * np.abs(ref).max()
 
 
 class TestGalerkinSolve:
