@@ -7,6 +7,7 @@ once; a callable that fails on array input raises EvaluationError, there is
 no point-by-point fallback.  A constant return value is broadcast.
 """
 
+import functools
 import heapq
 
 import numpy as np
@@ -33,10 +34,15 @@ class QuadratureRule:
     order: int  # degree of polynomial exactness
 
 
+@functools.lru_cache(maxsize=32)
 def gauss_legendre(n: int) -> QuadratureRule:
+    """The n-point rule, built once per n; its arrays are read-only because
+    every caller shares them."""
     if n < 1:
         raise ParameterError("need at least one quadrature point")
     pts, wts = np.polynomial.legendre.leggauss(n)
+    pts.setflags(write=False)
+    wts.setflags(write=False)
     return QuadratureRule(points=pts, weights=wts, order=2 * n - 1)
 
 

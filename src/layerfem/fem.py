@@ -2,9 +2,11 @@
 
 The bilinear form is a(v, w) = (eps v', w') - (b v', w) + (c v, w); the
 convection term keeps its minus sign and there is no stabilization -- the
-layer-adapted mesh does that job.  The assembled system is tridiagonal over
-the interior nodes and is solved by LAPACK's pivoting tridiagonal solver
-(gtsv) in O(n) time and memory, with no fallback path.
+layer-adapted mesh does that job.  Each element integral is one weighted
+moment of a coefficient's Gauss samples, because the hat functions take the
+same values at the Gauss points of every element.  The assembled system is
+tridiagonal over the interior nodes and is solved by LAPACK's pivoting
+tridiagonal solver (gtsv) in O(n) time and memory, with no fallback path.
 """
 
 import numpy as np
@@ -67,18 +69,20 @@ class FemSolution:
         return np.diff(self.coefficients) / np.diff(self.mesh.nodes)
 
 
-def _element_quadrature(scenario, mesh: LayerMesh, n_quad: int):
-    """Coefficient samples and hat-function values at element Gauss points.
+def _on_elements(nodes, coefficients, x):
+    """Values c_l + s (x - x_l) and slopes s, shape (n_el, 1), of the
+    piecewise-linear function with these nodal values at the points x of
+    every element, shape (n_el, k): np.interp's arithmetic, without a search."""
+    c = np.asarray(coefficients, dtype=float)
+    slopes = (np.diff(c) / np.diff(nodes))[:, None]
+    return c[:-1, None] + slopes * (x - nodes[:-1, None]), slopes
 
-    Returns (w, t, gw, vals): w holds the element widths; t, gw have shape
-    (n_el, n_quad) and hold the hat coordinate (x - x_l)/w and the weights at
-    the Gauss points gx; vals maps each coefficient name to its samples at gx.
-    """
+
+def _element_quadrature(scenario, mesh: LayerMesh, n_quad: int):
+    """(rule, gx, half, vals): element i has Gauss points gx[i] and weights
+    half[i] * rule.weights; vals maps each coefficient name to its samples at gx."""
     rule = gauss_legendre(n_quad)
-    xl, xr = mesh.nodes[:-1], mesh.nodes[1:]
-    w = xr - xl
-    gx, half = _gauss_map(xl, xr, rule)
-    gw = half[:, None] * rule.weights[None, :]
+    gx, half = _gauss_map(mesh.nodes[:-1], mesh.nodes[1:], rule)
     co = scenario.coeffs
     vals = {}
     for label, fn in (("eps", co.eps), ("b", co.b), ("c", co.c), ("f", co.f)):
@@ -87,52 +91,39 @@ def _element_quadrature(scenario, mesh: LayerMesh, n_quad: int):
             el = int(np.argwhere(~np.isfinite(y))[0][0])
             raise AssemblyError(f"non-finite {label} sample in element {el}")
         vals[label] = y
-    return w, (gx - xl[:, None]) / w[:, None], gw, vals
+    return rule, gx, half, vals
 
 
 def assemble(scenario, mesh: LayerMesh, quad_points_per_element: int = 5) -> TridiagonalSystem:
     """Assemble the Galerkin tridiagonal system for the interior nodes."""
     if quad_points_per_element < 2:
         raise ParameterError("need at least 2 quadrature points per element")
-    w, t, gw, vals = _element_quadrature(scenario, mesh, quad_points_per_element)
-    n_nodes = len(mesh.nodes)
+    rule, _, half, vals = _element_quadrature(scenario, mesh, quad_points_per_element)
+    w = np.diff(mesh.nodes)
 
-    # hat functions on each element: phi_L = (x_r - x)/w, phi_R = (x - x_l)/w = t
-    phi = {"L": 1.0 - t, "R": t}
-    dphi = {"L": -1.0 / w, "R": 1.0 / w}
+    # The hats phi_L = 1 - t, phi_R = t have slopes -1/w, 1/w and take the
+    # same values at the Gauss points t = (1 + points)/2 of every element, so
+    # each element integral is one weighted moment of a coefficient's samples.
+    t = 0.5 * (1.0 + rule.points)
+    moments = rule.weights[:, None] * np.column_stack(
+        (1.0 - t, t, (1.0 - t) ** 2, (1.0 - t) * t, t * t))
+    stiff = half * (vals["eps"] @ rule.weights) / (w * w)
+    b_l, b_r = (half[:, None] * (vals["b"] @ moments[:, :2])).T
+    c_ll, c_lr, c_rr = (half[:, None] * (vals["c"] @ moments[:, 2:])).T
+    f_l, f_r = (half[:, None] * (vals["f"] @ moments[:, :2])).T
 
-    eps_v, b_v, c_v, f_v = vals["eps"], vals["b"], vals["c"], vals["f"]
+    # element entries a(trial, test); row = test function, column = trial
+    e_ll = stiff + b_l / w + c_ll
+    e_lr = -stiff - b_l / w + c_lr
+    e_rl = -stiff + b_r / w + c_lr
+    e_rr = stiff - b_r / w + c_rr
 
-    def entry(trial, test):
-        stiff = (gw * eps_v).sum(axis=1) * dphi[trial] * dphi[test]
-        conv = -(gw * b_v * phi[test]).sum(axis=1) * dphi[trial]
-        react = (gw * c_v * phi[trial] * phi[test]).sum(axis=1)
-        return stiff + conv + react
-
-    e_ll = entry("L", "L")
-    e_lr = entry("R", "L")  # row L, column R
-    e_rl = entry("L", "R")
-    e_rr = entry("R", "R")
-    load_l = (gw * f_v * phi["L"]).sum(axis=1)
-    load_r = (gw * f_v * phi["R"]).sum(axis=1)
-
-    # scatter: global row/col i gets L-contributions from element i and
-    # R-contributions from element i-1
-    diag_full = np.zeros(n_nodes)
-    sub_full = np.zeros(n_nodes - 1)
-    sup_full = np.zeros(n_nodes - 1)
-    rhs_full = np.zeros(n_nodes)
-    diag_full[:-1] += e_ll
-    diag_full[1:] += e_rr
-    sup_full[:] = e_lr
-    sub_full[:] = e_rl
-    rhs_full[:-1] += load_l
-    rhs_full[1:] += load_r
-
-    # homogeneous Dirichlet conditions: keep interior rows/columns only
+    # interior node i collects the R entries of element i-1 and the L entries
+    # of element i; the boundary rows and columns are dropped (homogeneous
+    # Dirichlet conditions)
     return TridiagonalSystem(
-        sub=sub_full[1:-1], diag=diag_full[1:-1], sup=sup_full[1:-1],
-        rhs=rhs_full[1:-1],
+        sub=e_rl[1:-1], diag=e_rr[:-1] + e_ll[1:], sup=e_lr[1:-1],
+        rhs=f_r[:-1] + f_l[1:],
     )
 
 
@@ -174,12 +165,11 @@ def bilinear_form(v: FemSolution, w: FemSolution, scenario,
     """Quadrature value of a(v, w) for two FE functions on the same mesh."""
     if v.mesh is not w.mesh and not np.array_equal(v.mesh.nodes, w.mesh.nodes):
         raise MeshMismatchError("bilinear_form requires a shared mesh")
-    _, t, gw, vals = _element_quadrature(scenario, v.mesh, quad_points_per_element)
-    v_vals = v.coefficients[:-1, None] * (1 - t) + v.coefficients[1:, None] * t
-    w_vals = w.coefficients[:-1, None] * (1 - t) + w.coefficients[1:, None] * t
-    v_slope = v.slopes[:, None]
-    w_slope = w.slopes[:, None]
+    rule, gx, half, vals = _element_quadrature(scenario, v.mesh,
+                                               quad_points_per_element)
+    v_vals, v_slope = _on_elements(v.mesh.nodes, v.coefficients, gx)
+    w_vals, w_slope = _on_elements(v.mesh.nodes, w.coefficients, gx)
     integrand = (vals["eps"] * v_slope * w_slope
                  - vals["b"] * v_slope * w_vals
                  + vals["c"] * v_vals * w_vals)
-    return float((gw * integrand).sum())
+    return float(half @ (integrand @ rule.weights))

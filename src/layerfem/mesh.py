@@ -2,7 +2,8 @@
 
 The transition point tau* solves e(tau*) = -(2/beta) ln h in the stretched
 coordinate e(x) = int_0^x 1/eps.  Inside the layer the nodes grow
-geometrically, x_{i+1} = x_i (1 + h) starting from x_1 = h * delta * eps_lower;
+geometrically, x_{i+1} = x_i (1 + h) starting from x_1 = h * delta * eps_lower,
+computed as a cumulative product that rounds exactly as that recurrence;
 past the first graded node >= tau* the mesh is equidistant with spacing <= h.
 """
 
@@ -67,23 +68,29 @@ def build_mesh(coeffs, e: CumulativeIntegral, h: float, delta: float = 1.0,
     tau_star = compute_tau_star(coeffs, e, h)
 
     x1 = h * delta * coeffs.eps_lower
-    graded = [0.0, x1]
-    x = x1
-    while x < tau_star:
-        x *= 1.0 + h
-        graded.append(x)
-        if len(graded) > max_nodes:
+    # x_{k+1} = x_k (1 + h) up to the first node >= tau*; cumprod multiplies
+    # in sequence, so it rounds as the recurrence does.  The log estimate only
+    # sizes the batches (rounding may leave it short), capped at max_nodes.
+    # An x_1 <= 0 never reaches tau*, so the recurrence would hit the cap.
+    graded = np.array([0.0, x1])
+    while graded[-1] < tau_star:
+        if len(graded) >= max_nodes or graded[-1] <= 0.0:
             raise ResourceError(f"graded node count exceeded cap {max_nodes}")
-    tau = graded[-1]
+        est = math.log(tau_star / graded[-1]) / math.log1p(h)
+        steps = int(min(est + 2.0, max_nodes - len(graded)))
+        batch = np.cumprod(np.r_[graded[-1], np.full(steps, 1.0 + h)])
+        graded = np.concatenate((graded, batch[1:]))
+    tau_index = 1 + int(np.searchsorted(graded[1:], tau_star))
+    graded = graded[:tau_index + 1]
+    tau = float(graded[-1])
     if tau >= 1.0:
         raise DegenerateRegimeError(
             f"first node past tau* already reaches {tau:.4g} >= 1")
-    n_star = len(graded) - 2
-    tau_index = len(graded) - 1
+    n_star = tau_index - 1
 
     m = math.ceil((1.0 - tau) / h)
     coarse = np.linspace(tau, 1.0, m + 1)[1:]
-    nodes = np.concatenate((np.asarray(graded), coarse))
+    nodes = np.concatenate((graded, coarse))
     if len(nodes) > max_nodes:
         raise ResourceError(f"node count exceeded cap {max_nodes}")
     return LayerMesh(nodes=nodes, h=h, delta=delta, n_star=n_star,

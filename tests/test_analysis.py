@@ -1,4 +1,6 @@
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -13,11 +15,11 @@ from layerfem.analysis import (
     observed_rate,
     rates_of,
 )
-from layerfem.calculus import layer_integral
+from layerfem.calculus import gauss_legendre, layer_integral
 from layerfem.errors import ConfigurationError
 from layerfem.fem import FemSolution, galerkin_solve
 from layerfem.mesh import LayerMesh, build_mesh
-from layerfem.problem import ScalarFunction, Scenario, get_scenario
+from layerfem.problem import SCENARIO_NAMES, ScalarFunction, Scenario, get_scenario
 
 
 def uniform_mesh(n_nodes):
@@ -131,6 +133,81 @@ class TestErrorReport:
         fe = error_report(galerkin_solve(sc, mesh), sc)
         ip = error_report(interpolate(sc.exact, mesh), sc)
         assert fe.energy_error <= 10 * ip.energy_error
+
+
+def oracle_norms(nodes, diff, diff_deriv, eps_fn, n_quad=7):
+    """(integral of diff^2, integral of eps diff'^2), evaluating both
+    callables point by point at the Gauss points of every element."""
+    rule = gauss_legendre(n_quad)
+    half = 0.5 * np.diff(nodes)
+    gx = 0.5 * (nodes[:-1] + nodes[1:])[:, None] + half[:, None] * rule.points
+    gw = half[:, None] * rule.weights
+    d, dd = diff(gx), diff_deriv(gx)
+    return (gw * d * d).sum(), (gw * eps_fn(gx) * dd * dd).sum()
+
+
+def assert_report_matches(rep, l2, wg):
+    assert rep.l2_error == pytest.approx(math.sqrt(l2), rel=1e-12, abs=0)
+    assert rep.weighted_grad_error == pytest.approx(math.sqrt(wg), rel=1e-12, abs=0)
+    assert rep.energy_error == pytest.approx(math.sqrt(l2 + wg), rel=1e-12, abs=0)
+
+
+class TestMatchesPointwiseOracle:
+    # the library evaluates FE functions from their nodal values; the oracle
+    # calls np.interp and deriv at each Gauss point
+
+    @pytest.mark.parametrize("eps0", [1e-2, 1e-6, 1e-12])
+    @pytest.mark.parametrize("h", [1.0 / 16, 1.0 / 128, 1.0 / 1024])
+    def test_closed_form_report_and_energy_norm(self, eps0, h):
+        sc = get_scenario("manufactured", eps0)
+        sol = galerkin_solve(sc, ds_mesh(sc, h))
+        u, eps = sc.exact, sc.coeffs.eps
+        nodes = sol.mesh.nodes
+        assert_report_matches(error_report(sol, sc), *oracle_norms(
+            nodes, lambda x: u(x) - sol(x), lambda x: u.d(x) - sol.deriv(x), eps))
+        l2, wg = oracle_norms(nodes, sol, sol.deriv, eps)
+        assert energy_norm(sol, sc.coeffs) == pytest.approx(
+            math.sqrt(l2 + wg), rel=1e-12, abs=0)
+
+    # sampling the difference at the merged nodes moves the result by
+    # roundoff relative to an error that shrinks with h: 1.4e-13 at h = 1/32,
+    # 2e-12 at h = 1/128
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    @pytest.mark.parametrize("eps0", [1e-2, 1e-6, 1e-12])
+    @pytest.mark.parametrize("h", [1.0 / 16, 1.0 / 32])
+    def test_fine_mesh_report(self, name, eps0, h):
+        sc = get_scenario(name, eps0)
+        sol = galerkin_solve(sc, ds_mesh(sc, h))
+        ref = galerkin_solve(sc, ds_mesh(sc, h / 16))
+        merged = np.union1d(sol.mesh.nodes, ref.mesh.nodes)
+        assert_report_matches(
+            error_report(sol, sc, reference=ref),
+            *oracle_norms(merged, lambda x: ref(x) - sol(x),
+                          lambda x: ref.deriv(x) - sol.deriv(x), sc.coeffs.eps))
+
+
+_REFERENCE_JSON = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
+                               "reference.json")
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_convergence_matches_recorded_rows(name):
+    # rows recorded by the benchmark: exact node counts, and energy errors
+    # within its 1e-8 gate (the solve at small eps is ill-conditioned, so
+    # roundoff-level changes to the assembly move them by up to ~2.4e-9)
+    with open(_REFERENCE_JSON) as fh:
+        recorded = {(r["eps0"], r["h"]): r
+                    for r in json.load(fh)["sweep"]["converge"]
+                    if r["scenario"] == name}
+    hs = [1.0 / 16, 1.0 / 32, 1.0 / 64, 1.0 / 128, 1.0 / 256]
+    table = convergence_study(lambda eps0: get_scenario(name, eps0), hs,
+                              [1e-12, 1e-07, 0.01])
+    assert len(table.rows) == 15
+    for row in table.rows:
+        want = recorded[(row.eps0, row.h)]
+        assert row.skipped_reason is None
+        assert row.node_count == want["nodes"]
+        assert row.energy_error == pytest.approx(want["energy_err"], rel=1e-8, abs=0)
 
 
 class TestConvergenceStudy:

@@ -37,6 +37,15 @@ class TestQuadratureRule:
             got = (rule.weights * rule.points ** k).sum()
             assert abs(got - exact) <= 1e-12
 
+    def test_rule_is_shared_and_read_only(self):
+        # every caller gets the same rule, so none may change it for the rest
+        rule = gauss_legendre(7)
+        assert gauss_legendre(7) is rule
+        with pytest.raises(ValueError):
+            rule.points[0] = 0.0
+        with pytest.raises(ValueError):
+            rule.weights[:] = 1.0
+
 
 class TestIntegrate:
     def test_constant(self):

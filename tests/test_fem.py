@@ -1,12 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from layerfem.analysis import energy_norm, error_report
-from layerfem.calculus import layer_integral
+from layerfem.calculus import gauss_legendre, layer_integral
 from layerfem.errors import (
     AssemblyError,
+    DegenerateRegimeError,
     MeshMismatchError,
     ParameterError,
     SingularSystemError,
@@ -21,6 +24,7 @@ from layerfem.fem import (
 )
 from layerfem.mesh import LayerMesh, build_mesh
 from layerfem.problem import (
+    SCENARIO_NAMES,
     CoefficientSet,
     Scenario,
     ScalarFunction,
@@ -86,6 +90,62 @@ class TestAssembly:
     def test_too_few_quad_points(self):
         with pytest.raises(ParameterError):
             assemble(plain_scenario(), uniform_mesh(9), quad_points_per_element=1)
+
+
+def unit_hat(mesh, i):
+    coef = np.zeros(mesh.node_count)
+    coef[i] = 1.0
+    return FemSolution(mesh=mesh, coefficients=coef)
+
+
+def load_on_hat(scenario, mesh, i, n_quad=5):
+    """(f, phi_i) by the n_quad-point Gauss rule on the two elements of its support."""
+    rule = gauss_legendre(n_quad)
+    phi = unit_hat(mesh, i)
+    total = 0.0
+    for el in (i - 1, i):
+        xl, xr = mesh.nodes[el], mesh.nodes[el + 1]
+        gx = 0.5 * (xl + xr) + 0.5 * (xr - xl) * rule.points
+        total += 0.5 * (xr - xl) * np.sum(
+            rule.weights * scenario.coeffs.f(gx) * phi(gx))
+    return total
+
+
+# b, c and f are constant in every built-in scenario; varying them tells the
+# two hat functions of an element apart in every term
+_VARIABLE_BCF = dict(b=ScalarFunction(lambda x: 2.0 + x),
+                     c=ScalarFunction(lambda x: 1.0 + x * x),
+                     f=ScalarFunction(lambda x: np.exp(-3.0 * x)))
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(name=st.sampled_from(SCENARIO_NAMES), log10_eps0=st.floats(-12.0, -2.0),
+       k=st.integers(2, 5), variable_bcf=st.booleans())
+@example(name="eps-exp", log10_eps0=-12.0, k=5, variable_bcf=True)
+def test_assemble_matches_bilinear_form_on_hats(name, log10_eps0, k, variable_bcf):
+    # row i, column j of the system is a(phi_j, phi_i); rhs i is (f, phi_i)
+    sc = get_scenario(name, 10.0 ** log10_eps0)
+    if variable_bcf:
+        sc = dataclasses.replace(
+            sc, coeffs=dataclasses.replace(sc.coeffs, **_VARIABLE_BCF))
+    try:
+        mesh = build_mesh(sc.coeffs, layer_integral(sc.coeffs, "e"), 2.0 ** -k)
+    except DegenerateRegimeError:
+        assume(False)
+    sys_ = assemble(sc, mesh)
+    hats = [unit_hat(mesh, i) for i in range(mesh.node_count)]
+    inner = range(1, mesh.node_count - 1)
+    want = TridiagonalSystem(
+        diag=np.array([bilinear_form(hats[i], hats[i], sc) for i in inner]),
+        sup=np.array([bilinear_form(hats[i + 1], hats[i], sc) for i in inner[:-1]]),
+        sub=np.array([bilinear_form(hats[i], hats[i + 1], sc) for i in inner[:-1]]),
+        rhs=np.array([load_on_hat(sc, mesh, i) for i in inner]))
+    # diagonal entries can nearly cancel, so matrix errors are taken relative
+    # to the largest entry of their row
+    row_scale = np.abs(want.dense()).max(axis=1)
+    row_err = np.abs(sys_.dense() - want.dense()).max(axis=1)
+    assert np.all(row_err <= 1e-13 * row_scale)
+    assert np.all(np.abs(sys_.rhs - want.rhs) <= 1e-13 * np.abs(want.rhs))
 
 
 class TestTridiagonalSolve:

@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from layerfem.calculus import layer_integral
 from layerfem.errors import (
@@ -10,7 +13,7 @@ from layerfem.errors import (
     ResourceError,
 )
 from layerfem.mesh import build_mesh, compute_tau_star, predict_cardinality
-from layerfem.problem import get_scenario
+from layerfem.problem import SCENARIO_NAMES, get_scenario
 
 
 def scenario_e(name, eps0):
@@ -108,6 +111,14 @@ class TestBuildMesh:
         with pytest.raises(ResourceError):
             build_mesh(sc.coeffs, e, 1.0 / 64, max_nodes=50)
 
+    @pytest.mark.parametrize("eps_lower", [0.0, -1e-6])
+    def test_nonpositive_first_node_hits_cap(self, eps_lower):
+        # x_1 = h delta eps_lower <= 0 never grows to tau*
+        sc, e = scenario_e("eps-const", 1e-5)
+        coeffs = dataclasses.replace(sc.coeffs, eps_lower=eps_lower)
+        with pytest.raises(ResourceError, match="graded node count"):
+            build_mesh(coeffs, e, 1.0 / 64, max_nodes=50)
+
     def test_graded_count_nearly_eps_independent(self):
         # the multiplicative grading absorbs eps: the graded step count
         # stays essentially constant as eps0 shrinks by six orders
@@ -146,3 +157,35 @@ class TestPredictCardinality:
             for h in (1.0 / 16, 1.0 / 128):
                 mesh = build_mesh(sc.coeffs, e, h)
                 assert mesh.node_count <= 4 * predict_cardinality(sc.coeffs, h)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(name=st.sampled_from(SCENARIO_NAMES), log10_eps0=st.floats(-12.0, -2.0),
+       k=st.integers(4, 12), delta=st.floats(0.25, 4.0))
+@example(name="eps-const", log10_eps0=-12.0, k=12, delta=0.25)
+@example(name="eps-exp", log10_eps0=-2.0, k=4, delta=4.0)
+def test_mesh_properties(name, log10_eps0, k, delta):
+    sc, e = scenario_e(name, 10.0 ** log10_eps0)
+    h = 2.0 ** -k
+    try:
+        mesh = build_mesh(sc.coeffs, e, h, delta)
+    except DegenerateRegimeError:
+        assume(False)
+    nodes, ti = mesh.nodes, mesh.tau_index
+    # the graded nodes are the recurrence x_{k+1} = x_k (1 + h), bit for bit
+    graded = [0.0, h * delta * sc.coeffs.eps_lower]
+    while graded[-1] < mesh.tau_star:
+        graded.append(graded[-1] * (1.0 + h))
+    assert np.array_equal(nodes[:ti + 1], graded)
+    assert mesh.n_star == ti - 1
+    assert nodes[ti - 1] < mesh.tau_star <= mesh.tau
+    assert math.exp(-sc.coeffs.beta * e(mesh.tau)) <= h ** 2 * (1 + 1e-12)
+    assert mesh.node_count <= 4 * predict_cardinality(sc.coeffs, h)
+    # the graded cap is checked before the whole mesh's; at the exact count
+    # nothing is raised
+    with pytest.raises(ResourceError, match="graded node count"):
+        build_mesh(sc.coeffs, e, h, delta, max_nodes=ti)
+    with pytest.raises(ResourceError, match="^node count"):
+        build_mesh(sc.coeffs, e, h, delta, max_nodes=mesh.node_count - 1)
+    assert np.array_equal(
+        build_mesh(sc.coeffs, e, h, delta, max_nodes=mesh.node_count).nodes, nodes)
