@@ -1,20 +1,19 @@
 """Quadrature, cumulative layer integrals, monotone inversion and grid derivatives.
 
 Everything downstream (meshing, assembly, error measurement, bound checks)
-is built on the routines in this module.  Integrands must accept numpy
+is built on the routines in this module.  Adaptive quadrature bisects in
+batched rounds, and inversion takes bracketed Newton steps on a cumulative
+integral's own breakpoints and integrand.  Integrands must accept numpy
 arrays of any shape and are evaluated on whole batches of Gauss points at
 once; a callable that fails on array input raises EvaluationError, there is
 no point-by-point fallback.  A constant return value is broadcast.
 """
 
 import functools
-import heapq
 
 import numpy as np
 from dataclasses import dataclass
 from typing import Callable
-
-from scipy.optimize import brentq
 
 from .errors import (
     ConvergenceError,
@@ -48,6 +47,9 @@ def gauss_legendre(n: int) -> QuadratureRule:
 
 _G5 = gauss_legendre(5)
 _G10 = gauss_legendre(10)
+
+# Live-panel cap of integrate: panels double each round that bisects them all.
+_MAX_PANELS = 65536
 
 
 def _vec_eval(f, x: np.ndarray) -> np.ndarray:
@@ -91,6 +93,15 @@ def _panel_sums(f, lefts, rights, rule: QuadratureRule) -> np.ndarray:
     return (y * rule.weights[None, :]).sum(axis=1) * half
 
 
+def _panel_rows(f, lefts, rights, wholes, depths, rule: QuadratureRule):
+    """Rows (left, right, whole sum, left-half sum, right-half sum, depth)
+    for a batch of panels whose whole sums are known; one batched call."""
+    mids = 0.5 * (lefts + rights)
+    halves = _panel_sums(f, np.concatenate((lefts, mids)),
+                         np.concatenate((mids, rights)), rule).reshape(2, -1)
+    return np.column_stack((lefts, rights, wholes, halves[0], halves[1], depths))
+
+
 def integrate(
     f: Callable,
     a: float,
@@ -102,11 +113,15 @@ def integrate(
 ) -> float:
     """Adaptive composite Gauss quadrature of f over [a, b].
 
-    Each panel is bisected until the whole-panel estimate and the two
-    half-panel estimates agree; the global error proxy (sum of panel
-    discrepancies) is driven below rel_tol times the running integral.
+    A panel's discrepancy is the gap between its whole-panel sum and the sum
+    of its two halves.  Each round bisects, in one batched evaluation, every
+    panel whose discrepancy is above its share rel_tol * |total| / n_panels;
+    a child's whole-panel sum is its parent's half sum, so only quarters are
+    new.  Rounds end once the discrepancies sum to at most rel_tol times the
+    running integral.  ConvergenceError is raised past max_depth bisections
+    of a panel or _MAX_PANELS live panels, so a noisy integrand fails fast.
     Optional breakpoints seed the initial panelization, which is how
-    callers with known layer locations keep the recursion shallow.
+    callers with known layer locations keep the bisection shallow.
     """
     if not (np.isfinite(a) and np.isfinite(b)):
         raise ParameterError("integration limits must be finite")
@@ -125,47 +140,33 @@ def integrate(
         edges = np.unique(np.concatenate(([a], inner, [b])))
 
     lefts, rights = edges[:-1], edges[1:]
-    coarse = _panel_sums(f, lefts, rights, rule)
-    mids = 0.5 * (lefts + rights)
-    fine_l = _panel_sums(f, lefts, mids, rule)
-    fine_r = _panel_sums(f, mids, rights, rule)
-    fine = fine_l + fine_r
-
-    total = float(fine.sum())
-    err_sum = float(np.abs(fine - coarse).sum())
-    # heap of (-panel_error, tie_break, left, right, fine_value, depth)
-    heap = []
-    for k in range(len(lefts)):
-        heapq.heappush(
-            heap, (-abs(fine[k] - coarse[k]), k, lefts[k], rights[k], fine[k], 0)
-        )
-    counter = len(lefts)
-
-    while err_sum > rel_tol * max(abs(total), 1e-300):
-        neg_err, _, lo, hi, val, depth = heapq.heappop(heap)
-        if -neg_err <= 0.0:
-            break
-        if depth >= max_depth:
+    panels = _panel_rows(f, lefts, rights, _panel_sums(f, lefts, rights, rule),
+                           np.zeros(len(lefts)), rule)
+    while True:
+        lefts, rights, wholes, left_halves, right_halves, depths = panels.T
+        fine = left_halves + right_halves
+        total = float(fine.sum())
+        err = np.abs(fine - wholes)
+        tol = rel_tol * max(abs(total), 1e-300)
+        if float(err.sum()) <= tol:
+            return total
+        split = err > tol / len(err)
+        split[np.argmax(err)] = True
+        if depths[split].max() >= max_depth:
+            k = np.flatnonzero(split & (depths >= max_depth))[0]
             raise ConvergenceError(
                 f"quadrature did not converge after {max_depth} bisections "
-                f"on [{lo}, {hi}]"
-            )
+                f"on [{lefts[k]}, {rights[k]}]")
+        if len(panels) + np.count_nonzero(split) > _MAX_PANELS:
+            raise ConvergenceError(
+                f"quadrature on [{a}, {b}] needs more than {_MAX_PANELS} panels")
+        lo, hi = lefts[split], rights[split]
         mid = 0.5 * (lo + hi)
-        for child_lo, child_hi in ((lo, mid), (mid, hi)):
-            c = _panel_sums(f, [child_lo], [child_hi], rule)[0]
-            cm = 0.5 * (child_lo + child_hi)
-            fl = _panel_sums(f, [child_lo], [cm], rule)[0]
-            fr = _panel_sums(f, [cm], [child_hi], rule)[0]
-            child_fine = fl + fr
-            child_err = abs(child_fine - c)
-            total += child_fine - 0.5 * val
-            err_sum += child_err
-            counter += 1
-            heapq.heappush(
-                heap, (-child_err, counter, child_lo, child_hi, child_fine, depth + 1)
-            )
-        err_sum -= -neg_err
-    return total
+        children = _panel_rows(
+            f, np.concatenate((lo, mid)), np.concatenate((mid, hi)),
+            np.concatenate((left_halves[split], right_halves[split])),
+            np.tile(depths[split] + 1, 2), rule)
+        panels = np.concatenate((panels[~split], children))
 
 
 @dataclass(frozen=True)
@@ -229,7 +230,14 @@ def layer_integral(coeffs, kind: str, n_breakpoints: int = 4096) -> CumulativeIn
 
 
 def invert_monotone(g: CumulativeIntegral, target: float, tol: float = 1e-12) -> float:
-    """Solve g(x) = target on [0, 1] for strictly increasing g."""
+    """Solve g(x) = target on [0, 1] for strictly increasing g.
+
+    The breakpoint panel that brackets target (searchsorted on partial_sums)
+    gives the first iterate by linear interpolation.  Newton steps with
+    g' = g.integrand follow; each shrinks the bracket, and a step that would
+    leave it bisects instead.  Iteration stops once the residual is within
+    4 ulps of target or the bracket is one ulp wide.
+    """
     lo, hi = g(0.0), g(1.0)
     if target < lo or target > hi:
         raise OutOfRangeError(
@@ -239,11 +247,25 @@ def invert_monotone(g: CumulativeIntegral, target: float, tol: float = 1e-12) ->
         return 0.0
     if target == hi:
         return 1.0
-    root = brentq(lambda x: g(x) - target, 0.0, 1.0, xtol=1e-300,
-                  rtol=4 * np.finfo(float).eps)
-    if abs(g(root) - target) > tol * max(1.0, abs(target)):
+    k = min(int(np.searchsorted(g.partial_sums, target, side="right")) - 1,
+            len(g.breakpoints) - 2)
+    a, b = g.breakpoints[k], g.breakpoints[k + 1]
+    g_a, g_b = g.partial_sums[k], g.partial_sums[k + 1]
+    x = min(b, a + (b - a) * (target - g_a) / (g_b - g_a))
+    r = g(x) - target
+    while abs(r) > 4 * np.finfo(float).eps * abs(target):
+        a, b = (a, x) if r > 0 else (x, b)
+        slope = float(g.integrand(x))
+        step = x - r / slope if slope > 0 else a
+        if not a < step < b:
+            step = 0.5 * (a + b)
+            if not a < step < b:
+                break
+        x = step
+        r = g(x) - target
+    if abs(r) > tol * max(1.0, abs(target)):
         raise ConvergenceError("monotone inversion residual above tolerance")
-    return float(root)
+    return float(x)
 
 
 def differentiate_grid(values, nodes, order: str = "first") -> np.ndarray:

@@ -7,7 +7,7 @@ for arbitrary user-supplied coefficient functions.
 """
 
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from .errors import ConfigurationError, ParameterError
@@ -286,33 +286,17 @@ def _base_scenario(kind: str, name: str, eps0: float) -> Scenario:
 def _manufactured_scenario(eps0: float) -> Scenario:
     # exact solution u = cos(pi x / 2) - E(x): both terms are 1 at x = 0 and
     # 0 at x = 1, so no further boundary correction is needed.
-    eps, e_fn, lower, upper, sigma = _eps_family("linear", eps0)
-    smooth = _smooth_exemplar()
-    layer = _layer_exemplar(_BETA, e_fn, e_fn(1.0), eps.value, eps.deriv)
+    base = _base_scenario("linear", "manufactured", eps0)
+    smooth, layer = base.smooth_exemplar, base.layer_exemplar
     exact = ScalarFunction(
         value=lambda x: smooth(x) - layer(x),
         deriv=lambda x: smooth.d(x) - layer.d(x),
         deriv2=lambda x: smooth.d2(x) - layer.d2(x),
     )
-    partial = CoefficientSet(
-        eps=eps,
-        b=ScalarFunction.constant(2.0),
-        c=ScalarFunction.constant(1.0),
-        f=ScalarFunction.constant(0.0),
-        beta=_BETA, gamma=_GAMMA,
-        eps_lower=lower, eps_upper=upper, sigma=sigma,
-    )
-    f = manufactured_rhs(exact, partial)
-    coeffs = CoefficientSet(
-        eps=partial.eps, b=partial.b, c=partial.c, f=f,
-        beta=_BETA, gamma=_GAMMA,
-        eps_lower=lower, eps_upper=upper, sigma=sigma,
-    )
-    return Scenario(
-        name="manufactured", coeffs=coeffs, exact=exact,
-        rhs_provenance="manufactured",
-        smooth_exemplar=smooth, layer_exemplar=layer, eps0=eps0,
-    )
+    # manufactured_rhs reads eps, b and c only, so the base f is never used
+    coeffs = replace(base.coeffs, f=manufactured_rhs(exact, base.coeffs))
+    return replace(base, coeffs=coeffs, exact=exact,
+                   rhs_provenance="manufactured")
 
 
 SCENARIO_NAMES = ("eps-const", "eps-linear", "eps-exp", "manufactured")

@@ -68,23 +68,15 @@ def check_integral_lemma(coeffs, a: float, x: float, ell: int,
     denom = gamma_param + (ell + 1) * sigma0
     bp = x - np.geomspace((x - a) * 1e-14, x - a, 200)
 
-    if gamma_param > 0:
-        # scaled by exp(-gamma e_a(x)); integrand concentrates at t = x
-        lhs = integrate(
-            lambda t: eps(t) ** ell * np.exp(-gamma_param * (e_x - e(t))),
-            a, x, rel_tol=1e-10, breakpoints=bp)
-        with np.errstate(under="ignore"):
-            rhs = (eps(x) ** (ell + 1)
-                   - eps(a) ** (ell + 1) * math.exp(-gamma_param * (e_x - e_a))
-                   ) / denom
-    else:
-        # gamma <= 0: exp(gamma e_a(t)) <= 1, no scaling needed
-        lhs = integrate(
-            lambda t: eps(t) ** ell * np.exp(gamma_param * (e(t) - e_a)),
-            a, x, rel_tol=1e-10, breakpoints=bp)
-        with np.errstate(under="ignore"):
-            rhs = (eps(x) ** (ell + 1) * math.exp(gamma_param * (e_x - e_a))
-                   - eps(a) ** (ell + 1)) / denom
+    # exp(g (e(t) - shift)) <= 1 on [a, x]: no overflow for either sign of g
+    shift = e_x if gamma_param > 0 else e_a
+    lhs = integrate(
+        lambda t: eps(t) ** ell * np.exp(gamma_param * (e(t) - shift)),
+        a, x, rel_tol=1e-10, breakpoints=bp)
+    with np.errstate(under="ignore"):
+        rhs = (eps(x) ** (ell + 1) * math.exp(gamma_param * (e_x - shift))
+               - eps(a) ** (ell + 1) * math.exp(gamma_param * (e_a - shift))
+               ) / denom
 
     margin = (rhs - lhs) / max(abs(rhs), 1e-300)
     passed = lhs <= rhs * (1.0 + 1e-8)

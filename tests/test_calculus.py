@@ -15,6 +15,7 @@ from layerfem.calculus import (
     layer_integral,
 )
 from layerfem.errors import (
+    ConvergenceError,
     EvaluationError,
     OutOfRangeError,
     ParameterError,
@@ -78,6 +79,23 @@ class TestIntegrate:
 
     def test_constant_return_is_broadcast(self):
         assert integrate(lambda t: 2.0, 0, 1) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("f, exact", [
+        (lambda t: np.cos(50 * t), math.sin(50) / 50),
+        (lambda t: np.abs(t - 1 / 3), 5 / 18),
+        (lambda t: np.sqrt(t), 2 / 3),
+    ], ids=["cos50", "kink", "sqrt"])
+    def test_bisected_integrands_match_closed_form(self, f, exact):
+        assert abs(integrate(f, 0, 1) - exact) <= 1e-10 * abs(exact)
+
+    def test_max_depth_raises(self):
+        with pytest.raises(ConvergenceError):
+            integrate(lambda t: np.exp(-1e4 * t), 0, 1, max_depth=2)
+
+    def test_noise_above_tolerance_fails_fast(self):
+        # the wiggle never resolves, so the panel count hits its cap
+        with pytest.raises(ConvergenceError):
+            integrate(lambda t: 1 + 1e-6 * np.sin(1e9 * t), 0, 1)
 
 
 class TestLayerIntegral:
@@ -199,6 +217,34 @@ class TestInvertMonotone:
             target = e(x)
             root = invert_monotone(e, target, tol=tol)
             assert abs(e(root) - target) <= 10 * tol * max(1.0, abs(target))
+
+
+# closed-form inverses of e, x = e^{-1}(T)
+_CLOSED_FORM_INVERSE = {
+    "eps-const": lambda T, eps0: eps0 * T,
+    "eps-linear": lambda T, eps0: np.expm1(eps0 * T),
+    "eps-exp": lambda T, eps0: -np.log1p(-eps0 * T),
+}
+
+
+# fraction is target / e(1); subnormal targets carry too few digits for a
+# relative bound
+@pytest.mark.parametrize("name", sorted(_CLOSED_FORM_INVERSE))
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    log10_eps0=st.floats(-12.0, -1.0),
+    fraction=st.one_of(
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True,
+                  allow_subnormal=False),
+        st.floats(-300.0, 0.0, exclude_max=True).map(lambda p: 10.0 ** p),
+    ),
+)
+def test_invert_matches_closed_form(name, log10_eps0, fraction):
+    eps0 = 10.0 ** log10_eps0
+    e = layer_integral(get_scenario(name, eps0).coeffs, "e")
+    target = fraction * e(1.0)
+    want = _CLOSED_FORM_INVERSE[name](target, eps0)
+    assert abs(invert_monotone(e, target) - want) <= 1e-12 * want
 
 
 class TestDifferentiateGrid:

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import types
 
 import layerfem
@@ -8,3 +11,13 @@ def test_all_names_resolve_and_none_is_a_module():
     for name in layerfem.__all__:
         obj = getattr(layerfem, name)
         assert not isinstance(obj, types.ModuleType), name
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # scipy.optimize alone costs a third of a second to import
+    src = os.path.dirname(os.path.dirname(os.path.abspath(layerfem.__file__)))
+    code = "import sys, layerfem.cli; print('scipy.optimize' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
