@@ -48,8 +48,11 @@ def gauss_legendre(n: int) -> QuadratureRule:
 _G5 = gauss_legendre(5)
 _G10 = gauss_legendre(10)
 
+_REL_TOL = 1e-10  # integrate's relative tolerance
 # Live-panel cap of integrate: panels double each round that bisects them all.
 _MAX_PANELS = 65536
+# CumulativeIntegral.build stores partial sums at 0 and geomspace(_X_MIN, 1).
+_N_BREAKPOINTS, _X_MIN = 4096, 1e-12
 
 
 def _vec_eval(f, x: np.ndarray) -> np.ndarray:
@@ -93,12 +96,13 @@ def _panel_sums(f, lefts, rights, rule: QuadratureRule) -> np.ndarray:
     return (y * rule.weights[None, :]).sum(axis=1) * half
 
 
-def _panel_rows(f, lefts, rights, wholes, depths, rule: QuadratureRule):
+def _panel_rows(f, lefts, rights, wholes, depths):
     """Rows (left, right, whole sum, left-half sum, right-half sum, depth)
-    for a batch of panels whose whole sums are known; one batched call."""
+    for a batch of panels whose whole sums are known; one batched 5-point
+    Gauss call."""
     mids = 0.5 * (lefts + rights)
     halves = _panel_sums(f, np.concatenate((lefts, mids)),
-                         np.concatenate((mids, rights)), rule).reshape(2, -1)
+                         np.concatenate((mids, rights)), _G5).reshape(2, -1)
     return np.column_stack((lefts, rights, wholes, halves[0], halves[1], depths))
 
 
@@ -106,20 +110,19 @@ def integrate(
     f: Callable,
     a: float,
     b: float,
-    rel_tol: float = 1e-10,
     max_depth: int = 24,
-    rule: QuadratureRule = _G5,
     breakpoints=None,
 ) -> float:
-    """Adaptive composite Gauss quadrature of f over [a, b].
+    """Adaptive composite 5-point Gauss quadrature of f over [a, b].
 
     A panel's discrepancy is the gap between its whole-panel sum and the sum
     of its two halves.  Each round bisects, in one batched evaluation, every
-    panel whose discrepancy is above its share rel_tol * |total| / n_panels;
-    a child's whole-panel sum is its parent's half sum, so only quarters are
-    new.  Rounds end once the discrepancies sum to at most rel_tol times the
-    running integral.  ConvergenceError is raised past max_depth bisections
-    of a panel or _MAX_PANELS live panels, so a noisy integrand fails fast.
+    panel whose discrepancy is above its share _REL_TOL * |total| / n_panels
+    (_REL_TOL = 1e-10); a child's whole-panel sum is its parent's half sum,
+    so only quarters are new.  Rounds end once the discrepancies sum to at
+    most _REL_TOL times the running integral.  ConvergenceError is raised
+    past max_depth bisections of a panel or _MAX_PANELS live panels, so a
+    noisy integrand fails fast.
     Optional breakpoints seed the initial panelization, which is how
     callers with known layer locations keep the bisection shallow.
     """
@@ -129,8 +132,6 @@ def integrate(
         raise ParameterError("integrate requires a <= b")
     if a == b:
         return 0.0
-    if rel_tol <= 0:
-        raise ParameterError("rel_tol must be positive")
 
     if breakpoints is None:
         edges = np.array([a, b], dtype=float)
@@ -140,14 +141,14 @@ def integrate(
         edges = np.unique(np.concatenate(([a], inner, [b])))
 
     lefts, rights = edges[:-1], edges[1:]
-    panels = _panel_rows(f, lefts, rights, _panel_sums(f, lefts, rights, rule),
-                           np.zeros(len(lefts)), rule)
+    panels = _panel_rows(f, lefts, rights, _panel_sums(f, lefts, rights, _G5),
+                         np.zeros(len(lefts)))
     while True:
         lefts, rights, wholes, left_halves, right_halves, depths = panels.T
         fine = left_halves + right_halves
         total = float(fine.sum())
         err = np.abs(fine - wholes)
-        tol = rel_tol * max(abs(total), 1e-300)
+        tol = _REL_TOL * max(abs(total), 1e-300)
         if float(err.sum()) <= tol:
             return total
         split = err > tol / len(err)
@@ -165,7 +166,7 @@ def integrate(
         children = _panel_rows(
             f, np.concatenate((lo, mid)), np.concatenate((mid, hi)),
             np.concatenate((left_halves[split], right_halves[split])),
-            np.tile(depths[split] + 1, 2), rule)
+            np.tile(depths[split] + 1, 2))
         panels = np.concatenate((panels[~split], children))
 
 
@@ -173,9 +174,10 @@ def integrate(
 class CumulativeIntegral:
     """x -> integral of a positive integrand from 0 to x, on [0, 1].
 
-    Partial sums are precomputed at breakpoints clustered geometrically near
-    x = 0; point evaluation adds a single local Gauss panel to the nearest
-    stored sum, so repeated evaluation (meshing does thousands) is cheap.
+    Partial sums are precomputed at _N_BREAKPOINTS breakpoints clustered
+    geometrically near x = 0; point evaluation adds a single local Gauss
+    panel to the nearest stored sum, so repeated evaluation (meshing does
+    thousands) is cheap.
     """
 
     breakpoints: np.ndarray
@@ -183,8 +185,8 @@ class CumulativeIntegral:
     integrand: Callable
 
     @classmethod
-    def build(cls, integrand, n_breakpoints: int = 4096, x_min: float = 1e-12):
-        bp = np.concatenate(([0.0], np.geomspace(x_min, 1.0, n_breakpoints - 1)))
+    def build(cls, integrand):
+        bp = np.concatenate(([0.0], np.geomspace(_X_MIN, 1.0, _N_BREAKPOINTS - 1)))
         seg = _panel_sums(integrand, bp[:-1], bp[1:], _G10)
         sums = np.concatenate(([0.0], np.cumsum(seg)))
         return cls(breakpoints=bp, partial_sums=sums, integrand=integrand)
@@ -208,12 +210,11 @@ class CumulativeIntegral:
         return float(self.partial_sums[-1])
 
 
-def layer_integral(coeffs, kind: str, n_breakpoints: int = 4096) -> CumulativeIntegral:
+def layer_integral(coeffs, kind: str) -> CumulativeIntegral:
     """Cumulative layer integral for a coefficient set.
 
     kind "e"      : integral of 1/eps            (stretched layer coordinate)
-    kind "etilde" : integral of 1/sqrt(eps_up*eps)
-    kind "t"      : integral of sqrt(eps_low/eps) (coordinate transform)
+    kind "etilde" : integral of 1/sqrt(eps_up*eps) (transformed-variable bounds)
     """
     eps = coeffs.eps
     if kind == "e":
@@ -221,12 +222,9 @@ def layer_integral(coeffs, kind: str, n_breakpoints: int = 4096) -> CumulativeIn
     elif kind == "etilde":
         eu = coeffs.eps_upper
         integrand = lambda t: 1.0 / np.sqrt(eu * eps(t))
-    elif kind == "t":
-        el = coeffs.eps_lower
-        integrand = lambda t: np.sqrt(el / eps(t))
     else:
         raise ParameterError(f"unknown layer integral kind {kind!r}")
-    return CumulativeIntegral.build(integrand, n_breakpoints=n_breakpoints)
+    return CumulativeIntegral.build(integrand)
 
 
 def invert_monotone(g: CumulativeIntegral, target: float, tol: float = 1e-12) -> float:

@@ -76,12 +76,13 @@ def _emit(rows, header, fmt, meta, out):
         }
         out.write(json.dumps(payload, allow_nan=True))
         out.write("\n")
-    else:  # pretty
-        widths = [max(len(h_), 12) for h_ in header]
-        out.write("  ".join(h_.ljust(w) for h_, w in zip(header, widths)) + "\n")
-        for row in rows:
-            cells = ["%.6g" % v if isinstance(v, (int, float, np.floating))
-                     else str(v) for v in row]
+    else:  # pretty: each column as wide as its longest cell, at least 12
+        lines = [header] + [
+            ["%.6g" % v if isinstance(v, (int, float, np.floating)) else str(v)
+             for v in row] for row in rows]
+        widths = [max(12, *map(len, column)) for column in zip(*lines)]
+        widths[-1] = max(12, len(header[-1]))  # nothing to align after it
+        for cells in lines:
             out.write("  ".join(c.ljust(w) for c, w in zip(cells, widths)) + "\n")
 
 
@@ -95,7 +96,7 @@ def _meta(args, **extra):
 
 
 def cmd_mesh(args, out) -> int:
-    scenario = get_scenario(args.scenario, _parse_list(args.eps0)[0])
+    scenario = get_scenario(args.scenario, _parse_float(args.eps0))
     e = layer_integral(scenario.coeffs, "e")
     msh = build_mesh(scenario.coeffs, e, parse_h(args.h), args.delta)
     rows = [(i, x, r) for i, (x, r) in
@@ -105,7 +106,7 @@ def cmd_mesh(args, out) -> int:
 
 
 def cmd_solve(args, out) -> int:
-    scenario = get_scenario(args.scenario, _parse_list(args.eps0)[0])
+    scenario = get_scenario(args.scenario, _parse_float(args.eps0))
     e = layer_integral(scenario.coeffs, "e")
     msh = build_mesh(scenario.coeffs, e, parse_h(args.h), args.delta)
     sol = galerkin_solve(scenario, msh)
@@ -145,7 +146,7 @@ def cmd_converge(args, out) -> int:
 
 
 def cmd_interp(args, out) -> int:
-    scenario = get_scenario(args.scenario, _parse_list(args.eps0)[0])
+    scenario = get_scenario(args.scenario, _parse_float(args.eps0))
     h_list = _parse_list(args.h, parse_h)
     rows_raw = interpolation_study(scenario, h_list, args.delta)
     rows = [
@@ -184,52 +185,47 @@ def _verify_reports(suite: str, seed: int, eps0: float):
 
 
 def cmd_verify(args, out) -> int:
-    reports = _verify_reports(args.suite, args.seed, _parse_list(args.eps0)[0])
-    if args.format == "json":
-        rows = [(r.name, r.worst_margin, r.worst_point,
-                 "PASS" if r.passed else "FAIL") for r in reports]
-        _emit(rows, ["name", "worst_margin", "worst_point", "status"],
-              args.format, _meta(args), out)
-    else:
-        for r in reports:
-            out.write("%-50s margin=%-13.6g at x=%-12.6g %s\n" % (
-                r.name, r.worst_margin, r.worst_point,
-                "PASS" if r.passed else "FAIL"))
+    reports = _verify_reports(args.suite, args.seed, _parse_float(args.eps0))
+    rows = [(r.name, r.worst_margin, r.worst_point,
+             "PASS" if r.passed else "FAIL") for r in reports]
+    _emit(rows, ["name", "worst_margin", "worst_point", "status"],
+          args.format, _meta(args), out)
     return 0 if all(r.passed for r in reports) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
-        prog="layerfem",
+        prog="layerfem", allow_abbrev=False,
         description="Layer-adapted FEM for 1-D convection-diffusion with "
                     "variable small diffusion")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, h_default=None):
-        sp.add_argument("--scenario", default="manufactured",
-                        choices=SCENARIO_NAMES)
-        sp.add_argument("--eps0", default="0.01",
-                        help="diffusion scale eps0, or comma list")
-        sp.add_argument("--h", default=h_default,
-                        help="mesh parameter(s); decimals or fractions like 1/64")
-        sp.add_argument("--delta", type=float, default=1.0)
+    def subcommand(name, help_, h_default=None, eps0_help="diffusion scale eps0"):
+        sp = sub.add_parser(name, help=help_, allow_abbrev=False)
+        if h_default is not None:  # the subcommands that build meshes
+            sp.add_argument("--scenario", default="manufactured",
+                            choices=SCENARIO_NAMES)
+            sp.add_argument("--h", default=h_default,
+                            help="mesh parameter(s); decimals or fractions like 1/64")
+            sp.add_argument("--delta", type=float, default=1.0,
+                            help="scale of the first graded node")
+        sp.add_argument("--eps0", default="0.01", help=eps0_help)
         sp.add_argument("--format", default="csv",
                         choices=("csv", "json", "pretty"))
         sp.add_argument("--output", default=None)
-        sp.add_argument("--seed", type=int, default=12345)
+        return sp
 
-    common(sub.add_parser("mesh", help="emit mesh nodes"), "0.1")
-    common(sub.add_parser("solve", help="solve and emit nodal values"), "0.1")
-    sub.choices["solve"].add_argument("--exact", action="store_true",
-                                      help="include the exact solution column")
-    common(sub.add_parser("converge", help="convergence table"),
-           "1/8,1/16,1/32,1/64")
-    common(sub.add_parser("interp", help="interpolation-error table"),
-           "1/16,1/32,1/64,1/128")
-    vp = sub.add_parser("verify", help="run a verification suite")
-    common(vp, "1/64")
+    subcommand("mesh", "emit mesh nodes", "0.1")
+    subcommand("solve", "solve and emit nodal values", "0.1").add_argument(
+        "--exact", action="store_true", help="include the exact solution column")
+    subcommand("converge", "convergence table", "1/8,1/16,1/32,1/64",
+               eps0_help="diffusion scale eps0, or comma list")
+    subcommand("interp", "interpolation-error table", "1/16,1/32,1/64,1/128")
+    vp = subcommand("verify", "run a verification suite")
     vp.add_argument("--suite", default="all",
                     choices=("lemmas", "barriers", "bounds", "all"))
+    vp.add_argument("--seed", type=int, default=12345,
+                    help="seed of the randomized integral-lemma instances")
     return p
 
 

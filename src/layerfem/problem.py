@@ -88,7 +88,6 @@ class AssumptionCheck:
 class ValidationReport:
     checks: tuple
     sample_count: int
-    decomposition_unproven: bool = False
 
     @property
     def violations(self):
@@ -162,11 +161,7 @@ def validate_coefficients(coeffs: CoefficientSet, sample_count: int = 10001) -> 
         "sigma > -beta", coeffs.sigma > -coeffs.beta,
         coeffs.sigma + coeffs.beta, 0.0))
 
-    return ValidationReport(
-        checks=tuple(checks),
-        sample_count=sample_count,
-        decomposition_unproven=(-coeffs.beta < coeffs.sigma < 0),
-    )
+    return ValidationReport(checks=tuple(checks), sample_count=sample_count)
 
 
 def manufactured_rhs(u: ScalarFunction, coeffs: CoefficientSet) -> ScalarFunction:

@@ -24,6 +24,11 @@ from .errors import ConfigurationError, ParameterError
 from .fem import FemSolution, galerkin_solve
 from .mesh import build_mesh
 
+_LEMMA_SAMPLES = 2001  # eps' samples on [a, x] in check_integral_lemma
+_GAMMA_MAX = 3.0  # random lemma instances draw gamma from (1e-3, _GAMMA_MAX)
+_UNIFORMITY_EPS0 = (1e-3, 1e-5, 1e-7)  # check_bound_uniformity's eps0 sweep
+_MAX_VARIATION = 4.0  # and the largest max/min sup ratio it passes
+
 
 @dataclass(frozen=True)
 class BoundCheckReport:
@@ -37,13 +42,13 @@ class BoundCheckReport:
 
 def check_integral_lemma(coeffs, a: float, x: float, ell: int,
                          gamma_param: float,
-                         e: Optional[CumulativeIntegral] = None,
-                         sample_count: int = 2001) -> BoundCheckReport:
+                         e: Optional[CumulativeIntegral] = None) -> BoundCheckReport:
     """Verify  int_a^x eps^l exp(g e_a)  <=  (eps(x)^(l+1) exp(g e_a(x)) - eps(a)^(l+1)) / (g + (l+1) s0).
 
-    s0 is the sampled minimum of eps' on [a, x] and must be nonnegative;
-    the inequality requires g > -(l+1) s0.  For positive g both sides are
-    rescaled by exp(-g e_a(x)) so that huge layer exponents never overflow.
+    s0 is the minimum of eps' over _LEMMA_SAMPLES points of [a, x] and must
+    be nonnegative; the inequality requires g > -(l+1) s0.  For positive g
+    both sides are rescaled by exp(-g e_a(x)) so that huge layer exponents
+    never overflow.
 
     Equality holds whenever eps' is constant on [a, x] (eps-const,
     eps-linear, manufactured): then d/dt[eps^(l+1) exp(g e_a)] equals
@@ -54,7 +59,7 @@ def check_integral_lemma(coeffs, a: float, x: float, ell: int,
         raise ParameterError("need 0 <= a < x <= 1")
     if ell < 0:
         raise ParameterError("ell must be a nonnegative integer")
-    ts = np.linspace(a, x, sample_count)
+    ts = np.linspace(a, x, _LEMMA_SAMPLES)
     sigma0 = float(np.min(coeffs.eps.d(ts)))
     if sigma0 < 0:
         raise ParameterError("integral inequality requires eps' >= 0 on [a, x]")
@@ -72,7 +77,7 @@ def check_integral_lemma(coeffs, a: float, x: float, ell: int,
     shift = e_x if gamma_param > 0 else e_a
     lhs = integrate(
         lambda t: eps(t) ** ell * np.exp(gamma_param * (e(t) - shift)),
-        a, x, rel_tol=1e-10, breakpoints=bp)
+        a, x, breakpoints=bp)
     with np.errstate(under="ignore"):
         rhs = (eps(x) ** (ell + 1) * math.exp(gamma_param * (e_x - shift))
                - eps(a) ** (ell + 1) * math.exp(gamma_param * (e_a - shift))
@@ -82,14 +87,15 @@ def check_integral_lemma(coeffs, a: float, x: float, ell: int,
     passed = lhs <= rhs * (1.0 + 1e-8)
     return BoundCheckReport(
         name=f"integral-lemma(a={a:.3g},x={x:.3g},l={ell},g={gamma_param:.3g})",
-        sample_count=sample_count, worst_margin=float(margin),
+        sample_count=_LEMMA_SAMPLES, worst_margin=float(margin),
         worst_point=float(x), passed=bool(passed))
 
 
 def check_integral_lemma_random(scenario, n_tuples: int, rng,
-                                e: Optional[CumulativeIntegral] = None,
-                                gamma_max: float = 3.0) -> BoundCheckReport:
-    """Aggregate of n_tuples randomized integral-lemma instances."""
+                                e: Optional[CumulativeIntegral] = None) -> BoundCheckReport:
+    """Aggregate of n_tuples >= 1 randomized integral-lemma instances."""
+    if n_tuples < 1:
+        raise ParameterError("n_tuples must be at least 1")
     if e is None:
         e = layer_integral(scenario.coeffs, "e")
     worst = math.inf
@@ -100,7 +106,7 @@ def check_integral_lemma_random(scenario, n_tuples: int, rng,
         if x - a < 1e-3:
             x = min(1.0, a + 1e-3)
         ell = int(rng.integers(0, 2))
-        gamma = float(rng.uniform(1e-3, gamma_max))
+        gamma = float(rng.uniform(1e-3, _GAMMA_MAX))
         rep = check_integral_lemma(scenario.coeffs, float(a), float(x), ell,
                                    gamma, e=e)
         passed &= rep.passed
@@ -112,21 +118,22 @@ def check_integral_lemma_random(scenario, n_tuples: int, rng,
         passed=bool(passed))
 
 
-def check_barrier_operator(coeffs, e: CumulativeIntegral, amplitude: float = 1.0,
+def check_barrier_operator(coeffs, e: CumulativeIntegral,
                            sample_count: int = 10000,
                            label: str = "") -> BoundCheckReport:
-    """Operator image of the layer barrier amplitude * exp(-beta e(x)).
+    """Operator image of the layer barrier exp(-beta e(x)) at sample_count >= 2
+    equispaced points; a positive multiple changes neither verdict nor worst point.
 
-    The closed form is amplitude * (beta (b - beta) / eps + c) * exp(-beta e);
-    the eps' contributions cancel exactly.  Must be >= 0 everywhere for the
+    The closed form is (beta (b - beta) / eps + c) * exp(-beta e); the eps'
+    contributions cancel exactly.  Must be >= 0 everywhere for the
     comparison argument to apply.
     """
-    if amplitude <= 0:
-        raise ParameterError("amplitude must be positive")
+    if sample_count < 2:
+        raise ParameterError("sample_count must be at least 2")
     xs = np.linspace(0.0, 1.0, sample_count)
     beta = coeffs.beta
     with np.errstate(under="ignore"):
-        vals = amplitude * (
+        vals = (
             beta * (coeffs.b(xs) - beta) / coeffs.eps(xs) + coeffs.c(xs)
         ) * np.exp(-beta * e(xs))
     i = int(np.argmin(vals))
@@ -245,12 +252,10 @@ def reference_solution(scenario, h_ref: float = 1.0 / 512,
 
 
 def check_bound_uniformity(scenario_family, which: str,
-                           eps0_list=(1e-3, 1e-5, 1e-7),
-                           h_ref: float = 1.0 / 512,
                            beta_factor: float = 1.0,
-                           transformed: bool = False,
-                           max_variation: float = 4.0) -> BoundCheckReport:
-    """Cross-eps0 uniformity of the sup ratio: max/min must stay <= 4.
+                           transformed: bool = False) -> BoundCheckReport:
+    """Cross-eps0 uniformity of the sup ratio over _UNIFORMITY_EPS0, on
+    reference solves at h = 1/512: max/min must stay <= 4.
 
     A family is a callable eps0 -> Scenario.  This is the falsifiable content
     of "the constant C does not depend on eps".
@@ -258,10 +263,10 @@ def check_bound_uniformity(scenario_family, which: str,
     sups = []
     name = None
     worst_pt = math.nan
-    for eps0 in eps0_list:
+    for eps0 in _UNIFORMITY_EPS0:
         scenario = scenario_family(eps0)
         e = layer_integral(scenario.coeffs, "e")
-        ref = reference_solution(scenario, h_ref, e=e)
+        ref = reference_solution(scenario, e=e)
         if transformed:
             rep = check_transformed_bounds(scenario, ref, which, beta_factor)
         else:
@@ -274,6 +279,6 @@ def check_bound_uniformity(scenario_family, which: str,
     variation = float(sups.max() / sups.min()) if finite else math.inf
     return BoundCheckReport(
         name=f"uniformity[{name}]", sample_count=len(sups),
-        worst_margin=max_variation - variation, worst_point=worst_pt,
-        passed=bool(finite and variation <= max_variation),
+        worst_margin=_MAX_VARIATION - variation, worst_point=worst_pt,
+        passed=bool(finite and variation <= _MAX_VARIATION),
         sup_ratio=variation)

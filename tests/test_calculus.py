@@ -105,12 +105,6 @@ class TestLayerIntegral:
         for x in (1e-6, 1e-3, 0.1, 0.5, 1.0):
             assert e(x) == pytest.approx(x / 0.01, rel=1e-10)
 
-    def test_constant_eps_t_is_identity(self):
-        sc = get_scenario("eps-const", 0.01)
-        t = layer_integral(sc.coeffs, "t")
-        xs = np.linspace(0, 1, 101)
-        assert t(xs) == pytest.approx(xs, rel=1e-10, abs=1e-13)
-
     def test_linear_eps_closed_form(self):
         sc = get_scenario("eps-linear", 0.01)
         e = layer_integral(sc.coeffs, "e")
@@ -123,16 +117,9 @@ class TestLayerIntegral:
 
     def test_all_integrals_strictly_increasing(self):
         for sc in builtin_scenarios(1e-3):
-            for kind in ("e", "etilde", "t"):
+            for kind in ("e", "etilde"):
                 ci = layer_integral(sc.coeffs, kind)
                 assert np.all(np.diff(ci.partial_sums) > 0)
-
-    def test_transform_below_identity(self):
-        # T(x) <= x on a 1000-point grid for every built-in scenario
-        xs = np.linspace(0, 1, 1000)
-        for sc in builtin_scenarios(1e-4):
-            t = layer_integral(sc.coeffs, "t")
-            assert np.all(t(xs) <= xs + 1e-12)
 
     def test_etilde_definitional_identity(self):
         sc = get_scenario("eps-exp", 1e-3)

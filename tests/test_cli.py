@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 
@@ -200,3 +201,91 @@ class TestVerify:
         _, out1, _ = run_cli(argv, capsys)
         _, out2, _ = run_cli(argv, capsys)
         assert out1 == out2
+
+
+class TestOptionContract:
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--h", "1/3"],
+        ["verify", "--scenario", "eps-exp"],
+        ["verify", "--delta", "2"],
+        ["mesh", "--seed", "1"],
+        ["solve", "--seed", "1"],
+        ["converge", "--seed", "1"],
+        ["interp", "--seed", "1"],
+    ])
+    def test_unread_or_abbreviated_option_is_rejected(self, capsys, argv):
+        # "--h" must not match "--help" by prefix on verify
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert "unrecognized arguments" in err
+
+    @pytest.mark.parametrize("command", ["mesh", "solve", "interp", "verify"])
+    def test_list_eps0_is_usage_error(self, capsys, command):
+        code, out, err = run_cli([command, "--eps0", "1e-3,1e-5"], capsys)
+        assert code == 2 and out == ""
+        assert err == "usage error: not a number: '1e-3,1e-5'\n"
+
+    @pytest.mark.parametrize("argv,keys", [
+        (["mesh", "--h", "1/16"], {"scenario", "eps0", "h", "delta"}),
+        (["solve", "--h", "1/16"], {"scenario", "eps0", "h", "delta"}),
+        (["converge", "--h", "1/8,1/16"], {"scenario", "eps0", "h", "delta"}),
+        (["interp", "--h", "1/16"], {"scenario", "eps0", "h", "delta"}),
+        (["verify", "--suite", "barriers"], {"eps0", "seed", "suite"}),
+    ])
+    def test_meta_keys_are_read_options(self, capsys, argv, keys):
+        code, out, _ = run_cli(argv + ["--format", "json"], capsys)
+        assert code == 0
+        meta = json.loads(out)["meta"]
+        assert set(meta) == {"version", "subcommand", "format"} | keys
+
+
+class TestVerifyFormats:
+    ARGV = ["verify", "--suite", "barriers", "--eps0", "0.001"]
+
+    def test_csv_matches_json(self, capsys):
+        code, out, _ = run_cli(self.ARGV + ["--format", "csv"], capsys)
+        assert code == 0
+        reader = csv.DictReader(io.StringIO(out))
+        assert reader.fieldnames == ["name", "worst_margin", "worst_point",
+                                     "status"]
+        rows = list(reader)
+        _, js, _ = run_cli(self.ARGV + ["--format", "json"], capsys)
+        assert len(rows) == 4 and all(r["status"] == "PASS" for r in rows)
+        for row, ref in zip(rows, json.loads(js)["rows"]):
+            assert row["name"] == ref["name"]
+            for key in ("worst_margin", "worst_point"):
+                assert "%.17g" % float(row[key]) == row[key]
+                assert float(row[key]) == ref[key]
+
+    def test_pretty_columns_fit_the_longest_name(self, capsys):
+        code, out, _ = run_cli(self.ARGV + ["--format", "pretty"], capsys)
+        assert code == 0
+        lines = out.rstrip("\n").split("\n")
+        width = max(len(line.split()[0]) for line in lines)
+        assert width > 12
+        for line in lines:
+            # every cell after the name starts in the same column
+            assert line[width:width + 2] == "  " and line[width + 2] != " "
+
+
+@pytest.mark.parametrize("argv", [
+    ["mesh", "--scenario", "eps-exp", "--eps0", "1e-6", "--h", "1/16"],
+    ["solve", "--eps0", "1e-5", "--h", "1/16", "--exact"],
+    ["converge", "--scenario", "eps-exp", "--eps0", "1e-2,1e-6",
+     "--h", "1/8,1/16"],
+    ["interp", "--scenario", "eps-exp", "--eps0", "1e-6", "--h", "1/16,1/32"],
+])
+def test_pretty_keeps_twelve_character_columns(capsys, argv):
+    # cells of these tables fit in 12 characters, so every column is padded
+    # to max(12, len(header)); the last one may overflow (converge's rate
+    # is 17-digit text)
+    code, out, _ = run_cli(argv + ["--format", "pretty"], capsys)
+    assert code == 0
+    header, *body = out.rstrip("\n").split("\n")
+    names = header.split()
+    widths = [max(12, len(n)) for n in names]
+    assert header == "  ".join(n.ljust(w) for n, w in zip(names, widths))
+    for line in body:
+        cells = line.split()
+        cells += [""] * (len(names) - len(cells))  # a blank first rate
+        assert line == "  ".join(c.ljust(w) for c, w in zip(cells, widths))

@@ -81,14 +81,20 @@ class TestIntegralLemma:
         assert rep.passed
         assert rep.worst_margin >= -1e-8
 
+    def test_random_needs_a_tuple(self):
+        # zero instances would report PASS with worst_margin = inf
+        sc = get_scenario("eps-const", 0.01)
+        with pytest.raises(ParameterError):
+            check_integral_lemma_random(sc, 0, np.random.default_rng(0))
+
 
 class TestBarrierOperator:
     def test_constant_eps_closed_form(self):
         # b = 2, beta = 1, c = 0, eps = 0.01:
-        # image = amplitude * 100 * exp(-100 x)
+        # image = 100 * exp(-100 x)
         coeffs = const_coeffs(c=0.0)
         e = layer_integral(coeffs, "e")
-        rep = check_barrier_operator(coeffs, e, amplitude=1.0, sample_count=200)
+        rep = check_barrier_operator(coeffs, e, sample_count=200)
         assert rep.passed
         # worst (smallest) value is at x = 1
         assert rep.worst_point == pytest.approx(1.0)
@@ -104,14 +110,16 @@ class TestBarrierOperator:
     def test_variable_coefficients(self):
         sc = get_scenario("eps-exp", 1e-4)
         e = layer_integral(sc.coeffs, "e")
-        rep = check_barrier_operator(sc.coeffs, e, amplitude=2.5)
+        rep = check_barrier_operator(sc.coeffs, e)
         assert rep.passed
 
-    def test_bad_amplitude(self):
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_needs_two_samples(self, count):
+        # zero samples has no minimum; one sample checks only x = 0
         coeffs = const_coeffs()
         e = layer_integral(coeffs, "e")
         with pytest.raises(ParameterError):
-            check_barrier_operator(coeffs, e, amplitude=0.0)
+            check_barrier_operator(coeffs, e, sample_count=count)
 
     @pytest.mark.parametrize("name", ["eps-const", "eps-linear", "eps-exp",
                                       "manufactured"])
