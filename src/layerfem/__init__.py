@@ -6,9 +6,8 @@ __version__ = "0.1.0"
 from .analysis import (ConvergenceTable, ErrorReport, convergence_study,
                        energy_norm, error_report, interpolate,
                        interpolation_study)
-from .calculus import (CumulativeIntegral, QuadratureRule, differentiate_grid,
-                       gauss_legendre, integrate, invert_monotone,
-                       layer_integral)
+from .calculus import (CumulativeIntegral, QuadratureRule, gauss_legendre,
+                       integrate, invert_monotone, layer_integral)
 from .fem import (FemSolution, TridiagonalSystem, assemble, bilinear_form,
                   galerkin_solve, solve_tridiagonal)
 from .mesh import LayerMesh, build_mesh, compute_tau_star, predict_cardinality
@@ -25,8 +24,8 @@ from .verify import (BoundCheckReport, check_barrier_operator,
 __all__ = [
     "ConvergenceTable", "ErrorReport", "convergence_study", "energy_norm",
     "error_report", "interpolate", "interpolation_study",
-    "CumulativeIntegral", "QuadratureRule", "differentiate_grid",
-    "gauss_legendre", "integrate", "invert_monotone", "layer_integral",
+    "CumulativeIntegral", "QuadratureRule", "gauss_legendre", "integrate",
+    "invert_monotone", "layer_integral",
     "FemSolution", "TridiagonalSystem", "assemble", "bilinear_form",
     "galerkin_solve", "solve_tridiagonal",
     "LayerMesh", "build_mesh", "compute_tau_star", "predict_cardinality",

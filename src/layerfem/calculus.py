@@ -1,4 +1,4 @@
-"""Quadrature, cumulative layer integrals, monotone inversion and grid derivatives.
+"""Quadrature, cumulative layer integrals and monotone inversion.
 
 Everything downstream (meshing, assembly, error measurement, bound checks)
 is built on the routines in this module.  Adaptive quadrature bisects in
@@ -20,7 +20,6 @@ from .errors import (
     EvaluationError,
     OutOfRangeError,
     ParameterError,
-    SizeError,
 )
 
 
@@ -195,7 +194,7 @@ class CumulativeIntegral:
         """Evaluate at x of any shape; a 0-d or scalar x returns a float."""
         xa = np.asarray(x, dtype=float)
         xq = xa.ravel()
-        if np.any(xq < -1e-12) or np.any(xq > 1.0 + 1e-12):
+        if not np.all((xq >= -1e-12) & (xq <= 1.0 + 1e-12)):  # NaN fails too
             raise ParameterError("cumulative integral is only defined on [0, 1]")
         xq = np.clip(xq, 0.0, 1.0)
         idx = np.searchsorted(self.breakpoints, xq, side="right") - 1
@@ -237,7 +236,7 @@ def invert_monotone(g: CumulativeIntegral, target: float, tol: float = 1e-12) ->
     4 ulps of target or the bracket is one ulp wide.
     """
     lo, hi = g(0.0), g(1.0)
-    if target < lo or target > hi:
+    if not lo <= target <= hi:  # NaN fails too
         raise OutOfRangeError(
             f"target {target!r} outside cumulative range [{lo!r}, {hi!r}]"
         )
@@ -264,54 +263,3 @@ def invert_monotone(g: CumulativeIntegral, target: float, tol: float = 1e-12) ->
     if abs(r) > tol * max(1.0, abs(target)):
         raise ConvergenceError("monotone inversion residual above tolerance")
     return float(x)
-
-
-def differentiate_grid(values, nodes, order: str = "first") -> np.ndarray:
-    """Finite-difference derivatives on a nonuniform grid.
-
-    Interior nodes use the 3-point stencil exact for quadratics; endpoints
-    fall back to one-sided stencils and are one order less accurate.
-    """
-    v = np.asarray(values, dtype=float)
-    x = np.asarray(nodes, dtype=float)
-    if len(x) < 5:
-        raise SizeError("differentiate_grid needs at least 5 nodes")
-    if v.shape != x.shape:
-        raise ParameterError("values and nodes must have the same length")
-    dx = np.diff(x)
-    if np.any(dx <= 0):
-        raise ParameterError("nodes must be strictly increasing")
-
-    h1 = dx[:-1]  # x_i - x_{i-1}
-    h2 = dx[1:]   # x_{i+1} - x_i
-    out = np.empty_like(v)
-    if order == "first":
-        out[1:-1] = (
-            -h2 / (h1 * (h1 + h2)) * v[:-2]
-            + (h2 - h1) / (h1 * h2) * v[1:-1]
-            + h1 / (h2 * (h1 + h2)) * v[2:]
-        )
-        # one-sided 3-point stencils at the ends
-        a, b_, c = x[0], x[1], x[2]
-        out[0] = (
-            v[0] * (2 * a - b_ - c) / ((a - b_) * (a - c))
-            + v[1] * (a - c) / ((b_ - a) * (b_ - c))
-            + v[2] * (a - b_) / ((c - a) * (c - b_))
-        )
-        a, b_, c = x[-3], x[-2], x[-1]
-        out[-1] = (
-            v[-3] * (c - b_) / ((a - b_) * (a - c))
-            + v[-2] * (c - a) / ((b_ - a) * (b_ - c))
-            + v[-1] * (2 * c - a - b_) / ((c - a) * (c - b_))
-        )
-    elif order == "second":
-        out[1:-1] = 2.0 * (
-            v[:-2] / (h1 * (h1 + h2))
-            - v[1:-1] / (h1 * h2)
-            + v[2:] / (h2 * (h1 + h2))
-        )
-        out[0] = out[1]
-        out[-1] = out[-2]
-    else:
-        raise ParameterError(f"unknown derivative order {order!r}")
-    return out

@@ -29,10 +29,6 @@ from .verify import (
 _FMT = "%.17g"
 
 
-def _num(value) -> str:
-    return _FMT % float(value)
-
-
 def _parse_float(text: str) -> float:
     try:
         return float(text)
@@ -62,13 +58,18 @@ def _parse_list(text: str, parse=_parse_float):
     return values
 
 
+def _cell(v, num_fmt) -> str:
+    """A CSV or pretty cell: numbers in num_fmt, None (no value) empty."""
+    if v is None:
+        return ""
+    return num_fmt % float(v) if isinstance(v, (int, float, np.floating)) else str(v)
+
+
 def _emit(rows, header, fmt, meta, out):
     if fmt == "csv":
         out.write(",".join(header) + "\n")
         for row in rows:
-            out.write(",".join(
-                _num(v) if isinstance(v, (int, float, np.floating)) else str(v)
-                for v in row) + "\n")
+            out.write(",".join(_cell(v, _FMT) for v in row) + "\n")
     elif fmt == "json":
         payload = {
             "meta": meta,
@@ -77,11 +78,8 @@ def _emit(rows, header, fmt, meta, out):
         out.write(json.dumps(payload, allow_nan=True))
         out.write("\n")
     else:  # pretty: each column as wide as its longest cell, at least 12
-        lines = [header] + [
-            ["%.6g" % v if isinstance(v, (int, float, np.floating)) else str(v)
-             for v in row] for row in rows]
+        lines = [header] + [[_cell(v, "%.6g") for v in row] for row in rows]
         widths = [max(12, *map(len, column)) for column in zip(*lines)]
-        widths[-1] = max(12, len(header[-1]))  # nothing to align after it
         for cells in lines:
             out.write("  ".join(c.ljust(w) for c, w in zip(cells, widths)) + "\n")
 
@@ -129,12 +127,8 @@ def cmd_converge(args, out) -> int:
     h_list = _parse_list(args.h, parse_h)
     family = lambda eps0: get_scenario(args.scenario, eps0)
     table = convergence_study(family, h_list, eps0_list, args.delta)
-    if args.format == "json":
-        rate = lambda r: None if r.rate is None else float(r.rate)
-    else:  # CSV and pretty print the rate as 17-digit text, blank if none
-        rate = lambda r: "" if r.rate is None else _num(r.rate)
     rows = [
-        (r.eps0, r.h, r.node_count, r.energy_error, r.l2_error, rate(r))
+        (r.eps0, r.h, r.node_count, r.energy_error, r.l2_error, r.rate)
         for r in table.rows if r.skipped_reason is None
     ]
     _emit(rows, ["eps0", "h", "nodes", "energy_err", "l2_err", "rate"],

@@ -34,7 +34,7 @@ class ResourceError(LayerFemError):
 
 
 class SizeError(LayerFemError):
-    """An input array is too short for the requested stencil."""
+    """An input array is too short for the requested operation."""
 
 
 class AssemblyError(LayerFemError):

@@ -19,6 +19,7 @@ from .errors import (
     MeshMismatchError,
     ParameterError,
     SingularSystemError,
+    SizeError,
 )
 from .mesh import LayerMesh
 
@@ -130,6 +131,8 @@ def assemble(scenario, mesh: LayerMesh, quad_points_per_element: int = 5) -> Tri
 def solve_tridiagonal(system: TridiagonalSystem) -> np.ndarray:
     """LAPACK gtsv (Gaussian elimination with partial pivoting), then a residual check."""
     n = system.size
+    if n == 0:  # a mesh of one element has no interior node
+        raise SizeError("input array too short")
     sub, diag, sup, rhs = system.sub, system.diag, system.sup, system.rhs
     if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(sub))
             and np.all(np.isfinite(sup)) and np.all(np.isfinite(rhs))):

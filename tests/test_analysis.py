@@ -16,7 +16,7 @@ from layerfem.analysis import (
     rates_of,
 )
 from layerfem.calculus import gauss_legendre, layer_integral
-from layerfem.errors import ConfigurationError
+from layerfem.errors import ConfigurationError, ParameterError
 from layerfem.fem import FemSolution, galerkin_solve
 from layerfem.mesh import LayerMesh, build_mesh
 from layerfem.problem import SCENARIO_NAMES, ScalarFunction, Scenario, get_scenario
@@ -230,6 +230,12 @@ class TestConvergenceStudy:
             [0.095])
         skipped = [r for r in table.rows if r.skipped_reason is not None]
         assert len(skipped) == 1 and skipped[0].h == 1.0 / 16
+
+    def test_repeated_h_is_parameter_error(self):
+        # 0.0625 and 1/16 are the same float; a rate between them is 0/0
+        with pytest.raises(ParameterError):
+            convergence_study(lambda eps0: get_scenario("manufactured", eps0),
+                              [0.0625, 1.0 / 32, 1.0 / 16], [1e-3])
 
     def test_fine_mesh_reference_family(self):
         table = convergence_study(

@@ -8,7 +8,6 @@ from hypothesis.extra import numpy as hnp
 
 from layerfem.calculus import (
     CumulativeIntegral,
-    differentiate_grid,
     gauss_legendre,
     integrate,
     invert_monotone,
@@ -19,7 +18,6 @@ from layerfem.errors import (
     EvaluationError,
     OutOfRangeError,
     ParameterError,
-    SizeError,
 )
 from layerfem.problem import builtin_scenarios, get_scenario
 
@@ -136,6 +134,13 @@ class TestLayerIntegral:
         with pytest.raises(ParameterError):
             e(1.5)
 
+    def test_nan_is_outside_the_domain(self):
+        e = layer_integral(get_scenario("eps-const", 0.01).coeffs, "e")
+        with pytest.raises(ParameterError):
+            e(np.nan)
+        with pytest.raises(ParameterError):
+            e(np.array([0.5, np.nan]))
+
     @pytest.mark.parametrize("shape", [(), (7,), (3, 7), (3, 1, 7)])
     def test_any_shape_matches_scalar_calls(self, shape):
         e = layer_integral(get_scenario("eps-exp", 1e-3).coeffs, "e")
@@ -196,6 +201,11 @@ class TestInvertMonotone:
         with pytest.raises(OutOfRangeError):
             invert_monotone(e, e(1.0) + 1.0)
 
+    def test_nan_target_is_out_of_range(self):
+        e = layer_integral(get_scenario("eps-const", 0.01).coeffs, "e")
+        with pytest.raises(OutOfRangeError):
+            invert_monotone(e, math.nan)
+
     def test_round_trip(self):
         e = layer_integral(get_scenario("eps-exp", 0.01).coeffs, "e")
         rng = np.random.default_rng(11)
@@ -232,32 +242,3 @@ def test_invert_matches_closed_form(name, log10_eps0, fraction):
     target = fraction * e(1.0)
     want = _CLOSED_FORM_INVERSE[name](target, eps0)
     assert abs(invert_monotone(e, target) - want) <= 1e-12 * want
-
-
-class TestDifferentiateGrid:
-    def test_identity(self):
-        x = np.linspace(0, 1, 17)
-        d = differentiate_grid(x, x, "first")
-        assert d == pytest.approx(np.ones_like(x), abs=1e-12)
-
-    def test_quadratic_second_derivative(self):
-        x = np.linspace(0, 1, 21)
-        d2 = differentiate_grid(x ** 2, x, "second")
-        assert d2[1:-1] == pytest.approx(np.full(19, 2.0), abs=1e-9)
-
-    def test_sine_on_graded_mesh(self):
-        # error at interior nodes bounded by the local spacing squared
-        x = np.concatenate((np.geomspace(1e-3, 0.5, 40), np.linspace(0.55, 1.0, 10)))
-        x = np.concatenate(([0.0], x))
-        d = differentiate_grid(np.sin(x), x, "first")
-        err = np.abs(d - np.cos(x))[1:-1]
-        local = (np.diff(x)[:-1] + np.diff(x)[1:])
-        assert np.all(err <= local ** 2)
-
-    def test_too_few_nodes(self):
-        with pytest.raises(SizeError):
-            differentiate_grid([0, 1, 2], [0.0, 0.5, 1.0], "first")
-
-    def test_non_monotone_nodes(self):
-        with pytest.raises(ParameterError):
-            differentiate_grid(np.zeros(6), np.array([0, 0.1, 0.05, 0.3, 0.6, 1.0]), "first")

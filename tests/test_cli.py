@@ -149,6 +149,22 @@ class TestConverge:
         csv_rates = [line.split(",")[-1] for line in csv_out.strip().split("\n")[2:]]
         assert [r["rate"] for r in rows[1:]] == [float(t) for t in csv_rates]
 
+    def test_pretty_rate_has_six_digits(self, capsys):
+        argv = ["converge", "--scenario", "manufactured", "--eps0", "0.001",
+                "--h", "1/8,1/16,1/32"]
+        code, out, _ = run_cli(argv + ["--format", "pretty"], capsys)
+        assert code == 0
+        _, js, _ = run_cli(argv + ["--format", "json"], capsys)
+        rates = [line.split()[5] for line in out.strip().split("\n")[2:]]
+        assert rates == ["%.6g" % r["rate"] for r in json.loads(js)["rows"][1:]]
+
+    @pytest.mark.parametrize("h", ["1/16,1/16", "0.0625,1/16"])
+    def test_repeated_h_is_usage_error(self, capsys, h):
+        code, out, err = run_cli(["converge", "--eps0", "0.001", "--h", h],
+                                 capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("usage error:") and err.count("\n") == 1
+
 
 class TestErrorContract:
     @pytest.mark.parametrize("bad", [["--eps0", "abc"], ["--eps0", ","],
@@ -277,8 +293,7 @@ class TestVerifyFormats:
 ])
 def test_pretty_keeps_twelve_character_columns(capsys, argv):
     # cells of these tables fit in 12 characters, so every column is padded
-    # to max(12, len(header)); the last one may overflow (converge's rate
-    # is 17-digit text)
+    # to max(12, len(header))
     code, out, _ = run_cli(argv + ["--format", "pretty"], capsys)
     assert code == 0
     header, *body = out.rstrip("\n").split("\n")

@@ -13,6 +13,7 @@ from layerfem.errors import (
     MeshMismatchError,
     ParameterError,
     SingularSystemError,
+    SizeError,
 )
 from layerfem.fem import (
     FemSolution,
@@ -188,6 +189,12 @@ class TestTridiagonalSolve:
         with pytest.raises(SingularSystemError):
             solve_tridiagonal(sys_)
 
+    def test_empty_system(self):
+        empty = np.zeros(0)
+        sys_ = TridiagonalSystem(sub=empty, diag=empty, sup=empty, rhs=empty)
+        with pytest.raises(SizeError):
+            solve_tridiagonal(sys_)
+
     def test_zero_first_pivot_without_dense_matrix(self, monkeypatch):
         # [[0, 1], [1, 1]] x = (1, 2) has x = (1, 1); elimination without
         # pivoting fails at the first pivot, and no O(n^2) matrix may be built
@@ -240,6 +247,10 @@ class TestGalerkinSolve:
         mesh = build_mesh(zero.coeffs, e, 1.0 / 32)
         sol = galerkin_solve(zero, mesh)
         assert np.abs(sol.coefficients).max() <= 1e-13
+
+    def test_single_element_mesh_has_no_unknowns(self):
+        with pytest.raises(SizeError):
+            galerkin_solve(plain_scenario(f=1.0), uniform_mesh(2))
 
     def test_poisson_nodal_exactness(self):
         # -u'' = 1, u(0) = u(1) = 0: linear FEM is nodally exact

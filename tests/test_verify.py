@@ -5,6 +5,8 @@ import pytest
 
 from layerfem.calculus import layer_integral
 from layerfem.errors import ConfigurationError, ParameterError
+from layerfem.fem import FemSolution
+from layerfem.mesh import build_mesh
 from layerfem.problem import (
     CoefficientSet,
     ScalarFunction,
@@ -185,6 +187,32 @@ class TestSolutionBounds:
         for which in ("U0", "U1"):
             rep = check_transformed_bounds(sc, ref, which)
             assert rep.passed and np.isfinite(rep.sup_ratio)
+
+    # The derivative stencils are exact for quadratics, so nodal values x^2
+    # give u' = 2x at nodes[1:-1] and u'' = 2 at nodes[2:-2].  The second
+    # difference amplifies the rounding of x^2 (half an ulp of 1) by about
+    # 4 / h^2: 1.2e-10 at h = 1/512, or 6e-11 of u'' = 2.
+    def quadratic_reference(self):
+        sc = get_scenario("eps-exp", 1e-3)
+        e = layer_integral(sc.coeffs, "e")
+        mesh = build_mesh(sc.coeffs, e, 1.0 / 512)
+        return sc, e, FemSolution(mesh=mesh, coefficients=mesh.nodes ** 2)
+
+    def test_quadratic_first_derivative(self):
+        sc, e, ref = self.quadratic_reference()
+        xs = ref.mesh.nodes[1:-1]
+        want = np.max(2 * xs / solution_bound_values(sc.coeffs, xs, e(xs), 1))
+        rep = check_solution_bounds(sc, ref, "U1", e=e)
+        assert rep.sample_count == len(xs)
+        assert rep.sup_ratio == pytest.approx(want, rel=1e-12)
+
+    def test_quadratic_second_derivative(self):
+        sc, e, ref = self.quadratic_reference()
+        xs = ref.mesh.nodes[2:-2]
+        want = np.max(2 / solution_bound_values(sc.coeffs, xs, e(xs), 2))
+        rep = check_solution_bounds(sc, ref, "U2", e=e)
+        assert rep.sample_count == len(xs)
+        assert rep.sup_ratio == pytest.approx(want, rel=1e-10)
 
 
 class TestUniformity:
