@@ -33,12 +33,12 @@ def interpolate(f, mesh: LayerMesh) -> FemSolution:
     return FemSolution(mesh=mesh, coefficients=values)
 
 
-def _error_on_elements(nodes, coefficients, exact=None, n_quad=_ERR_QUAD):
+def _error_on_elements(nodes, coefficients, exact=None):
     """(gx, half, weights, d, dd): d = exact - v_h and dd = d' at the Gauss
     points gx of every element, whose integral of g is half * (g @ weights);
     v_h is the piecewise-linear function with these nodal values, and
     exact=None gives d = -v_h."""
-    rule = gauss_legendre(n_quad)
+    rule = gauss_legendre(_ERR_QUAD)
     gx, half = _gauss_map(nodes[:-1], nodes[1:], rule)
     vals, slopes = _on_elements(nodes, coefficients, gx)
     d, dd = -vals, -slopes
@@ -48,9 +48,9 @@ def _error_on_elements(nodes, coefficients, exact=None, n_quad=_ERR_QUAD):
     return gx, half, rule.weights, d, dd
 
 
-def _norms_on_elements(nodes, coefficients, eps_fn, exact=None, n_quad=_ERR_QUAD):
+def _norms_on_elements(nodes, coefficients, eps_fn, exact=None):
     """Per-element (integral of d^2, integral of eps * d'^2), d as above."""
-    gx, half, wq, d, dd = _error_on_elements(nodes, coefficients, exact, n_quad)
+    gx, half, wq, d, dd = _error_on_elements(nodes, coefficients, exact)
     return half * ((d * d) @ wq), half * ((eps_fn(gx) * dd * dd) @ wq)
 
 
@@ -64,15 +64,14 @@ class ErrorReport:
     reference_kind: str  # "closed-form" | "fine-mesh"
 
 
-def energy_norm(v, coeffs, quad_points: int = _ERR_QUAD) -> float:
+def energy_norm(v, coeffs) -> float:
     """sqrt( || eps^(1/2) v' ||_0^2 + || v ||_0^2 ).
 
     FE functions are integrated element by element; closed-form functions by
     adaptive quadrature seeded with breakpoints clustered into the layer.
     """
     if isinstance(v, FemSolution):
-        l2, wg = _norms_on_elements(v.mesh.nodes, v.coefficients, coeffs.eps,
-                                    n_quad=quad_points)
+        l2, wg = _norms_on_elements(v.mesh.nodes, v.coefficients, coeffs.eps)
         return math.sqrt(l2.sum() + wg.sum())
     bp = np.concatenate(([0.0], np.geomspace(1e-12, 1.0, 257)))
     val = integrate(lambda x: coeffs.eps(x) * v.d(x) ** 2 + v(x) ** 2,
@@ -81,13 +80,12 @@ def energy_norm(v, coeffs, quad_points: int = _ERR_QUAD) -> float:
 
 
 def error_report(sol: FemSolution, scenario,
-                 reference: Optional[FemSolution] = None,
-                 quad_points: int = _ERR_QUAD) -> ErrorReport:
+                 reference: Optional[FemSolution] = None) -> ErrorReport:
     """Energy/L2 errors of sol against the exact solution or a finer solve."""
     eps_fn = scenario.coeffs.eps
     if scenario.exact is not None and reference is None:
         l2, wg = _norms_on_elements(sol.mesh.nodes, sol.coefficients, eps_fn,
-                                    scenario.exact, quad_points)
+                                    scenario.exact)
         kind = "closed-form"
     elif reference is not None:
         if len(reference.mesh.nodes) < 8 * len(sol.mesh.nodes):
@@ -95,7 +93,7 @@ def error_report(sol: FemSolution, scenario,
                 "reference mesh must have at least 8x the node density")
         merged = np.union1d(sol.mesh.nodes, reference.mesh.nodes)
         l2, wg = _norms_on_elements(merged, reference(merged) - sol(merged),
-                                    eps_fn, n_quad=quad_points)
+                                    eps_fn)
         kind = "fine-mesh"
     else:
         raise ConfigurationError(
@@ -143,10 +141,13 @@ def convergence_study(scenario_family: Callable[[float], "object"],
     Scenarios without a closed-form solution are measured against a solve of
     the same mesh family at h/_REFERENCE_REFINE.  Degenerate (h, eps0) cells
     are recorded as skipped, not fatal.  Repeated h values raise
-    ParameterError: a rate between equal h is undefined.
+    ParameterError, since a rate between equal h is undefined, and so do
+    repeated eps0 values, which would repeat their rows.
     """
     if len(np.unique(h_list)) < len(h_list):
         raise ParameterError("h values must be distinct")
+    if len(np.unique(eps0_list)) < len(eps0_list):
+        raise ParameterError("eps0 values must be distinct")
     rows = []
     for eps0 in sorted(eps0_list):
         scenario = scenario_family(eps0)
@@ -191,8 +192,7 @@ class InterpolationRow:
     layer_wh1_fine: float     # || eps^(1/2) (E - E^I)' ||_0 on [0,tau]
 
 
-def interpolation_study(scenario, h_list, delta: float = 1.0,
-                        quad_points: int = _ERR_QUAD):
+def interpolation_study(scenario, h_list, delta: float = 1.0):
     """Interpolation-error table for the smooth and layer exemplars."""
     if scenario.smooth_exemplar is None or scenario.layer_exemplar is None:
         raise ConfigurationError("scenario must supply both exemplars")
@@ -207,12 +207,10 @@ def interpolation_study(scenario, h_list, delta: float = 1.0,
         msh = build_mesh(coeffs, e, h, delta)
         k = msh.tau_index
         # the interpolants are given by their nodal values
-        s_l2, s_h1 = _norms_on_elements(msh.nodes, s(msh.nodes), one, s,
-                                        quad_points)
+        s_l2, s_h1 = _norms_on_elements(msh.nodes, s(msh.nodes), one, s)
 
         # the layer norms share one Gauss grid and one evaluation of E - E^I
-        gx, half, wq, d, dd = _error_on_elements(msh.nodes, lay(msh.nodes),
-                                                 lay, quad_points)
+        gx, half, wq, d, dd = _error_on_elements(msh.nodes, lay(msh.nodes), lay)
         eps_g = coeffs.eps(gx)
         e_l2 = half * ((d * d) @ wq)
         e_wh1 = half * ((eps_g * dd * dd) @ wq)

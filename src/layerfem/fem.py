@@ -17,11 +17,12 @@ from .calculus import _gauss_map, _vec_eval, gauss_legendre
 from .errors import (
     AssemblyError,
     MeshMismatchError,
-    ParameterError,
     SingularSystemError,
     SizeError,
 )
 from .mesh import LayerMesh
+
+_QUAD = 5  # Gauss points per element in assembly and in bilinear_form
 
 
 @dataclass(frozen=True)
@@ -79,10 +80,10 @@ def _on_elements(nodes, coefficients, x):
     return c[:-1, None] + slopes * (x - nodes[:-1, None]), slopes
 
 
-def _element_quadrature(scenario, mesh: LayerMesh, n_quad: int):
+def _element_quadrature(scenario, mesh: LayerMesh):
     """(rule, gx, half, vals): element i has Gauss points gx[i] and weights
     half[i] * rule.weights; vals maps each coefficient name to its samples at gx."""
-    rule = gauss_legendre(n_quad)
+    rule = gauss_legendre(_QUAD)
     gx, half = _gauss_map(mesh.nodes[:-1], mesh.nodes[1:], rule)
     co = scenario.coeffs
     vals = {}
@@ -95,11 +96,9 @@ def _element_quadrature(scenario, mesh: LayerMesh, n_quad: int):
     return rule, gx, half, vals
 
 
-def assemble(scenario, mesh: LayerMesh, quad_points_per_element: int = 5) -> TridiagonalSystem:
+def assemble(scenario, mesh: LayerMesh) -> TridiagonalSystem:
     """Assemble the Galerkin tridiagonal system for the interior nodes."""
-    if quad_points_per_element < 2:
-        raise ParameterError("need at least 2 quadrature points per element")
-    rule, _, half, vals = _element_quadrature(scenario, mesh, quad_points_per_element)
+    rule, _, half, vals = _element_quadrature(scenario, mesh)
     w = np.diff(mesh.nodes)
 
     # The hats phi_L = 1 - t, phi_R = t have slopes -1/w, 1/w and take the
@@ -154,22 +153,20 @@ def solve_tridiagonal(system: TridiagonalSystem) -> np.ndarray:
     return x
 
 
-def galerkin_solve(scenario, mesh: LayerMesh, quad_points_per_element: int = 5) -> FemSolution:
+def galerkin_solve(scenario, mesh: LayerMesh) -> FemSolution:
     """Assemble and solve; boundary coefficients are pinned to zero."""
-    system = assemble(scenario, mesh, quad_points_per_element)
+    system = assemble(scenario, mesh)
     interior = solve_tridiagonal(system)
     coef = np.zeros(len(mesh.nodes))
     coef[1:-1] = interior
     return FemSolution(mesh=mesh, coefficients=coef)
 
 
-def bilinear_form(v: FemSolution, w: FemSolution, scenario,
-                  quad_points_per_element: int = 5) -> float:
+def bilinear_form(v: FemSolution, w: FemSolution, scenario) -> float:
     """Quadrature value of a(v, w) for two FE functions on the same mesh."""
     if v.mesh is not w.mesh and not np.array_equal(v.mesh.nodes, w.mesh.nodes):
         raise MeshMismatchError("bilinear_form requires a shared mesh")
-    rule, gx, half, vals = _element_quadrature(scenario, v.mesh,
-                                               quad_points_per_element)
+    rule, gx, half, vals = _element_quadrature(scenario, v.mesh)
     v_vals, v_slope = _on_elements(v.mesh.nodes, v.coefficients, gx)
     w_vals, w_slope = _on_elements(v.mesh.nodes, w.coefficients, gx)
     integrand = (vals["eps"] * v_slope * w_slope

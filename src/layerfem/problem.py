@@ -7,7 +7,8 @@ for arbitrary user-supplied coefficient functions.
 """
 
 import numpy as np
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional
 
 from .errors import ConfigurationError, ParameterError
@@ -36,14 +37,6 @@ class ScalarFunction:
         if self.deriv2 is None:
             raise ConfigurationError("second derivative not available")
         return self.deriv2(x)
-
-    @property
-    def has_deriv(self) -> bool:
-        return self.deriv is not None
-
-    @property
-    def has_deriv2(self) -> bool:
-        return self.deriv2 is not None
 
     @staticmethod
     def constant(c: float) -> "ScalarFunction":
@@ -124,9 +117,7 @@ def validate_coefficients(coeffs: CoefficientSet, sample_count: int = 10001) -> 
     }
 
     checks = []
-    finite = np.ones_like(xs, dtype=bool)
-    for label, vals in samples.items():
-        finite &= np.isfinite(vals)
+    finite = np.logical_and.reduce([np.isfinite(v) for v in samples.values()])
     if np.all(finite):
         checks.append(AssumptionCheck("finite values", True, 0.0, 0.0))
     else:
@@ -166,9 +157,9 @@ def validate_coefficients(coeffs: CoefficientSet, sample_count: int = 10001) -> 
 
 def manufactured_rhs(u: ScalarFunction, coeffs: CoefficientSet) -> ScalarFunction:
     """Right-hand side f = -eps u'' - (b + eps') u' + c u, exact pointwise."""
-    if not u.has_deriv2:
+    if u.deriv2 is None:
         raise ConfigurationError("manufactured_rhs needs u with a second derivative")
-    if not coeffs.eps.has_deriv:
+    if coeffs.eps.deriv is None:
         raise ConfigurationError("manufactured_rhs needs eps with a first derivative")
     eps, b, c = coeffs.eps, coeffs.b, coeffs.c
 
@@ -190,28 +181,25 @@ class Scenario:
     name: str
     coeffs: CoefficientSet
     exact: Optional[ScalarFunction] = None
-    rhs_provenance: str = "given"  # "given" | "manufactured"
     smooth_exemplar: Optional[ScalarFunction] = None
     layer_exemplar: Optional[ScalarFunction] = None
-    eps0: float = field(default=np.nan)
 
 
-def _smooth_exemplar() -> ScalarFunction:
-    return ScalarFunction(
-        value=lambda x: np.cos(0.5 * np.pi * np.asarray(x, dtype=float)),
-        deriv=lambda x: -0.5 * np.pi * np.sin(0.5 * np.pi * np.asarray(x, dtype=float)),
-        deriv2=lambda x: -((0.5 * np.pi) ** 2) * np.cos(0.5 * np.pi * np.asarray(x, dtype=float)),
-    )
+_SMOOTH_EXEMPLAR = ScalarFunction(
+    value=lambda x: np.cos(0.5 * np.pi * np.asarray(x, dtype=float)),
+    deriv=lambda x: -0.5 * np.pi * np.sin(0.5 * np.pi * np.asarray(x, dtype=float)),
+    deriv2=lambda x: -((0.5 * np.pi) ** 2) * np.cos(0.5 * np.pi * np.asarray(x, dtype=float)),
+)
 
 
-def _layer_exemplar(beta, e_fn, e1, eps_fn, epsp_fn) -> ScalarFunction:
+def _layer_exemplar(beta, e_fn, eps_fn, epsp_fn) -> ScalarFunction:
     """Normalized layer profile (exp(-beta e(x)) - q) / (1 - q), q = exp(-beta e(1)).
 
     Takes the value 1 at x = 0 and 0 at x = 1.  Closed-form derivatives via
-    the closed form of e(x) supplied by the scenario family.
+    the closed form of e(x) supplied by the diffusion family.
     """
     with np.errstate(under="ignore"):
-        q = float(np.exp(-beta * e1))
+        q = float(np.exp(-beta * e_fn(1.0)))
     denom = 1.0 - q
 
     def val(x):
@@ -230,87 +218,58 @@ def _layer_exemplar(beta, e_fn, e1, eps_fn, epsp_fn) -> ScalarFunction:
     return ScalarFunction(value=val, deriv=d1, deriv2=d2)
 
 
-def _eps_family(kind: str, eps0: float):
-    """Diffusion coefficient with closed-form layer integral e(x)."""
-    if kind == "const":
-        eps = ScalarFunction.constant(eps0)
-        e_fn = lambda x: np.asarray(x, dtype=float) / eps0
-        lower, upper, sigma = eps0, eps0, 0.0
-    elif kind == "linear":
-        eps = ScalarFunction(
-            value=lambda x: eps0 * (1.0 + np.asarray(x, dtype=float)),
-            deriv=lambda x: np.full_like(np.asarray(x, dtype=float), eps0),
-            deriv2=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        )
-        e_fn = lambda x: np.log1p(np.asarray(x, dtype=float)) / eps0
-        lower, upper, sigma = eps0, 2.0 * eps0, eps0
-    elif kind == "exp":
-        eps = ScalarFunction(
-            value=lambda x: eps0 * np.exp(np.asarray(x, dtype=float)),
-            deriv=lambda x: eps0 * np.exp(np.asarray(x, dtype=float)),
-            deriv2=lambda x: eps0 * np.exp(np.asarray(x, dtype=float)),
-        )
-        e_fn = lambda x: -np.expm1(-np.asarray(x, dtype=float)) / eps0
-        lower, upper, sigma = eps0, eps0 * np.e, eps0
-    else:
-        raise ParameterError(f"unknown eps family {kind!r}")
-    return eps, e_fn, lower, upper, sigma
-
-
-_BETA = 1.0
-_GAMMA = 1.0
-
-
-def _base_scenario(kind: str, name: str, eps0: float) -> Scenario:
-    eps, e_fn, lower, upper, sigma = _eps_family(kind, eps0)
-    coeffs = CoefficientSet(
-        eps=eps,
-        b=ScalarFunction.constant(2.0),
-        c=ScalarFunction.constant(1.0),
-        f=ScalarFunction.constant(1.0),
-        beta=_BETA, gamma=_GAMMA,
-        eps_lower=lower, eps_upper=upper, sigma=sigma,
-    )
-    layer = _layer_exemplar(_BETA, e_fn, e_fn(1.0), eps.value, eps.deriv)
-    return Scenario(
-        name=name, coeffs=coeffs, exact=None, rhs_provenance="given",
-        smooth_exemplar=_smooth_exemplar(), layer_exemplar=layer, eps0=eps0,
-    )
-
-
-def _manufactured_scenario(eps0: float) -> Scenario:
-    # exact solution u = cos(pi x / 2) - E(x): both terms are 1 at x = 0 and
-    # 0 at x = 1, so no further boundary correction is needed.
-    base = _base_scenario("linear", "manufactured", eps0)
-    smooth, layer = base.smooth_exemplar, base.layer_exemplar
-    exact = ScalarFunction(
-        value=lambda x: smooth(x) - layer(x),
-        deriv=lambda x: smooth.d(x) - layer.d(x),
-        deriv2=lambda x: smooth.d2(x) - layer.d2(x),
-    )
-    # manufactured_rhs reads eps, b and c only, so the base f is never used
-    coeffs = replace(base.coeffs, f=manufactured_rhs(exact, base.coeffs))
-    return replace(base, coeffs=coeffs, exact=exact,
-                   rhs_provenance="manufactured")
-
+# name -> (eps_upper / eps0, sigma / eps0, eps, eps', e = int_0^x 1/eps in
+# closed form); eps_lower is eps0 in every family
+_FAMILIES = {
+    "eps-const": (1.0, 0.0,
+                  lambda x, eps0: np.full_like(np.asarray(x, dtype=float), eps0),
+                  lambda x, eps0: np.zeros_like(np.asarray(x, dtype=float)),
+                  lambda x, eps0: np.asarray(x, dtype=float) / eps0),
+    "eps-linear": (2.0, 1.0,
+                   lambda x, eps0: eps0 * (1.0 + np.asarray(x, dtype=float)),
+                   lambda x, eps0: np.full_like(np.asarray(x, dtype=float), eps0),
+                   lambda x, eps0: np.log1p(np.asarray(x, dtype=float)) / eps0),
+    "eps-exp": (np.e, 1.0,
+                lambda x, eps0: eps0 * np.exp(np.asarray(x, dtype=float)),
+                lambda x, eps0: eps0 * np.exp(np.asarray(x, dtype=float)),
+                lambda x, eps0: -np.expm1(-np.asarray(x, dtype=float)) / eps0),
+}
 
 SCENARIO_NAMES = ("eps-const", "eps-linear", "eps-exp", "manufactured")
 
 
-def builtin_scenarios(eps0: float):
-    """The four built-in scenarios at diffusion scale eps0 (0 < eps0 <= 0.1)."""
+def get_scenario(name: str, eps0: float) -> Scenario:
+    """Built-in scenario `name` at diffusion scale eps0 (0 < eps0 <= 0.1).
+
+    b = 2, c = 1, f = 1; manufactured is eps-linear with the f of its exact
+    solution u = cos(pi x / 2) - E(x), E the layer exemplar.
+    """
     if not (0.0 < eps0 <= 0.1):
         raise ParameterError("eps0 must lie in (0, 0.1]")
-    return [
-        _base_scenario("const", "eps-const", eps0),
-        _base_scenario("linear", "eps-linear", eps0),
-        _base_scenario("exp", "eps-exp", eps0),
-        _manufactured_scenario(eps0),
-    ]
+    if name not in SCENARIO_NAMES:
+        raise ParameterError(f"unknown scenario {name!r}; choose from {SCENARIO_NAMES}")
+    upper, sigma, eps_fn, epsp_fn, e_fn = _FAMILIES[
+        "eps-linear" if name == "manufactured" else name]
+    eps = ScalarFunction(partial(eps_fn, eps0=eps0), partial(epsp_fn, eps0=eps0))
+    coeffs = CoefficientSet(
+        eps=eps, b=ScalarFunction.constant(2.0), c=ScalarFunction.constant(1.0),
+        f=ScalarFunction.constant(1.0), beta=1.0, gamma=1.0,
+        eps_lower=eps0, eps_upper=upper * eps0, sigma=sigma * eps0)
+    smooth = _SMOOTH_EXEMPLAR
+    layer = _layer_exemplar(coeffs.beta, partial(e_fn, eps0=eps0), eps.value, eps.deriv)
+    exact = None
+    if name == "manufactured":
+        # both terms of u are 1 at x = 0 and 0 at x = 1: no boundary correction
+        exact = ScalarFunction(
+            value=lambda x: smooth(x) - layer(x),
+            deriv=lambda x: smooth.d(x) - layer.d(x),
+            deriv2=lambda x: smooth.d2(x) - layer.d2(x),
+        )
+        coeffs = replace(coeffs, f=manufactured_rhs(exact, coeffs))
+    return Scenario(name=name, coeffs=coeffs, exact=exact,
+                    smooth_exemplar=smooth, layer_exemplar=layer)
 
 
-def get_scenario(name: str, eps0: float) -> Scenario:
-    for sc in builtin_scenarios(eps0):
-        if sc.name == name:
-            return sc
-    raise ParameterError(f"unknown scenario {name!r}; choose from {SCENARIO_NAMES}")
+def builtin_scenarios(eps0: float):
+    """The four built-in scenarios at diffusion scale eps0 (0 < eps0 <= 0.1)."""
+    return [get_scenario(name, eps0) for name in SCENARIO_NAMES]

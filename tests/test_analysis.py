@@ -108,8 +108,7 @@ class TestErrorReport:
         wrapped = Scenario(
             name="self", coeffs=sc.coeffs,
             exact=ScalarFunction(value=sol, deriv=sol.deriv),
-            rhs_provenance="given", smooth_exemplar=None,
-            layer_exemplar=None, eps0=sc.eps0)
+            smooth_exemplar=None, layer_exemplar=None)
         rep = error_report(sol, wrapped)
         assert rep.energy_error <= 1e-13
 
@@ -233,9 +232,12 @@ class TestConvergenceStudy:
 
     def test_repeated_h_is_parameter_error(self):
         # 0.0625 and 1/16 are the same float; a rate between them is 0/0
+        family = lambda eps0: get_scenario("manufactured", eps0)
         with pytest.raises(ParameterError):
-            convergence_study(lambda eps0: get_scenario("manufactured", eps0),
-                              [0.0625, 1.0 / 32, 1.0 / 16], [1e-3])
+            convergence_study(family, [0.0625, 1.0 / 32, 1.0 / 16], [1e-3])
+        # a repeated eps0 would repeat its rows
+        with pytest.raises(ParameterError):
+            convergence_study(family, [1.0 / 16], [1e-3, 0.001])
 
     def test_fine_mesh_reference_family(self):
         table = convergence_study(
@@ -266,8 +268,7 @@ class TestInterpolationStudy:
     def test_requires_exemplars(self):
         sc = get_scenario("eps-const", 1e-4)
         stripped = Scenario(name="x", coeffs=sc.coeffs, exact=None,
-                            rhs_provenance="given", smooth_exemplar=None,
-                            layer_exemplar=None, eps0=sc.eps0)
+                            smooth_exemplar=None, layer_exemplar=None)
         with pytest.raises(ConfigurationError):
             interpolation_study(stripped, [1.0 / 16])
 

@@ -154,7 +154,7 @@ class TestLayerIntegral:
 
 
 # closed forms of e(x) = int_0^x dt / eps(t), written out independently of
-# problem._eps_family
+# the diffusion-family table problem._FAMILIES
 _CLOSED_FORM_E = {
     "eps-const": lambda x, eps0: x / eps0,
     "eps-linear": lambda x, eps0: np.log1p(x) / eps0,

@@ -158,9 +158,13 @@ class TestConverge:
         rates = [line.split()[5] for line in out.strip().split("\n")[2:]]
         assert rates == ["%.6g" % r["rate"] for r in json.loads(js)["rows"][1:]]
 
-    @pytest.mark.parametrize("h", ["1/16,1/16", "0.0625,1/16"])
-    def test_repeated_h_is_usage_error(self, capsys, h):
-        code, out, err = run_cli(["converge", "--eps0", "0.001", "--h", h],
+    @pytest.mark.parametrize(
+        "eps0, h", [("0.001", "1/16,1/16"), ("0.001", "0.0625,1/16"),
+                    ("1e-3,0.001", "1/16")],
+        ids=["1/16,1/16", "0.0625,1/16", "eps0=1e-3,0.001"])
+    def test_repeated_h_is_usage_error(self, capsys, eps0, h):
+        # a repeated eps0 is refused too: it would repeat its rows
+        code, out, err = run_cli(["converge", "--eps0", eps0, "--h", h],
                                  capsys)
         assert code == 2 and out == ""
         assert err.startswith("usage error:") and err.count("\n") == 1

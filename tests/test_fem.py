@@ -5,13 +5,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from layerfem import fem
 from layerfem.analysis import energy_norm, error_report
 from layerfem.calculus import gauss_legendre, layer_integral
 from layerfem.errors import (
     AssemblyError,
     DegenerateRegimeError,
     MeshMismatchError,
-    ParameterError,
     SingularSystemError,
     SizeError,
 )
@@ -46,8 +46,7 @@ def plain_scenario(eps=1.0, b=0.0, c=0.0, f=0.0):
         beta=max(b / 2, 0.1), gamma=max(c, 0.1),
         eps_lower=eps, eps_upper=eps, sigma=0.0)
     return Scenario(name="synthetic", coeffs=coeffs, exact=None,
-                    rhs_provenance="given", smooth_exemplar=None,
-                    layer_exemplar=None, eps0=eps)
+                    smooth_exemplar=None, layer_exemplar=None)
 
 
 class TestAssembly:
@@ -83,14 +82,9 @@ class TestAssembly:
                 eps=ScalarFunction(lambda x: np.where(x > 0.5, np.nan, 1.0)),
                 b=sc.coeffs.b, c=sc.coeffs.c, f=sc.coeffs.f,
                 beta=0.1, gamma=0.1, eps_lower=1.0, eps_upper=1.0, sigma=0.0),
-            exact=None, rhs_provenance="given", smooth_exemplar=None,
-            layer_exemplar=None, eps0=1.0)
+            exact=None, smooth_exemplar=None, layer_exemplar=None)
         with pytest.raises(AssemblyError):
             assemble(bad, uniform_mesh(9))
-
-    def test_too_few_quad_points(self):
-        with pytest.raises(ParameterError):
-            assemble(plain_scenario(), uniform_mesh(9), quad_points_per_element=1)
 
 
 def unit_hat(mesh, i):
@@ -241,8 +235,7 @@ class TestGalerkinSolve:
                 f=ScalarFunction.constant(0.0), beta=sc.coeffs.beta,
                 gamma=sc.coeffs.gamma, eps_lower=sc.coeffs.eps_lower,
                 eps_upper=sc.coeffs.eps_upper, sigma=sc.coeffs.sigma),
-            exact=None, rhs_provenance="given", smooth_exemplar=None,
-            layer_exemplar=None, eps0=sc.eps0)
+            exact=None, smooth_exemplar=None, layer_exemplar=None)
         e = layer_integral(zero.coeffs, "e")
         mesh = build_mesh(zero.coeffs, e, 1.0 / 32)
         sol = galerkin_solve(zero, mesh)
@@ -282,13 +275,15 @@ class TestGalerkinSolve:
         scale = np.abs(sys_.rhs).max() + np.abs(sys_.diag).max()
         assert resid <= 1e-10 * scale
 
-    def test_quadrature_saturation(self):
+    def test_quadrature_saturation(self, monkeypatch):
         # smooth coefficients: 5 vs 10 Gauss points changes nothing visible
         sc = get_scenario("eps-exp", 1e-3)
         e = layer_integral(sc.coeffs, "e")
         mesh = build_mesh(sc.coeffs, e, 1.0 / 32)
-        u5 = galerkin_solve(sc, mesh, quad_points_per_element=5).coefficients
-        u10 = galerkin_solve(sc, mesh, quad_points_per_element=10).coefficients
+        assert fem._QUAD == 5
+        u5 = galerkin_solve(sc, mesh).coefficients
+        monkeypatch.setattr(fem, "_QUAD", 10)
+        u10 = galerkin_solve(sc, mesh).coefficients
         assert np.abs(u5 - u10).max() <= 1e-8 * max(1.0, np.abs(u10).max())
 
 
@@ -323,5 +318,5 @@ class TestBilinearForm:
             coef[0] = coef[-1] = 0.0
             v = FemSolution(mesh=mesh, coefficients=coef)
             lhs = bilinear_form(v, v, sc)
-            nrm2 = energy_norm(v, sc.coeffs, quad_points=5) ** 2
+            nrm2 = energy_norm(v, sc.coeffs) ** 2
             assert lhs >= gamma_min * nrm2 - 1e-9 * nrm2

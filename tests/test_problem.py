@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 import sympy as sp
@@ -126,6 +127,14 @@ class TestManufacturedRhs:
             manufactured_rhs(u, make_coeffs())
 
 
+# eps of each diffusion family, written out independently of problem._FAMILIES
+_SYMBOLIC_EPS = {
+    "eps-const": lambda x, eps0: eps0,
+    "eps-linear": lambda x, eps0: eps0 * (1 + x),
+    "eps-exp": lambda x, eps0: eps0 * sp.exp(x),
+}
+
+
 class TestBuiltinScenarios:
     def test_constant_scenario_values(self):
         sc = get_scenario("eps-const", 0.01)
@@ -171,6 +180,30 @@ class TestBuiltinScenarios:
         expected = f_num(xs)
         got = sc.coeffs.f(xs)
         assert got == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("eps0", [0.1, 0.01])
+    @pytest.mark.parametrize("name", sorted(_SYMBOLIC_EPS))
+    def test_family_against_sympy(self, name, eps0):
+        # eps, eps' and the layer exemplar's E', E'' against sympy, with
+        # E = (exp(-beta e) - q) / (1 - q) built from e = int_0^x dt / eps(t)
+        # as sympy integrates it: the closed form of e enters E' and E''
+        sc = get_scenario(name, eps0)
+        x, t = sp.symbols("x t", nonnegative=True)
+        eps_sym = _SYMBOLIC_EPS[name](x, sp.Rational(eps0))
+        e_sym = sp.integrate(1 / eps_sym.subs(x, t), (t, 0, x))
+        beta = sp.Rational(sc.coeffs.beta)
+        q = sp.exp(-beta * e_sym.subs(x, 1))
+        layer = (sp.exp(-beta * e_sym) - q) / (1 - q)
+        xs = np.random.default_rng(11).uniform(0.0, 1.0, 25)
+        pairs = [(sc.coeffs.eps, eps_sym), (sc.coeffs.eps.d, sp.diff(eps_sym, x)),
+                 (sc.layer_exemplar.d, sp.diff(layer, x)),
+                 (sc.layer_exemplar.d2, sp.diff(layer, x, 2))]
+        for got_fn, expr in pairs:
+            want_fn = sp.lambdify(x, expr, "mpmath")
+            with mpmath.workdps(40):
+                want = [float(want_fn(mpmath.mpf(float(xi)))) for xi in xs]
+            np.testing.assert_allclose(got_fn(xs), want, rtol=1e-12, atol=0.0,
+                                       err_msg=f"{name} {expr}")
 
     def test_layer_exemplar_bound_family(self):
         # sup |E^(k)| eps^k exp(beta e) stays below 10 for k = 0, 1
