@@ -11,14 +11,14 @@ from .calculus import (CumulativeIntegral, QuadratureRule, gauss_legendre,
 from .fem import (FemSolution, TridiagonalSystem, assemble, bilinear_form,
                   galerkin_solve, solve_tridiagonal)
 from .mesh import LayerMesh, build_mesh, compute_tau_star, predict_cardinality
-from .problem import (CoefficientSet, ScalarFunction, Scenario,
-                      builtin_scenarios, get_scenario, manufactured_rhs,
-                      validate_coefficients)
-from .verify import (BoundCheckReport, check_barrier_operator,
-                     check_bound_uniformity, check_integral_lemma,
-                     check_integral_lemma_random, check_solution_bounds,
-                     check_transformed_bounds, reference_solution,
-                     solution_bound_values, transformed_bound_values)
+from .problem import (BoundCheckReport, CoefficientSet, ScalarFunction,
+                      Scenario, builtin_scenarios, get_scenario,
+                      manufactured_rhs, validate_coefficients)
+from .verify import (check_barrier_operator, check_bound_uniformity,
+                     check_integral_lemma, check_integral_lemma_random,
+                     check_solution_bounds, check_transformed_bounds,
+                     reference_solution, solution_bound_values,
+                     transformed_bound_values)
 
 # the public names, without the submodules that importing them binds here
 __all__ = [

@@ -193,7 +193,9 @@ class InterpolationRow:
 
 
 def interpolation_study(scenario, h_list, delta: float = 1.0):
-    """Interpolation-error table for the smooth and layer exemplars."""
+    """Interpolation-error table for the smooth and layer exemplars (distinct h)."""
+    if len(np.unique(h_list)) < len(h_list):
+        raise ParameterError("h values must be distinct")
     if scenario.smooth_exemplar is None or scenario.layer_exemplar is None:
         raise ConfigurationError("scenario must supply both exemplars")
     s = scenario.smooth_exemplar
@@ -215,14 +217,13 @@ def interpolation_study(scenario, h_list, delta: float = 1.0):
         e_l2 = half * ((d * d) @ wq)
         e_wh1 = half * ((eps_g * dd * dd) @ wq)
         e_invl2 = half * ((d * d / eps_g) @ wq)  # weight 1/eps
-        e_max_coarse = float(np.abs(d[k:]).max()) if k < len(d) else 0.0
 
         rows.append(InterpolationRow(
             h=h, node_count=len(msh.nodes),
             smooth_l2=math.sqrt(s_l2.sum()),
             smooth_h1=math.sqrt(s_h1.sum()),
             layer_l2_coarse=math.sqrt(e_l2[k:].sum()),
-            layer_max_coarse=e_max_coarse,
+            layer_max_coarse=float(np.abs(d[k:]).max()),
             layer_wl2_fine=math.sqrt(e_invl2[:k].sum()),
             layer_wh1_fine=math.sqrt(e_wh1[:k].sum()),
         ))

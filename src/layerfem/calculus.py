@@ -29,7 +29,6 @@ class QuadratureRule:
 
     points: np.ndarray
     weights: np.ndarray
-    order: int  # degree of polynomial exactness
 
 
 @functools.lru_cache(maxsize=32)
@@ -41,17 +40,19 @@ def gauss_legendre(n: int) -> QuadratureRule:
     pts, wts = np.polynomial.legendre.leggauss(n)
     pts.setflags(write=False)
     wts.setflags(write=False)
-    return QuadratureRule(points=pts, weights=wts, order=2 * n - 1)
+    return QuadratureRule(points=pts, weights=wts)
 
 
 _G5 = gauss_legendre(5)
 _G10 = gauss_legendre(10)
 
 _REL_TOL = 1e-10  # integrate's relative tolerance
+_MAX_DEPTH = 24  # and its bisection limit per panel
 # Live-panel cap of integrate: panels double each round that bisects them all.
 _MAX_PANELS = 65536
 # CumulativeIntegral.build stores partial sums at 0 and geomspace(_X_MIN, 1).
 _N_BREAKPOINTS, _X_MIN = 4096, 1e-12
+_INVERT_TOL = 1e-12  # invert_monotone's residual bound, times max(1, |target|)
 
 
 def _vec_eval(f, x: np.ndarray) -> np.ndarray:
@@ -109,7 +110,6 @@ def integrate(
     f: Callable,
     a: float,
     b: float,
-    max_depth: int = 24,
     breakpoints=None,
 ) -> float:
     """Adaptive composite 5-point Gauss quadrature of f over [a, b].
@@ -120,7 +120,7 @@ def integrate(
     (_REL_TOL = 1e-10); a child's whole-panel sum is its parent's half sum,
     so only quarters are new.  Rounds end once the discrepancies sum to at
     most _REL_TOL times the running integral.  ConvergenceError is raised
-    past max_depth bisections of a panel or _MAX_PANELS live panels, so a
+    past _MAX_DEPTH bisections of a panel or _MAX_PANELS live panels, so a
     noisy integrand fails fast.
     Optional breakpoints seed the initial panelization, which is how
     callers with known layer locations keep the bisection shallow.
@@ -152,10 +152,10 @@ def integrate(
             return total
         split = err > tol / len(err)
         split[np.argmax(err)] = True
-        if depths[split].max() >= max_depth:
-            k = np.flatnonzero(split & (depths >= max_depth))[0]
+        if depths[split].max() >= _MAX_DEPTH:
+            k = np.flatnonzero(split & (depths >= _MAX_DEPTH))[0]
             raise ConvergenceError(
-                f"quadrature did not converge after {max_depth} bisections "
+                f"quadrature did not converge after {_MAX_DEPTH} bisections "
                 f"on [{lefts[k]}, {rights[k]}]")
         if len(panels) + np.count_nonzero(split) > _MAX_PANELS:
             raise ConvergenceError(
@@ -204,10 +204,6 @@ class CumulativeIntegral:
         out = self.partial_sums[idx] + local
         return float(out[0]) if xa.ndim == 0 else out.reshape(xa.shape)
 
-    @property
-    def total(self) -> float:
-        return float(self.partial_sums[-1])
-
 
 def layer_integral(coeffs, kind: str) -> CumulativeIntegral:
     """Cumulative layer integral for a coefficient set.
@@ -226,7 +222,7 @@ def layer_integral(coeffs, kind: str) -> CumulativeIntegral:
     return CumulativeIntegral.build(integrand)
 
 
-def invert_monotone(g: CumulativeIntegral, target: float, tol: float = 1e-12) -> float:
+def invert_monotone(g: CumulativeIntegral, target: float) -> float:
     """Solve g(x) = target on [0, 1] for strictly increasing g.
 
     The breakpoint panel that brackets target (searchsorted on partial_sums)
@@ -260,6 +256,6 @@ def invert_monotone(g: CumulativeIntegral, target: float, tol: float = 1e-12) ->
                 break
         x = step
         r = g(x) - target
-    if abs(r) > tol * max(1.0, abs(target)):
+    if abs(r) > _INVERT_TOL * max(1.0, abs(target)):
         raise ConvergenceError("monotone inversion residual above tolerance")
     return float(x)

@@ -19,7 +19,7 @@ from .calculus import layer_integral
 from .errors import DegenerateRegimeError, LayerFemError, ParameterError
 from .fem import galerkin_solve
 from .mesh import build_mesh
-from .problem import SCENARIO_NAMES, get_scenario
+from .problem import SCENARIO_NAMES, builtin_scenarios, get_scenario
 from .verify import (
     check_barrier_operator,
     check_bound_uniformity,
@@ -155,26 +155,22 @@ def cmd_interp(args, out) -> int:
 
 
 def _verify_reports(suite: str, seed: int, eps0: float):
-    from .problem import builtin_scenarios
-
+    if seed < 0:
+        raise ParameterError(f"--seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
+    # one layer integral per scenario, shared by the lemma and barrier suites
+    pairs = [] if suite == "bounds" else [
+        (sc, layer_integral(sc.coeffs, "e")) for sc in builtin_scenarios(eps0)]
     reports = []
-    scenarios = builtin_scenarios(eps0)
     if suite in ("lemmas", "all"):
-        for sc in scenarios:
-            e = layer_integral(sc.coeffs, "e")
-            reports.append(check_integral_lemma_random(sc, 100, rng, e=e))
+        reports += [check_integral_lemma_random(sc, 100, rng, e=e) for sc, e in pairs]
     if suite in ("barriers", "all"):
-        for sc in scenarios:
-            e = layer_integral(sc.coeffs, "e")
-            reports.append(check_barrier_operator(sc.coeffs, e,
-                                                  sample_count=10000,
-                                                  label=sc.name))
+        reports += [check_barrier_operator(sc.coeffs, e, label=sc.name)
+                    for sc, e in pairs]
     if suite in ("bounds", "all"):
         for name in SCENARIO_NAMES:
             family = lambda z, name=name: get_scenario(name, z)
-            for which in ("U0", "U1"):
-                reports.append(check_bound_uniformity(family, which))
+            reports += [check_bound_uniformity(family, which) for which in ("U0", "U1")]
     return reports
 
 
@@ -194,8 +190,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "variable small diffusion")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def subcommand(name, help_, h_default=None, eps0_help="diffusion scale eps0"):
+    def subcommand(name, func, help_, h_default=None, eps0_help="diffusion scale eps0"):
         sp = sub.add_parser(name, help=help_, allow_abbrev=False)
+        sp.set_defaults(func=func)
         if h_default is not None:  # the subcommands that build meshes
             sp.add_argument("--scenario", default="manufactured",
                             choices=SCENARIO_NAMES)
@@ -209,27 +206,21 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--output", default=None)
         return sp
 
-    subcommand("mesh", "emit mesh nodes", "0.1")
-    subcommand("solve", "solve and emit nodal values", "0.1").add_argument(
+    subcommand("mesh", cmd_mesh, "emit mesh nodes", "0.1")
+    subcommand("solve", cmd_solve, "solve and emit nodal values", "0.1").add_argument(
         "--exact", action="store_true", help="include the exact solution column")
-    subcommand("converge", "convergence table", "1/8,1/16,1/32,1/64",
+    subcommand("converge", cmd_converge, "convergence table", "1/8,1/16,1/32,1/64",
                eps0_help="diffusion scale eps0, or comma list")
-    subcommand("interp", "interpolation-error table", "1/16,1/32,1/64,1/128")
-    vp = subcommand("verify", "run a verification suite")
+    subcommand("interp", cmd_interp, "interpolation-error table", "1/16,1/32,1/64,1/128")
+    vp = subcommand("verify", cmd_verify, "run a verification suite",
+                    eps0_help="diffusion scale eps0 of the lemma and barrier "
+                              "suites; the bounds suite ignores it and sweeps "
+                              "1e-3, 1e-5, 1e-7")
     vp.add_argument("--suite", default="all",
                     choices=("lemmas", "barriers", "bounds", "all"))
     vp.add_argument("--seed", type=int, default=12345,
                     help="seed of the randomized integral-lemma instances")
     return p
-
-
-_DISPATCH = {
-    "mesh": cmd_mesh,
-    "solve": cmd_solve,
-    "converge": cmd_converge,
-    "interp": cmd_interp,
-    "verify": cmd_verify,
-}
 
 
 def main(argv=None) -> int:
@@ -245,8 +236,8 @@ def main(argv=None) -> int:
             except OSError as exc:
                 raise ParameterError(f"cannot open --output: {exc}") from exc
             with fh:
-                return _DISPATCH[args.command](args, fh)
-        return _DISPATCH[args.command](args, sys.stdout)
+                return args.func(args, fh)
+        return args.func(args, sys.stdout)
     except DegenerateRegimeError as exc:
         sys.stderr.write(f"degenerate regime: {exc}\n")
         return 3

@@ -15,15 +15,20 @@ from dataclasses import dataclass
 from .calculus import CumulativeIntegral, invert_monotone
 from .errors import DegenerateRegimeError, ParameterError, ResourceError
 
+_MAX_NODES = 10**7  # build_mesh raises ResourceError past this node count
+
 
 @dataclass(frozen=True)
 class LayerMesh:
     nodes: np.ndarray
     h: float
     delta: float
-    n_star: int      # number of multiplicative graded steps
     tau_index: int   # index of the first node >= tau_star
     tau_star: float
+
+    @property
+    def n_star(self) -> int:  # number of multiplicative graded steps
+        return self.tau_index - 1
 
     @property
     def tau(self) -> float:
@@ -60,8 +65,8 @@ def compute_tau_star(coeffs, e: CumulativeIntegral, h: float) -> float:
     return tau_star
 
 
-def build_mesh(coeffs, e: CumulativeIntegral, h: float, delta: float = 1.0,
-               max_nodes: int = 10**7) -> LayerMesh:
+def build_mesh(coeffs, e: CumulativeIntegral, h: float,
+               delta: float = 1.0) -> LayerMesh:
     """Build the graded + equidistant mesh for mesh parameter h."""
     if not (0.0 < delta < math.inf):
         raise ParameterError(f"delta must be positive and finite, got {delta!r}")
@@ -70,14 +75,14 @@ def build_mesh(coeffs, e: CumulativeIntegral, h: float, delta: float = 1.0,
     x1 = h * delta * coeffs.eps_lower
     # x_{k+1} = x_k (1 + h) up to the first node >= tau*; cumprod multiplies
     # in sequence, so it rounds as the recurrence does.  The log estimate only
-    # sizes the batches (rounding may leave it short), capped at max_nodes.
+    # sizes the batches (rounding may leave it short), capped at _MAX_NODES.
     # An x_1 <= 0 never reaches tau*, so the recurrence would hit the cap.
     graded = np.array([0.0, x1])
     while graded[-1] < tau_star:
-        if len(graded) >= max_nodes or graded[-1] <= 0.0:
-            raise ResourceError(f"graded node count exceeded cap {max_nodes}")
+        if len(graded) >= _MAX_NODES or graded[-1] <= 0.0:
+            raise ResourceError(f"graded node count exceeded cap {_MAX_NODES}")
         est = math.log(tau_star / graded[-1]) / math.log1p(h)
-        steps = int(min(est + 2.0, max_nodes - len(graded)))
+        steps = int(min(est + 2.0, _MAX_NODES - len(graded)))
         batch = np.cumprod(np.r_[graded[-1], np.full(steps, 1.0 + h)])
         graded = np.concatenate((graded, batch[1:]))
     tau_index = 1 + int(np.searchsorted(graded[1:], tau_star))
@@ -86,15 +91,14 @@ def build_mesh(coeffs, e: CumulativeIntegral, h: float, delta: float = 1.0,
     if tau >= 1.0:
         raise DegenerateRegimeError(
             f"first node past tau* already reaches {tau:.4g} >= 1")
-    n_star = tau_index - 1
 
     m = math.ceil((1.0 - tau) / h)
     coarse = np.linspace(tau, 1.0, m + 1)[1:]
     nodes = np.concatenate((graded, coarse))
-    if len(nodes) > max_nodes:
-        raise ResourceError(f"node count exceeded cap {max_nodes}")
-    return LayerMesh(nodes=nodes, h=h, delta=delta, n_star=n_star,
-                     tau_index=tau_index, tau_star=tau_star)
+    if len(nodes) > _MAX_NODES:
+        raise ResourceError(f"node count exceeded cap {_MAX_NODES}")
+    return LayerMesh(nodes=nodes, h=h, delta=delta, tau_index=tau_index,
+                     tau_star=tau_star)
 
 
 def predict_cardinality(coeffs, h: float) -> float:

@@ -69,44 +69,37 @@ class CoefficientSet:
     sigma: float
 
 
+_SAMPLES = 10001  # validate_coefficients' equispaced grid on [0, 1]
+
+
 @dataclass(frozen=True)
-class AssumptionCheck:
+class BoundCheckReport:
+    """One numerical check: the worst margin over sample_count samples,
+    where it occurs, and the verdict."""
+
     name: str
-    passed: bool
-    margin: float
-    worst_point: float
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    checks: tuple
     sample_count: int
-
-    @property
-    def violations(self):
-        return tuple(c for c in self.checks if not c.passed)
-
-    @property
-    def is_valid(self) -> bool:
-        return not self.violations
+    worst_margin: float
+    worst_point: float
+    passed: bool
+    sup_ratio: Optional[float] = None
 
 
 def _margin_check(name, values, xs):
     """Pass iff min(values) >= 0; reports the minimum and where it occurs."""
     values = np.asarray(values, dtype=float)
     i = int(np.argmin(values))
-    return AssumptionCheck(
-        name=name, passed=bool(values[i] >= 0), margin=float(values[i]),
-        worst_point=float(xs[i]),
-    )
+    return BoundCheckReport(name, len(xs), float(values[i]), float(xs[i]),
+                            bool(values[i] >= 0))
 
 
-def validate_coefficients(coeffs: CoefficientSet, sample_count: int = 10001) -> ValidationReport:
-    """Check the standing assumptions on an equispaced sample grid."""
-    if sample_count < 2:
-        raise ParameterError("sample_count must be at least 2")
-    xs = np.linspace(0.0, 1.0, sample_count)
+def validate_coefficients(coeffs: CoefficientSet) -> tuple:
+    """Check the standing assumptions at _SAMPLES equispaced points.
 
+    Returns one BoundCheckReport per assumption; a failed "finite values"
+    check is returned alone.  Checks of a constant carry sample_count 1.
+    """
+    xs = np.linspace(0.0, 1.0, _SAMPLES)
     samples = {
         "eps": np.asarray(coeffs.eps(xs), dtype=float),
         "b": np.asarray(coeffs.b(xs), dtype=float),
@@ -115,44 +108,33 @@ def validate_coefficients(coeffs: CoefficientSet, sample_count: int = 10001) -> 
         "eps'": np.asarray(coeffs.eps.d(xs), dtype=float),
         "b'": np.asarray(coeffs.b.d(xs), dtype=float),
     }
-
-    checks = []
     finite = np.logical_and.reduce([np.isfinite(v) for v in samples.values()])
-    if np.all(finite):
-        checks.append(AssumptionCheck("finite values", True, 0.0, 0.0))
-    else:
+    if not np.all(finite):
         bad = float(xs[int(np.argmin(finite))])
-        checks.append(AssumptionCheck("finite values", False, -np.inf, bad))
-        return ValidationReport(checks=tuple(checks), sample_count=sample_count)
+        return (BoundCheckReport("finite values", _SAMPLES, -np.inf, bad, False),)
 
     eps_v, b_v, c_v = samples["eps"], samples["b"], samples["c"]
     epsp, bp = samples["eps'"], samples["b'"]
-
-    checks.append(AssumptionCheck(
-        "beta > 0", coeffs.beta > 0, coeffs.beta, 0.0))
-    checks.append(_margin_check("b > beta", b_v - coeffs.beta, xs))
-    checks.append(AssumptionCheck(
-        "eps_lower > 0", coeffs.eps_lower > 0, coeffs.eps_lower, 0.0))
-    checks.append(_margin_check("eps >= eps_lower", eps_v - coeffs.eps_lower, xs))
-    checks.append(_margin_check("eps <= eps_upper", coeffs.eps_upper - eps_v, xs))
-    checks.append(_margin_check("c >= 0", c_v, xs))
-    checks.append(_margin_check(
-        "c + b'/2 >= gamma", c_v + 0.5 * bp - coeffs.gamma, xs))
-    checks.append(AssumptionCheck(
-        "gamma > 0", coeffs.gamma > 0, coeffs.gamma, 0.0))
-
     # sigma is author-supplied but enters bound formulas, so cross-check it
     # against the sampled minimum of eps'.
-    min_epsp = float(np.min(epsp))
     i = int(np.argmin(epsp))
-    checks.append(AssumptionCheck(
-        "sigma matches min eps'", abs(coeffs.sigma - min_epsp) <= 1e-8,
-        -abs(coeffs.sigma - min_epsp), float(xs[i])))
-    checks.append(AssumptionCheck(
-        "sigma > -beta", coeffs.sigma > -coeffs.beta,
-        coeffs.sigma + coeffs.beta, 0.0))
-
-    return ValidationReport(checks=tuple(checks), sample_count=sample_count)
+    sigma_gap = abs(coeffs.sigma - float(epsp[i]))
+    return (
+        BoundCheckReport("finite values", _SAMPLES, 0.0, 0.0, True),
+        BoundCheckReport("beta > 0", 1, coeffs.beta, 0.0, coeffs.beta > 0),
+        _margin_check("b > beta", b_v - coeffs.beta, xs),
+        BoundCheckReport("eps_lower > 0", 1, coeffs.eps_lower, 0.0,
+                         coeffs.eps_lower > 0),
+        _margin_check("eps >= eps_lower", eps_v - coeffs.eps_lower, xs),
+        _margin_check("eps <= eps_upper", coeffs.eps_upper - eps_v, xs),
+        _margin_check("c >= 0", c_v, xs),
+        _margin_check("c + b'/2 >= gamma", c_v + 0.5 * bp - coeffs.gamma, xs),
+        BoundCheckReport("gamma > 0", 1, coeffs.gamma, 0.0, coeffs.gamma > 0),
+        BoundCheckReport("sigma matches min eps'", _SAMPLES, -sigma_gap,
+                         float(xs[i]), sigma_gap <= 1e-8),
+        BoundCheckReport("sigma > -beta", 1, coeffs.sigma + coeffs.beta, 0.0,
+                         coeffs.sigma > -coeffs.beta),
+    )
 
 
 def manufactured_rhs(u: ScalarFunction, coeffs: CoefficientSet) -> ScalarFunction:

@@ -11,28 +11,19 @@ across three decades of eps0.
 import math
 
 import numpy as np
-from dataclasses import dataclass
 from typing import Optional
 
 from .calculus import CumulativeIntegral, integrate, layer_integral
 from .errors import ConfigurationError, ParameterError
 from .fem import FemSolution, galerkin_solve
 from .mesh import build_mesh
+from .problem import BoundCheckReport
 
 _LEMMA_SAMPLES = 2001  # eps' samples on [a, x] in check_integral_lemma
 _GAMMA_MAX = 3.0  # random lemma instances draw gamma from (1e-3, _GAMMA_MAX)
 _UNIFORMITY_EPS0 = (1e-3, 1e-5, 1e-7)  # check_bound_uniformity's eps0 sweep
 _MAX_VARIATION = 4.0  # and the largest max/min sup ratio it passes
-
-
-@dataclass(frozen=True)
-class BoundCheckReport:
-    name: str
-    sample_count: int
-    worst_margin: float
-    worst_point: float
-    passed: bool
-    sup_ratio: Optional[float] = None
+_H_REF = 1.0 / 512  # h of reference solves, the coarsest that bound checks take
 
 
 def check_integral_lemma(coeffs, a: float, x: float, ell: int,
@@ -201,7 +192,7 @@ def _bounded_ratio(name, scenario, reference: FemSolution, k: int,
                    kind: str) -> BoundCheckReport:
     """Sup of |w^(k)| / bound_values(coeffs, xs, integral(xs), k, beta_factor)
     on a reference solve; integral defaults to the layer integral of kind."""
-    if reference.mesh.h > 1.0 / 512 + 1e-12:
+    if reference.mesh.h > _H_REF + 1e-12:
         raise ConfigurationError("reference solve too coarse (need h <= 1/512)")
     if integral is None:
         integral = layer_integral(scenario.coeffs, kind)
@@ -230,8 +221,8 @@ def check_solution_bounds(scenario, reference: FemSolution, which: str,
         _WHICH_TO_K[which], solution_bound_values, beta_factor, e, "e")
 
 
-def check_transformed_bounds(scenario, reference: FemSolution,
-                             which: str = "U0", beta_factor: float = 1.0,
+def check_transformed_bounds(scenario, reference: FemSolution, which: str,
+                             beta_factor: float = 1.0,
                              etilde: Optional[CumulativeIntegral] = None) -> BoundCheckReport:
     """Same bounded-ratio protocol against the etilde-based bounds (k = 0, 1)."""
     if which not in ("U0", "U1"):
@@ -242,11 +233,12 @@ def check_transformed_bounds(scenario, reference: FemSolution,
         "etilde")
 
 
-def reference_solution(scenario, h_ref: float = 1.0 / 512,
+def reference_solution(scenario,
                        e: Optional[CumulativeIntegral] = None) -> FemSolution:
+    """Galerkin solve at h = _H_REF."""
     if e is None:
         e = layer_integral(scenario.coeffs, "e")
-    msh = build_mesh(scenario.coeffs, e, h_ref)
+    msh = build_mesh(scenario.coeffs, e, _H_REF)
     return galerkin_solve(scenario, msh)
 
 

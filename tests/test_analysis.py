@@ -25,7 +25,7 @@ from layerfem.problem import SCENARIO_NAMES, ScalarFunction, Scenario, get_scena
 def uniform_mesh(n_nodes):
     nodes = np.linspace(0.0, 1.0, n_nodes)
     return LayerMesh(nodes=nodes, h=1.0 / (n_nodes - 1), delta=1.0,
-                     n_star=0, tau_index=1, tau_star=float(nodes[1]))
+                     tau_index=1, tau_star=float(nodes[1]))
 
 
 def ds_mesh(scenario, h):
@@ -235,9 +235,13 @@ class TestConvergenceStudy:
         family = lambda eps0: get_scenario("manufactured", eps0)
         with pytest.raises(ParameterError):
             convergence_study(family, [0.0625, 1.0 / 32, 1.0 / 16], [1e-3])
-        # a repeated eps0 would repeat its rows
+        # a repeated eps0 would repeat its rows, and so would a repeated h
+        # in an interpolation table
         with pytest.raises(ParameterError):
             convergence_study(family, [1.0 / 16], [1e-3, 0.001])
+        with pytest.raises(ParameterError, match="h values must be distinct"):
+            interpolation_study(get_scenario("eps-const", 1e-6),
+                                [1.0 / 16, 1.0 / 16, 0.0625])
 
     def test_fine_mesh_reference_family(self):
         table = convergence_study(

@@ -159,13 +159,14 @@ class TestConverge:
         assert rates == ["%.6g" % r["rate"] for r in json.loads(js)["rows"][1:]]
 
     @pytest.mark.parametrize(
-        "eps0, h", [("0.001", "1/16,1/16"), ("0.001", "0.0625,1/16"),
-                    ("1e-3,0.001", "1/16")],
-        ids=["1/16,1/16", "0.0625,1/16", "eps0=1e-3,0.001"])
-    def test_repeated_h_is_usage_error(self, capsys, eps0, h):
+        "command, eps0, h", [("converge", "0.001", "1/16,1/16"),
+                             ("converge", "0.001", "0.0625,1/16"),
+                             ("converge", "1e-3,0.001", "1/16"),
+                             ("interp", "1e-6", "1/16,1/16,0.0625")],
+        ids=["1/16,1/16", "0.0625,1/16", "eps0=1e-3,0.001", "interp"])
+    def test_repeated_h_is_usage_error(self, capsys, command, eps0, h):
         # a repeated eps0 is refused too: it would repeat its rows
-        code, out, err = run_cli(["converge", "--eps0", eps0, "--h", h],
-                                 capsys)
+        code, out, err = run_cli([command, "--eps0", eps0, "--h", h], capsys)
         assert code == 2 and out == ""
         assert err.startswith("usage error:") and err.count("\n") == 1
 
@@ -177,6 +178,13 @@ class TestErrorContract:
         code, _, err = run_cli(["mesh", "--scenario", "eps-const"] + bad, capsys)
         assert code == 2
         assert err.startswith("usage error")
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        # numpy's default_rng would raise a bare ValueError
+        code, out, err = run_cli(["verify", "--suite", "lemmas", "--seed", "-1"],
+                                 capsys)
+        assert code == 2 and out == ""
+        assert err == "usage error: --seed must be nonnegative, got -1\n"
 
     def test_internal_value_error_is_not_usage_error(self, capsys, monkeypatch):
         def broken(*args, **kwargs):
@@ -215,6 +223,17 @@ class TestVerify:
         payload = json.loads(out)
         assert len(payload["rows"]) == 4
         assert all(r["status"] == "PASS" for r in payload["rows"])
+
+    def test_all_is_the_three_suites_in_turn(self, capsys):
+        # "all" shares one layer integral per scenario between the lemma and
+        # barrier suites; its rows must not differ from separate runs
+        def rows(suite):
+            code, out, _ = run_cli(["verify", "--suite", suite, "--eps0", "1e-4",
+                                    "--seed", "7", "--format", "json"], capsys)
+            assert code == 0
+            return json.loads(out)["rows"]
+
+        assert rows("all") == rows("lemmas") + rows("barriers") + rows("bounds")
 
     def test_verify_deterministic(self, capsys):
         argv = ["verify", "--suite", "barriers", "--eps0", "0.01"]

@@ -36,7 +36,7 @@ from layerfem.problem import (
 def uniform_mesh(n_nodes):
     nodes = np.linspace(0.0, 1.0, n_nodes)
     return LayerMesh(nodes=nodes, h=1.0 / (n_nodes - 1), delta=1.0,
-                     n_star=0, tau_index=1, tau_star=float(nodes[1]))
+                     tau_index=1, tau_star=float(nodes[1]))
 
 
 def plain_scenario(eps=1.0, b=0.0, c=0.0, f=0.0):

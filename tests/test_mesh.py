@@ -1,11 +1,13 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from layerfem import mesh as mesh_module
 from layerfem.calculus import layer_integral
 from layerfem.errors import (
     DegenerateRegimeError,
@@ -106,18 +108,20 @@ class TestBuildMesh:
         assert labels[mesh.tau_index + 1] == "coarse"
         assert len(labels) == mesh.node_count
 
-    def test_resource_cap(self):
+    def test_resource_cap(self, monkeypatch):
+        monkeypatch.setattr(mesh_module, "_MAX_NODES", 50)
         sc, e = scenario_e("eps-const", 1e-5)
         with pytest.raises(ResourceError):
-            build_mesh(sc.coeffs, e, 1.0 / 64, max_nodes=50)
+            build_mesh(sc.coeffs, e, 1.0 / 64)
 
     @pytest.mark.parametrize("eps_lower", [0.0, -1e-6])
-    def test_nonpositive_first_node_hits_cap(self, eps_lower):
+    def test_nonpositive_first_node_hits_cap(self, eps_lower, monkeypatch):
         # x_1 = h delta eps_lower <= 0 never grows to tau*
+        monkeypatch.setattr(mesh_module, "_MAX_NODES", 50)
         sc, e = scenario_e("eps-const", 1e-5)
         coeffs = dataclasses.replace(sc.coeffs, eps_lower=eps_lower)
         with pytest.raises(ResourceError, match="graded node count"):
-            build_mesh(coeffs, e, 1.0 / 64, max_nodes=50)
+            build_mesh(coeffs, e, 1.0 / 64)
 
     def test_graded_count_nearly_eps_independent(self):
         # the multiplicative grading absorbs eps: the graded step count
@@ -182,10 +186,12 @@ def test_mesh_properties(name, log10_eps0, k, delta):
     assert math.exp(-sc.coeffs.beta * e(mesh.tau)) <= h ** 2 * (1 + 1e-12)
     assert mesh.node_count <= 4 * predict_cardinality(sc.coeffs, h)
     # the graded cap is checked before the whole mesh's; at the exact count
-    # nothing is raised
-    with pytest.raises(ResourceError, match="graded node count"):
-        build_mesh(sc.coeffs, e, h, delta, max_nodes=ti)
-    with pytest.raises(ResourceError, match="^node count"):
-        build_mesh(sc.coeffs, e, h, delta, max_nodes=mesh.node_count - 1)
-    assert np.array_equal(
-        build_mesh(sc.coeffs, e, h, delta, max_nodes=mesh.node_count).nodes, nodes)
+    # nothing is raised (mock.patch: hypothesis reruns this body per example)
+    with mock.patch.object(mesh_module, "_MAX_NODES", ti):
+        with pytest.raises(ResourceError, match="graded node count"):
+            build_mesh(sc.coeffs, e, h, delta)
+    with mock.patch.object(mesh_module, "_MAX_NODES", mesh.node_count - 1):
+        with pytest.raises(ResourceError, match="^node count"):
+            build_mesh(sc.coeffs, e, h, delta)
+    with mock.patch.object(mesh_module, "_MAX_NODES", mesh.node_count):
+        assert np.array_equal(build_mesh(sc.coeffs, e, h, delta).nodes, nodes)

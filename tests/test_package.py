@@ -13,6 +13,13 @@ def test_all_names_resolve_and_none_is_a_module():
         assert not isinstance(obj, types.ModuleType), name
 
 
+def test_one_check_report_type():
+    # assumption checks and bound checks report through the same class
+    from layerfem import problem, verify
+    assert layerfem.BoundCheckReport is problem.BoundCheckReport
+    assert verify.BoundCheckReport is problem.BoundCheckReport
+
+
 def test_cli_import_leaves_out_scipy_optimize():
     # scipy.optimize alone costs a third of a second to import
     src = os.path.dirname(os.path.dirname(os.path.abspath(layerfem.__file__)))

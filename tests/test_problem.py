@@ -5,6 +5,7 @@ import sympy as sp
 
 from layerfem.errors import ConfigurationError, ParameterError
 from layerfem.problem import (
+    BoundCheckReport,
     CoefficientSet,
     ScalarFunction,
     builtin_scenarios,
@@ -26,8 +27,8 @@ def make_coeffs(eps=None, b=None, c=None, f=None, beta=1.0, gamma=1.0,
     )
 
 
-def check_by_name(report, name):
-    for chk in report.checks:
+def check_by_name(reports, name):
+    for chk in reports:
         if chk.name == name:
             return chk
     raise AssertionError(f"no check named {name!r}")
@@ -35,16 +36,15 @@ def check_by_name(report, name):
 
 class TestValidateCoefficients:
     def test_constant_coefficients_all_pass(self):
-        rep = validate_coefficients(make_coeffs(), sample_count=101)
-        assert rep.is_valid
-        assert check_by_name(rep, "b > beta").margin == pytest.approx(1.0)
+        rep = validate_coefficients(make_coeffs())
+        assert all(chk.passed for chk in rep)
+        assert check_by_name(rep, "b > beta").worst_margin == pytest.approx(1.0)
 
     def test_convection_below_beta_fails(self):
-        rep = validate_coefficients(
-            make_coeffs(b=ScalarFunction.constant(0.5)), sample_count=101)
+        rep = validate_coefficients(make_coeffs(b=ScalarFunction.constant(0.5)))
         chk = check_by_name(rep, "b > beta")
         assert not chk.passed
-        assert chk.margin == pytest.approx(-0.5)
+        assert chk.worst_margin == pytest.approx(-0.5)
 
     def test_coercivity_margin_zero(self):
         # c = 0, b = 2 + x so c + b'/2 = 0.5 exactly matches gamma
@@ -59,26 +59,43 @@ class TestValidateCoefficients:
         coeffs = make_coeffs(eps=eps, b=b, c=ScalarFunction.constant(0.0),
                              gamma=0.5, eps_lower=0.01, eps_upper=0.02,
                              sigma=0.01)
-        rep = validate_coefficients(coeffs, sample_count=101)
-        assert rep.is_valid
-        assert check_by_name(rep, "c + b'/2 >= gamma").margin == pytest.approx(0.0, abs=1e-14)
+        rep = validate_coefficients(coeffs)
+        assert all(chk.passed for chk in rep)
+        assert check_by_name(rep, "c + b'/2 >= gamma").worst_margin == pytest.approx(0.0, abs=1e-14)
 
     def test_nonfinite_coefficient_reported(self):
         bad = ScalarFunction(
             value=lambda x: np.where(np.asarray(x, float) > 0.5, np.nan, 1.0),
             deriv=lambda x: np.zeros_like(np.asarray(x, float)),
         )
-        rep = validate_coefficients(make_coeffs(c=bad), sample_count=101)
-        assert not rep.is_valid
+        rep = validate_coefficients(make_coeffs(c=bad))
+        assert not all(chk.passed for chk in rep)
         assert not check_by_name(rep, "finite values").passed
 
     def test_sigma_mismatch_flagged(self):
-        rep = validate_coefficients(make_coeffs(sigma=0.1), sample_count=101)
+        rep = validate_coefficients(make_coeffs(sigma=0.1))
         assert not check_by_name(rep, "sigma matches min eps'").passed
 
-    def test_sample_count_too_small(self):
-        with pytest.raises(ParameterError):
-            validate_coefficients(make_coeffs(), sample_count=1)
+    def test_one_report_per_assumption(self):
+        rep = validate_coefficients(make_coeffs())
+        assert [chk.name for chk in rep] == [
+            "finite values", "beta > 0", "b > beta", "eps_lower > 0",
+            "eps >= eps_lower", "eps <= eps_upper", "c >= 0",
+            "c + b'/2 >= gamma", "gamma > 0", "sigma matches min eps'",
+            "sigma > -beta"]
+        assert all(type(chk) is BoundCheckReport for chk in rep)
+        # sampled checks count the grid, checks of one constant count 1
+        assert check_by_name(rep, "b > beta").sample_count == 10001
+        assert check_by_name(rep, "beta > 0").sample_count == 1
+
+    def test_nonfinite_values_end_the_checks(self):
+        bad = ScalarFunction(
+            value=lambda x: np.where(np.asarray(x, float) >= 0.25, np.inf, 1.0),
+            deriv=lambda x: np.zeros_like(np.asarray(x, float)),
+        )
+        (chk,) = validate_coefficients(make_coeffs(b=bad))
+        assert chk.name == "finite values" and not chk.passed
+        assert chk.worst_margin == -np.inf and chk.worst_point == 0.25
 
 
 class TestManufacturedRhs:
@@ -149,8 +166,9 @@ class TestBuiltinScenarios:
     def test_all_scenarios_validate(self):
         for eps0 in (0.01, 1e-3, 1e-5):
             for sc in builtin_scenarios(eps0):
-                rep = validate_coefficients(sc.coeffs, sample_count=10001)
-                assert rep.is_valid, (sc.name, eps0, rep.violations)
+                rep = validate_coefficients(sc.coeffs)
+                assert all(chk.passed for chk in rep), (
+                    sc.name, eps0, [chk for chk in rep if not chk.passed])
 
     def test_eps0_out_of_range(self):
         with pytest.raises(ParameterError):

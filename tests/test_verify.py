@@ -166,9 +166,11 @@ class TestBoundValues:
 
 
 class TestSolutionBounds:
-    def test_reference_too_coarse(self):
+    def test_reference_too_coarse(self, monkeypatch):
         sc = get_scenario("eps-const", 1e-3)
-        ref = reference_solution(sc, h_ref=1.0 / 64)
+        with monkeypatch.context() as m:
+            m.setattr("layerfem.verify._H_REF", 1.0 / 64)
+            ref = reference_solution(sc)
         with pytest.raises(ConfigurationError):
             check_solution_bounds(sc, ref, "U0")
 
