@@ -43,12 +43,11 @@ for name in ("eps-const", "eps-linear", "eps-exp", "manufactured"):
 
 print("\n-- derivative-bound uniformity across eps0 = 1e-3, 1e-5, 1e-7 --")
 family = lambda eps0: get_scenario("manufactured", eps0)
-for which in ("U0", "U1"):
-    rep = check_bound_uniformity(family, which)
+for rep in check_bound_uniformity(family, ("U0", "U1")):
     print(f"{rep.name:45s} variation {rep.sup_ratio:8.3f}  "
           f"{'PASS' if rep.passed else 'FAIL'}")
 
-control = check_bound_uniformity(family, "U1", beta_factor=2.0)
+(control,) = check_bound_uniformity(family, ("U1",), beta_factor=2.0)
 print(f"{'negative control (decay rate doubled)':45s} "
       f"variation {control.sup_ratio:8.1f}  "
       f"{'FAIL as designed' if not control.passed else 'unexpected PASS'}")

@@ -5,8 +5,9 @@ is built on the routines in this module.  Adaptive quadrature bisects in
 batched rounds, and inversion takes bracketed Newton steps on a cumulative
 integral's own breakpoints and integrand.  Integrands must accept numpy
 arrays of any shape and are evaluated on whole batches of Gauss points at
-once; a callable that fails on array input raises EvaluationError, there is
-no point-by-point fallback.  A constant return value is broadcast.
+once, stored points-major (one row per Gauss point, one column per panel);
+a callable that fails on array input raises EvaluationError, there is no
+point-by-point fallback.  A constant return value is broadcast.
 """
 
 import functools
@@ -77,12 +78,14 @@ def _vec_eval(f, x: np.ndarray) -> np.ndarray:
 def _gauss_map(lefts, rights, rule: QuadratureRule):
     """Gauss points of rule on each panel [lefts_i, rights_i], and the half-widths.
 
-    Returns (x, half) with x of shape (n_panels, n_points); the weights on
-    panel i are half[i] * rule.weights.
+    Returns (x, half) with x stored points-major, shape (n_points, n_panels):
+    column i holds the points of panel i, whose weights are
+    half[i] * rule.weights, so a panel's sum is the column of rule.weights @ y.
     """
     half = 0.5 * (rights - lefts)
-    mid = 0.5 * (rights + lefts)
-    return mid[:, None] + half[:, None] * rule.points[None, :], half
+    x = np.multiply.outer(rule.points, half)
+    x += 0.5 * (rights + lefts)
+    return x, half
 
 
 def _panel_sums(f, lefts, rights, rule: QuadratureRule) -> np.ndarray:
@@ -91,9 +94,9 @@ def _panel_sums(f, lefts, rights, rule: QuadratureRule) -> np.ndarray:
                          np.asarray(rights, dtype=float), rule)
     y = _vec_eval(f, x)
     if not np.all(np.isfinite(y)):
-        bad = x[~np.isfinite(y)]
-        raise EvaluationError(f"non-finite integrand sample at x={bad.ravel()[0]!r}")
-    return (y * rule.weights[None, :]).sum(axis=1) * half
+        bad = x.T[~np.isfinite(y.T)]  # panel by panel: the first bad x in order
+        raise EvaluationError(f"non-finite integrand sample at x={bad[0]!r}")
+    return (rule.weights @ y) * half
 
 
 def _panel_rows(f, lefts, rights, wholes, depths):

@@ -170,7 +170,7 @@ def _verify_reports(suite: str, seed: int, eps0: float):
     if suite in ("bounds", "all"):
         for name in SCENARIO_NAMES:
             family = lambda z, name=name: get_scenario(name, z)
-            reports += [check_bound_uniformity(family, which) for which in ("U0", "U1")]
+            reports += check_bound_uniformity(family, ("U0", "U1"))
     return reports
 
 

@@ -4,7 +4,10 @@ The bilinear form is a(v, w) = (eps v', w') - (b v', w) + (c v, w); the
 convection term keeps its minus sign and there is no stabilization -- the
 layer-adapted mesh does that job.  Each element integral is one weighted
 moment of a coefficient's Gauss samples, because the hat functions take the
-same values at the Gauss points of every element.  The assembled system is
+same values at the Gauss points of every element.  Samples are stored
+points-major, shape (points, elements), so the moments of all elements are
+one matrix product; a coefficient made by ScalarFunction.constant is not
+sampled at all, its moments are closed-form.  The assembled system is
 tridiagonal over the interior nodes and is solved by LAPACK's pivoting
 tridiagonal solver (gtsv) in O(n) time and memory, with no fallback path.
 """
@@ -36,12 +39,6 @@ class TridiagonalSystem:
     def size(self) -> int:
         return len(self.diag)
 
-    def dense(self) -> np.ndarray:
-        a = np.diag(self.diag)
-        a += np.diag(self.sub, -1)
-        a += np.diag(self.sup, 1)
-        return a
-
     def matvec(self, x: np.ndarray) -> np.ndarray:
         y = self.diag * x
         y[1:] += self.sub * x[:-1]
@@ -72,34 +69,42 @@ class FemSolution:
 
 
 def _on_elements(nodes, coefficients, x):
-    """Values c_l + s (x - x_l) and slopes s, shape (n_el, 1), of the
+    """Values c_l + s (x - x_l) and slopes s, shape (n_el,), of the
     piecewise-linear function with these nodal values at the points x of
-    every element, shape (n_el, k): np.interp's arithmetic, without a search."""
+    every element, stored points-major with shape (k, n_el): np.interp's
+    arithmetic, without a search."""
     c = np.asarray(coefficients, dtype=float)
-    slopes = (np.diff(c) / np.diff(nodes))[:, None]
-    return c[:-1, None] + slopes * (x - nodes[:-1, None]), slopes
+    slopes = np.diff(c) / np.diff(nodes)
+    return c[:-1] + slopes * (x - nodes[:-1]), slopes
 
 
-def _element_quadrature(scenario, mesh: LayerMesh):
-    """(rule, gx, half, vals): element i has Gauss points gx[i] and weights
-    half[i] * rule.weights; vals maps each coefficient name to its samples at gx."""
-    rule = gauss_legendre(_QUAD)
-    gx, half = _gauss_map(mesh.nodes[:-1], mesh.nodes[1:], rule)
-    co = scenario.coeffs
-    vals = {}
-    for label, fn in (("eps", co.eps), ("b", co.b), ("c", co.c), ("f", co.f)):
-        y = _vec_eval(fn, gx)
-        if not np.all(np.isfinite(y)):
-            el = int(np.argwhere(~np.isfinite(y))[0][0])
-            raise AssemblyError(f"non-finite {label} sample in element {el}")
-        vals[label] = y
-    return rule, gx, half, vals
+def _samples(label, fn, gx):
+    """fn at the points-major Gauss points gx; AssemblyError names the first
+    element with a non-finite sample."""
+    y = _vec_eval(fn, gx)
+    if not np.all(np.isfinite(y)):
+        el = int(np.argmin(np.all(np.isfinite(y), axis=0)))
+        raise AssemblyError(f"non-finite {label} sample in element {el}")
+    return y
+
+
+def _moments(label, fn, gx, half, weighted):
+    """Element integrals half * (weighted.T @ fn(gx)), shape (k, n_el), for
+    the k columns of weighted (Gauss weights times hat products); a constant
+    coefficient gives const * half * weighted.sum(axis=0) without samples."""
+    if fn.const is not None:
+        if not np.isfinite(fn.const):
+            raise AssemblyError(f"non-finite {label} sample in element 0")
+        return np.multiply.outer(fn.const * weighted.sum(axis=0), half)
+    return half * (weighted.T @ _samples(label, fn, gx))
 
 
 def assemble(scenario, mesh: LayerMesh) -> TridiagonalSystem:
     """Assemble the Galerkin tridiagonal system for the interior nodes."""
-    rule, _, half, vals = _element_quadrature(scenario, mesh)
+    rule = gauss_legendre(_QUAD)
+    gx, half = _gauss_map(mesh.nodes[:-1], mesh.nodes[1:], rule)
     w = np.diff(mesh.nodes)
+    co = scenario.coeffs
 
     # The hats phi_L = 1 - t, phi_R = t have slopes -1/w, 1/w and take the
     # same values at the Gauss points t = (1 + points)/2 of every element, so
@@ -107,10 +112,10 @@ def assemble(scenario, mesh: LayerMesh) -> TridiagonalSystem:
     t = 0.5 * (1.0 + rule.points)
     moments = rule.weights[:, None] * np.column_stack(
         (1.0 - t, t, (1.0 - t) ** 2, (1.0 - t) * t, t * t))
-    stiff = half * (vals["eps"] @ rule.weights) / (w * w)
-    b_l, b_r = (half[:, None] * (vals["b"] @ moments[:, :2])).T
-    c_ll, c_lr, c_rr = (half[:, None] * (vals["c"] @ moments[:, 2:])).T
-    f_l, f_r = (half[:, None] * (vals["f"] @ moments[:, :2])).T
+    stiff = _moments("eps", co.eps, gx, half, rule.weights[:, None])[0] / (w * w)
+    b_l, b_r = _moments("b", co.b, gx, half, moments[:, :2])
+    c_ll, c_lr, c_rr = _moments("c", co.c, gx, half, moments[:, 2:])
+    f_l, f_r = _moments("f", co.f, gx, half, moments[:, :2])
 
     # element entries a(trial, test); row = test function, column = trial
     e_ll = stiff + b_l / w + c_ll
@@ -136,7 +141,8 @@ def solve_tridiagonal(system: TridiagonalSystem) -> np.ndarray:
     if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(sub))
             and np.all(np.isfinite(sup)) and np.all(np.isfinite(rhs))):
         raise SingularSystemError("system contains non-finite entries")
-    ab = np.array([np.r_[0.0, sup], diag, np.r_[sub, 0.0]])
+    ab = np.zeros((3, n))
+    ab[0, 1:], ab[1], ab[2, :-1] = sup, diag, sub
     try:
         # n = 1 is a plain division, which gives inf or nan when singular
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -163,13 +169,17 @@ def galerkin_solve(scenario, mesh: LayerMesh) -> FemSolution:
 
 
 def bilinear_form(v: FemSolution, w: FemSolution, scenario) -> float:
-    """Quadrature value of a(v, w) for two FE functions on the same mesh."""
+    """Quadrature value of a(v, w) for two FE functions on the same mesh,
+    from samples of every coefficient: the oracle that assembly is tested on."""
     if v.mesh is not w.mesh and not np.array_equal(v.mesh.nodes, w.mesh.nodes):
         raise MeshMismatchError("bilinear_form requires a shared mesh")
-    rule, gx, half, vals = _element_quadrature(scenario, v.mesh)
-    v_vals, v_slope = _on_elements(v.mesh.nodes, v.coefficients, gx)
-    w_vals, w_slope = _on_elements(v.mesh.nodes, w.coefficients, gx)
-    integrand = (vals["eps"] * v_slope * w_slope
-                 - vals["b"] * v_slope * w_vals
-                 + vals["c"] * v_vals * w_vals)
-    return float(half @ (integrand @ rule.weights))
+    rule = gauss_legendre(_QUAD)
+    nodes = v.mesh.nodes
+    gx, half = _gauss_map(nodes[:-1], nodes[1:], rule)
+    co = scenario.coeffs
+    v_vals, v_slope = _on_elements(nodes, v.coefficients, gx)
+    w_vals, w_slope = _on_elements(nodes, w.coefficients, gx)
+    integrand = (_samples("eps", co.eps, gx) * v_slope * w_slope
+                 - _samples("b", co.b, gx) * v_slope * w_vals
+                 + _samples("c", co.c, gx) * v_vals * w_vals)
+    return float(half @ (rule.weights @ integrand))

@@ -18,12 +18,15 @@ from .errors import ConfigurationError, ParameterError
 class ScalarFunction:
     """A function on [0, 1] with optional closed-form derivatives.
 
-    Callables must accept numpy arrays (all built-ins do).
+    Callables must accept numpy arrays (all built-ins do).  const is the
+    value of a function made by ScalarFunction.constant and None otherwise;
+    assembly integrates such a coefficient in closed form, without samples.
     """
 
     value: Callable
     deriv: Optional[Callable] = None
     deriv2: Optional[Callable] = None
+    const: Optional[float] = None
 
     def __call__(self, x):
         return self.value(x)
@@ -44,6 +47,7 @@ class ScalarFunction:
             value=lambda x, c=c: np.full_like(np.asarray(x, dtype=float), c),
             deriv=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
             deriv2=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+            const=c,
         )
 
 

@@ -242,34 +242,37 @@ def reference_solution(scenario,
     return galerkin_solve(scenario, msh)
 
 
-def check_bound_uniformity(scenario_family, which: str,
+def check_bound_uniformity(scenario_family, which: tuple,
                            beta_factor: float = 1.0,
-                           transformed: bool = False) -> BoundCheckReport:
+                           transformed: bool = False) -> tuple:
     """Cross-eps0 uniformity of the sup ratio over _UNIFORMITY_EPS0, on
     reference solves at h = 1/512: max/min must stay <= 4.
 
-    A family is a callable eps0 -> Scenario.  This is the falsifiable content
-    of "the constant C does not depend on eps".
+    which is a tuple of bound names ("U0", "U1", ...); one report is
+    returned per name, in order, all judged on the same layer integral and
+    reference solve per eps0.  A family is a callable eps0 -> Scenario.
+    This is the falsifiable content of "the constant C does not depend on eps".
     """
-    sups = []
-    name = None
-    worst_pt = math.nan
+    rows = []  # one row per eps0, one report per name
     for eps0 in _UNIFORMITY_EPS0:
         scenario = scenario_family(eps0)
         e = layer_integral(scenario.coeffs, "e")
         ref = reference_solution(scenario, e=e)
         if transformed:
-            rep = check_transformed_bounds(scenario, ref, which, beta_factor)
+            check, integral = (check_transformed_bounds,
+                               layer_integral(scenario.coeffs, "etilde"))
         else:
-            rep = check_solution_bounds(scenario, ref, which, beta_factor, e=e)
-        sups.append(rep.sup_ratio)
-        worst_pt = rep.worst_point
-        name = rep.name
-    sups = np.asarray(sups)
-    finite = bool(np.all(np.isfinite(sups)) and np.all(sups > 0))
-    variation = float(sups.max() / sups.min()) if finite else math.inf
-    return BoundCheckReport(
-        name=f"uniformity[{name}]", sample_count=len(sups),
-        worst_margin=_MAX_VARIATION - variation, worst_point=worst_pt,
-        passed=bool(finite and variation <= _MAX_VARIATION),
-        sup_ratio=variation)
+            check, integral = check_solution_bounds, e
+        rows.append([check(scenario, ref, k, beta_factor, integral) for k in which])
+    out = []
+    for per_name in zip(*rows):
+        sups = np.array([rep.sup_ratio for rep in per_name])
+        finite = bool(np.all(np.isfinite(sups)) and np.all(sups > 0))
+        variation = float(sups.max() / sups.min()) if finite else math.inf
+        last = per_name[-1]  # the smallest eps0
+        out.append(BoundCheckReport(
+            name=f"uniformity[{last.name}]", sample_count=len(sups),
+            worst_margin=_MAX_VARIATION - variation, worst_point=last.worst_point,
+            passed=bool(finite and variation <= _MAX_VARIATION),
+            sup_ratio=variation))
+    return tuple(out)

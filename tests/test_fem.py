@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -31,6 +32,12 @@ from layerfem.problem import (
     ScalarFunction,
     get_scenario,
 )
+
+
+def dense(system):
+    """The O(n^2) matrix of a tridiagonal system, for comparisons in tests."""
+    return (np.diag(system.diag) + np.diag(system.sub, -1)
+            + np.diag(system.sup, 1))
 
 
 def uniform_mesh(n_nodes):
@@ -83,7 +90,17 @@ class TestAssembly:
                 b=sc.coeffs.b, c=sc.coeffs.c, f=sc.coeffs.f,
                 beta=0.1, gamma=0.1, eps_lower=1.0, eps_upper=1.0, sigma=0.0),
             exact=None, smooth_exemplar=None, layer_exemplar=None)
-        with pytest.raises(AssemblyError):
+        # eps is NaN for x > 0.5: on 9 uniform nodes element 4 is the first bad one
+        with pytest.raises(AssemblyError, match="element 4"):
+            assemble(bad, uniform_mesh(9))
+
+    def test_nan_constant_coefficient_raises(self):
+        # a constant coefficient is integrated without samples; its value is
+        # still checked
+        sc = plain_scenario()
+        bad = dataclasses.replace(sc, coeffs=dataclasses.replace(
+            sc.coeffs, b=ScalarFunction.constant(np.nan)))
+        with pytest.raises(AssemblyError, match="non-finite b"):
             assemble(bad, uniform_mesh(9))
 
 
@@ -137,8 +154,8 @@ def test_assemble_matches_bilinear_form_on_hats(name, log10_eps0, k, variable_bc
         rhs=np.array([load_on_hat(sc, mesh, i) for i in inner]))
     # diagonal entries can nearly cancel, so matrix errors are taken relative
     # to the largest entry of their row
-    row_scale = np.abs(want.dense()).max(axis=1)
-    row_err = np.abs(sys_.dense() - want.dense()).max(axis=1)
+    row_scale = np.abs(dense(want)).max(axis=1)
+    row_err = np.abs(dense(sys_) - dense(want)).max(axis=1)
     assert np.all(row_err <= 1e-13 * row_scale)
     assert np.all(np.abs(sys_.rhs - want.rhs) <= 1e-13 * np.abs(want.rhs))
 
@@ -168,7 +185,7 @@ class TestTridiagonalSolve:
             rhs = rng.standard_normal(n)
             sys_ = TridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=rhs)
             x = solve_tridiagonal(sys_)
-            ref = np.linalg.solve(sys_.dense(), rhs)
+            ref = np.linalg.solve(dense(sys_), rhs)
             assert np.abs(x - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
     def test_singular_system(self):
@@ -191,11 +208,12 @@ class TestTridiagonalSolve:
 
     def test_zero_first_pivot_without_dense_matrix(self, monkeypatch):
         # [[0, 1], [1, 1]] x = (1, 2) has x = (1, 1); elimination without
-        # pivoting fails at the first pivot, and no O(n^2) matrix may be built
-        def no_dense(self):
-            raise AssertionError("dense matrix built")
+        # pivoting fails at the first pivot, and no dense solve may step in
+        def no_dense(*args, **kwargs):
+            raise AssertionError("dense solve called")
 
-        monkeypatch.setattr(TridiagonalSystem, "dense", no_dense)
+        monkeypatch.setattr(np.linalg, "solve", no_dense)
+        monkeypatch.setattr(scipy.linalg, "solve", no_dense)
         sys_ = TridiagonalSystem(sub=np.array([1.0]), diag=np.array([0.0, 1.0]),
                                  sup=np.array([1.0]), rhs=np.array([1.0, 2.0]))
         assert solve_tridiagonal(sys_) == pytest.approx([1.0, 1.0])
@@ -217,11 +235,11 @@ def test_solve_matches_dense(n, seed, diag_scale, zero_first_pivot):
     sys_ = TridiagonalSystem(sub=rng.standard_normal(n - 1), diag=diag,
                              sup=rng.standard_normal(n - 1),
                              rhs=rng.standard_normal(n))
-    dense = sys_.dense()
-    cond = np.linalg.cond(dense)
+    a = dense(sys_)
+    cond = np.linalg.cond(a)
     assume(cond <= 1e8)
     x = solve_tridiagonal(sys_)
-    ref = np.linalg.solve(dense, sys_.rhs)
+    ref = np.linalg.solve(a, sys_.rhs)
     assert np.abs(x - ref).max() <= 1e-12 * cond * np.abs(ref).max()
 
 

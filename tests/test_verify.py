@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -220,14 +221,24 @@ class TestSolutionBounds:
 class TestUniformity:
     def test_positive_u0_u1(self):
         fam = lambda eps0: get_scenario("manufactured", eps0)
-        for which in ("U0", "U1"):
-            rep = check_bound_uniformity(fam, which)
+        for rep in check_bound_uniformity(fam, ("U0", "U1")):
             assert rep.passed
             assert rep.sup_ratio <= 4.0
 
+    def test_one_call_per_name_gives_the_same_reports(self):
+        # several names share one reference solve per eps0 and must report
+        # exactly what a call per name reports
+        fam = lambda eps0: get_scenario("eps-exp", eps0)
+        both = check_bound_uniformity(fam, ("U0", "U1"))
+        single = (check_bound_uniformity(fam, ("U0",))
+                  + check_bound_uniformity(fam, ("U1",)))
+        assert len(both) == 2
+        for got, want in zip(both, single):
+            assert dataclasses.asdict(got) == dataclasses.asdict(want)
+
     def test_transformed_uniformity(self):
         fam = lambda eps0: get_scenario("eps-linear", eps0)
-        rep = check_bound_uniformity(fam, "U0", transformed=True)
+        (rep,) = check_bound_uniformity(fam, ("U0",), transformed=True)
         assert rep.passed
 
     def test_negative_control_weakened_exponent_fails(self):
@@ -235,6 +246,6 @@ class TestUniformity:
         # have; on the manufactured family (layer decays exactly like
         # exp(-beta e)) the ratio blows up as eps0 -> 0 and the check fails
         fam = lambda eps0: get_scenario("manufactured", eps0)
-        rep = check_bound_uniformity(fam, "U1", beta_factor=2.0)
+        (rep,) = check_bound_uniformity(fam, ("U1",), beta_factor=2.0)
         assert not rep.passed
         assert rep.sup_ratio > 4.0
