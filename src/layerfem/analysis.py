@@ -8,10 +8,11 @@ manufactured the energy error reads 3.2 % low at eps0 = 1e-4, h = 1/16, and
 1.7e-4 low at eps0 = 1e-6, h = 1/256.  FE functions are evaluated at the Gauss
 points from their nodal values, element by element, with samples stored
 points-major, shape (points, elements).  A piecewise-linear difference (an
-FE function alone, or the difference of a solve and a finer solve, taken at
-the nodes of the merged mesh) is integrated exactly: its square in closed
-form, and eps times its constant slope squared from Gauss samples of eps.
-"""
+FE function alone, or the difference of a solve and a finer solve) is
+integrated exactly: its square in closed form, and eps times its constant
+slope squared by assembly's 5-point Gauss rule for eps.  A finer solve is
+compared on its own nodes plus the coarse nodes it lacks, found by a binary
+search and inserted in place; it is interpolated only at those."""
 
 import math
 
@@ -21,7 +22,7 @@ from typing import Callable, Optional
 
 from .calculus import _gauss_map, gauss_legendre, integrate, layer_integral
 from .errors import ConfigurationError, DegenerateRegimeError, ParameterError
-from .fem import FemSolution, _on_elements, galerkin_solve
+from .fem import _QUAD, FemSolution, _on_elements, galerkin_solve
 from .mesh import LayerMesh, build_mesh
 from .problem import ScalarFunction
 
@@ -55,8 +56,8 @@ def _norms_on_elements(nodes, coefficients, eps_fn, exact):
 def _linear_norms(nodes, values, eps_fn):
     """Per-element (integral of d^2, integral of eps * d'^2) of the
     piecewise-linear d with these nodal values: w/3 (d_l^2 + d_l d_r + d_r^2)
-    exactly, and the slope squared times the Gauss sum of eps."""
-    rule = gauss_legendre(_ERR_QUAD)
+    exactly, and the slope squared times the 5-point Gauss sum of eps."""
+    rule = gauss_legendre(_QUAD)
     gx, half = _gauss_map(nodes[:-1], nodes[1:], rule)
     d = np.asarray(values, dtype=float)
     d_l, d_r = d[:-1], d[1:]
@@ -103,8 +104,15 @@ def error_report(sol: FemSolution, scenario,
         if len(reference.mesh.nodes) < 8 * len(sol.mesh.nodes):
             raise ConfigurationError(
                 "reference mesh must have at least 8x the node density")
-        merged = np.union1d(sol.mesh.nodes, reference.mesh.nodes)
-        l2, wg = _linear_norms(merged, reference(merged) - sol(merged), eps_fn)
+        # the reference's nodes and values, with the coarse nodes it lacks
+        # inserted in order
+        fine, coarse = reference.mesh.nodes, sol.mesh.nodes
+        at = np.searchsorted(fine, coarse)
+        new = fine[np.minimum(at, len(fine) - 1)] != coarse
+        extra = coarse[new]
+        merged = np.insert(fine, at[new], extra)
+        ref_vals = np.insert(reference.coefficients, at[new], reference(extra))
+        l2, wg = _linear_norms(merged, ref_vals - sol(merged), eps_fn)
         kind = "fine-mesh"
     else:
         raise ConfigurationError(
@@ -150,10 +158,11 @@ def convergence_study(scenario_family: Callable[[float], "object"],
     """Cartesian (h, eps0) sweep of solve + error measurement.
 
     Scenarios without a closed-form solution are measured against a solve of
-    the same mesh family at h/_REFERENCE_REFINE.  Degenerate (h, eps0) cells
-    are recorded as skipped, not fatal.  Repeated h values raise
-    ParameterError, since a rate between equal h is undefined, and so do
-    repeated eps0 values, which would repeat their rows.
+    the same mesh family at h/_REFERENCE_REFINE; a reference whose mesh
+    parameter is also in h_list is solved once and reused.  Degenerate
+    (h, eps0) cells are recorded as skipped, not fatal.  Repeated h values
+    raise ParameterError, since a rate between equal h is undefined, and so
+    do repeated eps0 values, which would repeat their rows.
     """
     if len(np.unique(h_list)) < len(h_list):
         raise ParameterError("h values must be distinct")
@@ -163,17 +172,23 @@ def convergence_study(scenario_family: Callable[[float], "object"],
     for eps0 in sorted(eps0_list):
         scenario = scenario_family(eps0)
         e = layer_integral(scenario.coeffs, "e")
+        solve = lambda h: galerkin_solve(
+            scenario, build_mesh(scenario.coeffs, e, h, delta))
+        # a reference solve whose mesh parameter is a finer h of h_list, kept
+        # until that h comes; the same h (exact float equality) builds the
+        # same mesh
+        kept = {}
         prev = None  # (h, energy_error)
         for h in sorted(h_list, reverse=True):
             try:
-                msh = build_mesh(scenario.coeffs, e, h, delta)
-                sol = galerkin_solve(scenario, msh)
+                sol = kept.pop(h) if h in kept else solve(h)
                 if scenario.exact is not None:
                     rep = error_report(sol, scenario)
                 else:
-                    ref_mesh = build_mesh(scenario.coeffs, e,
-                                          h / _REFERENCE_REFINE, delta)
-                    ref = galerkin_solve(scenario, ref_mesh)
+                    h_ref = h / _REFERENCE_REFINE
+                    ref = solve(h_ref)
+                    if h_ref in h_list:
+                        kept[h_ref] = ref
                     rep = error_report(sol, scenario, reference=ref)
             except DegenerateRegimeError as exc:
                 rows.append(ConvergenceRow(

@@ -234,7 +234,8 @@ def invert_monotone(g: CumulativeIntegral, target: float) -> float:
     leave it bisects instead.  Iteration stops once the residual is within
     4 ulps of target or the bracket is one ulp wide.
     """
-    lo, hi = g(0.0), g(1.0)
+    # g(0.0) and g(1.0) are the first and last stored partial sums
+    lo, hi = float(g.partial_sums[0]), float(g.partial_sums[-1])
     if not lo <= target <= hi:  # NaN fails too
         raise OutOfRangeError(
             f"target {target!r} outside cumulative range [{lo!r}, {hi!r}]"

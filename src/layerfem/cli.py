@@ -8,6 +8,7 @@ mandatory header; numbers carry 17 significant digits.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -59,17 +60,28 @@ def _parse_list(text: str, parse=_parse_float):
 
 
 def _cell(v, num_fmt) -> str:
-    """A CSV or pretty cell: numbers in num_fmt, None (no value) empty."""
+    """A pretty cell, or the text a CSV cell gets: numbers in num_fmt, None
+    (no value) empty."""
     if v is None:
         return ""
     return num_fmt % float(v) if isinstance(v, (int, float, np.floating)) else str(v)
+
+
+@functools.lru_cache(maxsize=None)
+def _csv_line(kinds):
+    """The %-format of a CSV line whose cells have these types, giving each
+    cell its _cell text: numbers in _FMT and anything else by str."""
+    return ",".join(_FMT if issubclass(k, (int, float, np.floating)) else "%s"
+                    for k in kinds) + "\n"
 
 
 def _emit(rows, header, fmt, meta, out):
     if fmt == "csv":
         out.write(",".join(header) + "\n")
         for row in rows:
-            out.write(",".join(_cell(v, _FMT) for v in row) + "\n")
+            if None in row:  # no value: an empty cell
+                row = tuple("" if v is None else v for v in row)
+            out.write(_csv_line(tuple(map(type, row))) % row)
     elif fmt == "json":
         payload = {
             "meta": meta,
@@ -97,8 +109,8 @@ def cmd_mesh(args, out) -> int:
     scenario = get_scenario(args.scenario, _parse_float(args.eps0))
     e = layer_integral(scenario.coeffs, "e")
     msh = build_mesh(scenario.coeffs, e, parse_h(args.h), args.delta)
-    rows = [(i, x, r) for i, (x, r) in
-            enumerate(zip(msh.nodes, msh.regions()))]
+    rows = list(zip(range(msh.node_count), msh.nodes.tolist(),
+                    msh.regions().tolist()))
     _emit(rows, ["index", "x", "region"], args.format, _meta(args), out)
     return 0
 
@@ -109,15 +121,14 @@ def cmd_solve(args, out) -> int:
     msh = build_mesh(scenario.coeffs, e, parse_h(args.h), args.delta)
     sol = galerkin_solve(scenario, msh)
     header = ["x", "u_h"]
+    columns = [msh.nodes, sol.coefficients]
     if args.exact:
         if scenario.exact is None:
             raise ParameterError(
                 f"scenario {scenario.name!r} has no closed-form solution")
         header.append("exact")
-        rows = [(x, u, ue) for x, u, ue in
-                zip(msh.nodes, sol.coefficients, scenario.exact(msh.nodes))]
-    else:
-        rows = list(zip(msh.nodes, sol.coefficients))
+        columns.append(scenario.exact(msh.nodes))
+    rows = list(zip(*(np.asarray(c, dtype=float).tolist() for c in columns)))
     _emit(rows, header, args.format, _meta(args), out)
     return 0
 

@@ -7,14 +7,16 @@ moment of a coefficient's Gauss samples, because the hat functions take the
 same values at the Gauss points of every element.  Samples are stored
 points-major, shape (points, elements), so the moments of all elements are
 one matrix product; a coefficient made by ScalarFunction.constant is not
-sampled at all, its moments are closed-form.  The assembled system is
-tridiagonal over the interior nodes and is solved by LAPACK's pivoting
-tridiagonal solver (gtsv) in O(n) time and memory, with no fallback path.
+sampled at all, its moments are one closed-form column.  Only the element
+entries that the system keeps are formed.  The assembled system is
+tridiagonal over the interior nodes and is solved by calling LAPACK's
+pivoting tridiagonal solver dgtsv directly, in O(n) time and memory, with no
+fallback path.
 """
 
 import numpy as np
 from dataclasses import dataclass
-from scipy.linalg import solve_banded
+from scipy.linalg import lapack
 
 from .calculus import _gauss_map, _vec_eval, gauss_legendre
 from .errors import (
@@ -88,15 +90,17 @@ def _samples(label, fn, gx):
     return y
 
 
-def _moments(label, fn, gx, half, weighted):
-    """Element integrals half * (weighted.T @ fn(gx)), shape (k, n_el), for
-    the k columns of weighted (Gauss weights times hat products); a constant
-    coefficient gives const * half * weighted.sum(axis=0) without samples."""
+def _moments(label, fn, gx, weighted):
+    """Moments weighted.T @ fn(gx), shape (k, n_el), for the k columns of
+    weighted (Gauss weights times hat products); an element integral is its
+    half-width times the moment.  A constant coefficient gives the column
+    const * weighted.sum(axis=0), broadcast to (k, n_el) without a copy."""
     if fn.const is not None:
         if not np.isfinite(fn.const):
             raise AssemblyError(f"non-finite {label} sample in element 0")
-        return np.multiply.outer(fn.const * weighted.sum(axis=0), half)
-    return half * (weighted.T @ _samples(label, fn, gx))
+        col = fn.const * weighted.sum(axis=0)
+        return np.broadcast_to(col[:, None], (len(col), gx.shape[1]))
+    return weighted.T @ _samples(label, fn, gx)
 
 
 def assemble(scenario, mesh: LayerMesh) -> TridiagonalSystem:
@@ -108,32 +112,40 @@ def assemble(scenario, mesh: LayerMesh) -> TridiagonalSystem:
 
     # The hats phi_L = 1 - t, phi_R = t have slopes -1/w, 1/w and take the
     # same values at the Gauss points t = (1 + points)/2 of every element, so
-    # each element integral is one weighted moment of a coefficient's samples.
+    # each element integral is half times one weighted moment of a
+    # coefficient's samples.
     t = 0.5 * (1.0 + rule.points)
     moments = rule.weights[:, None] * np.column_stack(
         (1.0 - t, t, (1.0 - t) ** 2, (1.0 - t) * t, t * t))
-    stiff = _moments("eps", co.eps, gx, half, rule.weights[:, None])[0] / (w * w)
-    b_l, b_r = _moments("b", co.b, gx, half, moments[:, :2])
-    c_ll, c_lr, c_rr = _moments("c", co.c, gx, half, moments[:, 2:])
-    f_l, f_r = _moments("f", co.f, gx, half, moments[:, :2])
+    m_eps = _moments("eps", co.eps, gx, rule.weights[:, None])
+    m_b = _moments("b", co.b, gx, moments[:, :2])
+    m_c = _moments("c", co.c, gx, moments[:, 2:])
+    m_f = _moments("f", co.f, gx, moments[:, :2])
 
-    # element entries a(trial, test); row = test function, column = trial
-    e_ll = stiff + b_l / w + c_ll
-    e_lr = -stiff - b_l / w + c_lr
-    e_rl = -stiff + b_r / w + c_lr
-    e_rr = stiff - b_r / w + c_rr
-
-    # interior node i collects the R entries of element i-1 and the L entries
+    # Element entries a(trial, test), row = test function, column = trial:
+    #   e_ll = stiff + b_l/w + c_ll    e_lr = -stiff - b_l/w + c_lr
+    #   e_rl = -stiff + b_r/w + c_lr   e_rr = stiff - b_r/w + c_rr
+    # Interior node i collects the R entries of element i-1 and the L entries
     # of element i; the boundary rows and columns are dropped (homogeneous
-    # Dirichlet conditions)
+    # Dirichlet conditions).  So only elements [1:] need L entries, [:-1] R
+    # entries and [1:-1] off-diagonal ones.  Rounding is symmetric, so
+    # -stiff - b_l/w is exactly -(stiff + b_l/w), and -stiff + b_r/w is
+    # -(stiff - b_r/w): the off-diagonals reuse the diagonal's sums.
+    stiff = half * m_eps[0] / (w * w)
+    left = stiff[1:] + half[1:] * m_b[0, 1:] / w[1:]
+    right = stiff[:-1] - half[:-1] * m_b[1, :-1] / w[:-1]
+    c_lr = half[1:-1] * m_c[1, 1:-1]
     return TridiagonalSystem(
-        sub=e_rl[1:-1], diag=e_rr[:-1] + e_ll[1:], sup=e_lr[1:-1],
-        rhs=f_r[:-1] + f_l[1:],
+        sub=c_lr - right[1:],
+        diag=(right + half[:-1] * m_c[2, :-1]) + (left + half[1:] * m_c[0, 1:]),
+        sup=c_lr - left[:-1],
+        rhs=half[:-1] * m_f[1, :-1] + half[1:] * m_f[0, 1:],
     )
 
 
 def solve_tridiagonal(system: TridiagonalSystem) -> np.ndarray:
-    """LAPACK gtsv (Gaussian elimination with partial pivoting), then a residual check."""
+    """LAPACK dgtsv (Gaussian elimination with partial pivoting) on copies of
+    the diagonals, then a residual check; the system is left unchanged."""
     n = system.size
     if n == 0:  # a mesh of one element has no interior node
         raise SizeError("input array too short")
@@ -141,14 +153,15 @@ def solve_tridiagonal(system: TridiagonalSystem) -> np.ndarray:
     if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(sub))
             and np.all(np.isfinite(sup)) and np.all(np.isfinite(rhs))):
         raise SingularSystemError("system contains non-finite entries")
-    ab = np.zeros((3, n))
-    ab[0, 1:], ab[1], ab[2, :-1] = sup, diag, sub
-    try:
-        # n = 1 is a plain division, which gives inf or nan when singular
+    if n == 1:
+        # dgtsv rejects empty off-diagonals; a plain division gives inf or
+        # nan when singular
         with np.errstate(divide="ignore", invalid="ignore"):
-            x = solve_banded((1, 1), ab, rhs, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError("system is singular") from exc
+            x = rhs / diag
+    else:
+        _, _, _, x, info = lapack.dgtsv(sub, diag, sup, rhs)
+        if info > 0:  # a zero pivot U(info, info)
+            raise SingularSystemError("system is singular")
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("system is singular to working precision")
     norm_a = np.abs(diag).max() + (np.abs(sub).max() + np.abs(sup).max() if n > 1 else 0.0)

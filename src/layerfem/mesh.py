@@ -43,9 +43,10 @@ class LayerMesh:
         return np.diff(self.nodes)
 
     def regions(self):
-        """Region label per node: 'graded' up to tau, 'coarse' beyond."""
-        return ["graded" if i <= self.tau_index else "coarse"
-                for i in range(len(self.nodes))]
+        """Region label per node, a str array: 'graded' up to tau, 'coarse'
+        beyond."""
+        return np.where(np.arange(len(self.nodes)) <= self.tau_index,
+                        "graded", "coarse")
 
 
 def compute_tau_star(coeffs, e: CumulativeIntegral, h: float) -> float:
@@ -53,7 +54,7 @@ def compute_tau_star(coeffs, e: CumulativeIntegral, h: float) -> float:
     if not (0.0 < h < 1.0):
         raise ParameterError("mesh parameter h must lie in (0, 1)")
     target = -2.0 * math.log(h) / coeffs.beta
-    if target > e(1.0):
+    if target > e.partial_sums[-1]:  # the stored e(1.0)
         raise DegenerateRegimeError(
             "transition point would exceed x = 1; eps is not small enough "
             "relative to h for a layer-adapted mesh")

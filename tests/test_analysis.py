@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from layerfem import analysis
 from layerfem.analysis import (
     ConvergenceTable,
     energy_norm,
@@ -112,6 +113,29 @@ class TestErrorReport:
         rep = error_report(sol, wrapped)
         assert rep.energy_error <= 1e-13
 
+    @pytest.mark.parametrize("coarse, fine", [(9, 129), (17, 257), (5, 161)])
+    def test_nested_uniform_meshes(self, monkeypatch, coarse, fine):
+        # every coarse node is a reference node, so nothing is inserted;
+        # the oracle samples the difference on np.union1d of the meshes
+        sc = get_scenario("eps-linear", 1e-3)
+        sol = galerkin_solve(sc, uniform_mesh(coarse))
+        ref = galerkin_solve(sc, uniform_mesh(fine))
+        merged_meshes = []
+
+        def spy(nodes, values, eps_fn):
+            merged_meshes.append(nodes)
+            return linear_norms(nodes, values, eps_fn)
+
+        linear_norms = analysis._linear_norms
+        monkeypatch.setattr(analysis, "_linear_norms", spy)
+        rep = error_report(sol, sc, reference=ref)
+        merged = np.union1d(sol.mesh.nodes, ref.mesh.nodes)
+        assert np.array_equal(merged_meshes[0], ref.mesh.nodes)
+        assert np.all(np.diff(merged_meshes[0]) > 0)
+        assert_report_matches(rep, *oracle_norms(
+            merged, lambda x: ref(x) - sol(x),
+            lambda x: ref.deriv(x) - sol.deriv(x), sc.coeffs.eps))
+
     def test_missing_reference(self):
         sc = get_scenario("eps-const", 1e-3)  # no closed-form exact
         mesh = ds_mesh(sc, 1.0 / 16)
@@ -210,6 +234,24 @@ def test_convergence_matches_recorded_rows(name):
 
 
 class TestConvergenceStudy:
+    def test_repeated_mesh_parameter_is_solved_once(self, monkeypatch):
+        # the reference of h = 1/16 is the h = 1/256 solve itself
+        solves = []
+
+        def counting_solve(scenario, mesh):
+            solves.append(mesh.h)
+            return galerkin_solve(scenario, mesh)
+
+        monkeypatch.setattr(analysis, "galerkin_solve", counting_solve)
+        hs = [1.0 / 16, 1.0 / 32, 1.0 / 64, 1.0 / 128, 1.0 / 256]
+        sc = get_scenario("eps-exp", 1e-6)
+        table = convergence_study(lambda eps0: sc, hs, [1e-6])
+        assert len(solves) == 9 and solves.count(1.0 / 256) == 1
+        last = table.rows[-1]
+        fine = galerkin_solve(sc, ds_mesh(sc, 1.0 / 256))
+        ref = galerkin_solve(sc, ds_mesh(sc, 1.0 / 4096))
+        assert last.energy_error == error_report(fine, sc, ref).energy_error
+
     def test_manufactured_table(self):
         hs = [1.0 / 8, 1.0 / 16, 1.0 / 32]
         table = convergence_study(

@@ -114,6 +114,16 @@ class TestLayerIntegral:
         with pytest.raises(ParameterError):
             layer_integral(sc.coeffs, "bogus")
 
+    @pytest.mark.parametrize("eps0", [1e-2, 1e-4, 1e-7, 1e-12])
+    def test_endpoints_are_the_stored_sums(self, eps0):
+        # invert_monotone and compute_tau_star read e(0) and e(1) from
+        # partial_sums; evaluating them gives the same floats, so meshes
+        # do not move
+        for sc in builtin_scenarios(eps0):
+            e = layer_integral(sc.coeffs, "e")
+            assert e(0.0) == e.partial_sums[0] == 0.0
+            assert e(1.0) == e.partial_sums[-1]
+
     def test_all_integrals_strictly_increasing(self):
         for sc in builtin_scenarios(1e-3):
             for kind in ("e", "etilde"):

@@ -4,8 +4,12 @@ import json
 
 import pytest
 
+from layerfem.calculus import layer_integral
 from layerfem.cli import main, parse_h
 from layerfem.errors import ParameterError
+from layerfem.fem import galerkin_solve
+from layerfem.mesh import build_mesh
+from layerfem.problem import get_scenario
 
 
 def run_cli(argv, capsys):
@@ -76,6 +80,39 @@ class TestMesh:
         assert code == 2 and out == ""
         assert err.startswith("usage error") and err.count("\n") == 1
         assert not target.parent.exists()
+
+
+def per_cell_csv(header, columns):
+    """CSV text formatted cell by cell: numbers as '%.17g' % float(v),
+    strings as they are."""
+    lines = [",".join(header)]
+    for row in zip(*columns):
+        lines.append(",".join(v if isinstance(v, str) else "%.17g" % float(v)
+                              for v in row))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name", ["eps-exp", "manufactured"])
+def test_mesh_and_solve_csv_match_per_cell_format(capsys, name):
+    # the rows are formatted one %-string per line from Python lists
+    sc = get_scenario(name, 1e-6)
+    msh = build_mesh(sc.coeffs, layer_integral(sc.coeffs, "e"), 1.0 / 64)
+    regions = ["graded" if i <= msh.tau_index else "coarse"
+               for i in range(msh.node_count)]
+    code, out, _ = run_cli(["mesh", "--scenario", name, "--eps0", "1e-6",
+                            "--h", "1/64"], capsys)
+    assert code == 0
+    assert out == per_cell_csv(["index", "x", "region"],
+                               [range(msh.node_count), msh.nodes, regions])
+    argv = ["solve", "--scenario", name, "--eps0", "1e-6", "--h", "1/64"]
+    header, columns = ["x", "u_h"], [msh.nodes, galerkin_solve(sc, msh).coefficients]
+    if sc.exact is not None:
+        argv.append("--exact")
+        header.append("exact")
+        columns.append(sc.exact(msh.nodes))
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert out == per_cell_csv(header, columns)
 
 
 class TestSolve:

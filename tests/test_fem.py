@@ -160,6 +160,56 @@ def test_assemble_matches_bilinear_form_on_hats(name, log10_eps0, k, variable_bc
     assert np.all(np.abs(sys_.rhs - want.rhs) <= 1e-13 * np.abs(want.rhs))
 
 
+
+def assemble_by_element_entries(scenario, mesh):
+    """The element-entry formulas assembly was built from: full-length
+    moments (constants as outer products) and all four entries on every
+    element, sliced at the end.  assemble must reproduce them bit for bit."""
+    rule = gauss_legendre(fem._QUAD)
+    gx, half = fem._gauss_map(mesh.nodes[:-1], mesh.nodes[1:], rule)
+    w = np.diff(mesh.nodes)
+    co = scenario.coeffs
+
+    def moments(label, fn, weighted):
+        if fn.const is not None:
+            return np.multiply.outer(fn.const * weighted.sum(axis=0), half)
+        return half * (weighted.T @ fem._samples(label, fn, gx))
+
+    t = 0.5 * (1.0 + rule.points)
+    hats = rule.weights[:, None] * np.column_stack(
+        (1.0 - t, t, (1.0 - t) ** 2, (1.0 - t) * t, t * t))
+    stiff = moments("eps", co.eps, rule.weights[:, None])[0] / (w * w)
+    b_l, b_r = moments("b", co.b, hats[:, :2])
+    c_ll, c_lr, c_rr = moments("c", co.c, hats[:, 2:])
+    f_l, f_r = moments("f", co.f, hats[:, :2])
+    e_ll = stiff + b_l / w + c_ll
+    e_lr = -stiff - b_l / w + c_lr
+    e_rl = -stiff + b_r / w + c_lr
+    e_rr = stiff - b_r / w + c_rr
+    return TridiagonalSystem(
+        sub=e_rl[1:-1], diag=e_rr[:-1] + e_ll[1:], sup=e_lr[1:-1],
+        rhs=f_r[:-1] + f_l[1:])
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES + ("variable-bcf",))
+@pytest.mark.parametrize("eps0", [1e-2, 1e-6, 1e-12])
+@pytest.mark.parametrize("h", [1.0 / 16, 1.0 / 256])
+def test_assemble_matches_element_entries_exactly(name, eps0, h):
+    if name == "variable-bcf":
+        sc = get_scenario("eps-exp", eps0)
+        sc = dataclasses.replace(
+            sc, coeffs=dataclasses.replace(sc.coeffs, **_VARIABLE_BCF))
+    else:
+        sc = get_scenario(name, eps0)
+    try:
+        mesh = build_mesh(sc.coeffs, layer_integral(sc.coeffs, "e"), h)
+    except DegenerateRegimeError:
+        pytest.skip("no layer-adapted mesh in this regime")
+    got, want = assemble(sc, mesh), assemble_by_element_entries(sc, mesh)
+    for part in ("sub", "diag", "sup", "rhs"):
+        assert np.array_equal(getattr(got, part), getattr(want, part)), part
+
+
 class TestTridiagonalSolve:
     def test_identity(self):
         sys_ = TridiagonalSystem(sub=np.zeros(4), diag=np.ones(5),
@@ -189,10 +239,42 @@ class TestTridiagonalSolve:
             assert np.abs(x - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
     def test_singular_system(self):
-        sys_ = TridiagonalSystem(sub=np.array([0.0]), diag=np.zeros(2),
-                                 sup=np.array([0.0]), rhs=np.ones(2))
+        # an exact zero pivot, of the zero matrix and of [[1, 1], [1, 1]]:
+        # LAPACK reports it (info > 0), not the residual check
+        for value in (0.0, 1.0):
+            sys_ = TridiagonalSystem(
+                sub=np.array([value]), diag=np.full(2, value),
+                sup=np.array([value]), rhs=np.array([1.0, 2.0]))
+            with pytest.raises(SingularSystemError, match="singular$"):
+                solve_tridiagonal(sys_)
+
+    def test_single_unknown_is_a_division(self, monkeypatch):
+        # dgtsv rejects the empty off-diagonals of a 1 x 1 system
+        with pytest.raises(ValueError, match="unexpected array size"):
+            fem.lapack.dgtsv(np.zeros(0), np.ones(1), np.zeros(0), np.ones(1))
+
+        def no_lapack(*args):
+            raise AssertionError("dgtsv called for one unknown")
+
+        monkeypatch.setattr(fem.lapack, "dgtsv", no_lapack)
+        empty = np.zeros(0)
+        sys_ = TridiagonalSystem(sub=empty, diag=np.array([4.0]), sup=empty,
+                                 rhs=np.array([3.0]))
+        assert solve_tridiagonal(sys_).tolist() == [0.75]
         with pytest.raises(SingularSystemError):
-            solve_tridiagonal(sys_)
+            solve_tridiagonal(dataclasses.replace(sys_, diag=np.zeros(1)))
+
+    def test_system_is_left_unchanged(self):
+        # a zero first pivot makes dgtsv swap rows in its working copies
+        rng = np.random.default_rng(11)
+        sys_ = TridiagonalSystem(sub=rng.standard_normal(9),
+                                 diag=np.r_[0.0, rng.standard_normal(9)],
+                                 sup=rng.standard_normal(9),
+                                 rhs=rng.standard_normal(10))
+        before = [a.copy() for a in (sys_.sub, sys_.diag, sys_.sup, sys_.rhs)]
+        solve_tridiagonal(sys_)
+        after = (sys_.sub, sys_.diag, sys_.sup, sys_.rhs)
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
 
     def test_nonfinite_entries(self):
         sys_ = TridiagonalSystem(sub=np.array([np.nan]), diag=np.ones(2),
