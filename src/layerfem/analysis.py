@@ -10,9 +10,12 @@ points from their nodal values, element by element, with samples stored
 points-major, shape (points, elements).  A piecewise-linear difference (an
 FE function alone, or the difference of a solve and a finer solve) is
 integrated exactly: its square in closed form, and eps times its constant
-slope squared by assembly's 5-point Gauss rule for eps.  A finer solve is
-compared on its own nodes plus the coarse nodes it lacks, found by a binary
-search and inserted in place; it is interpolated only at those."""
+slope squared from element integrals of eps by assembly's 5-point Gauss rule.
+A finer solve is compared on its own nodes plus the coarse nodes it lacks,
+found by a binary search and inserted in place; it is interpolated only at
+those.  The eps integrals of its elements are the ones its assembly stored
+(FemSolution.eps_integrals), so eps is sampled again only on the two pieces
+of each reference element that an inserted node splits."""
 
 import math
 
@@ -53,18 +56,25 @@ def _norms_on_elements(nodes, coefficients, eps_fn, exact):
     return half * (wq @ (d * d)), half * (wq @ (eps_fn(gx) * dd * dd))
 
 
-def _linear_norms(nodes, values, eps_fn):
+def _eps_integrals(lefts, rights, eps_fn):
+    """Integrals of eps over the elements [lefts_i, rights_i] by assembly's
+    5-point Gauss rule (fem._QUAD)."""
+    rule = gauss_legendre(_QUAD)
+    gx, half = _gauss_map(lefts, rights, rule)
+    return half * (rule.weights @ eps_fn(gx))
+
+
+def _linear_norms(nodes, values, eps_int):
     """Per-element (integral of d^2, integral of eps * d'^2) of the
     piecewise-linear d with these nodal values: w/3 (d_l^2 + d_l d_r + d_r^2)
-    exactly, and the slope squared times the 5-point Gauss sum of eps."""
-    rule = gauss_legendre(_QUAD)
-    gx, half = _gauss_map(nodes[:-1], nodes[1:], rule)
+    exactly, and the slope squared times the element integrals eps_int of
+    eps."""
     d = np.asarray(values, dtype=float)
     d_l, d_r = d[:-1], d[1:]
     w = np.diff(nodes)
     slopes = (d_r - d_l) / w
     return (w / 3.0 * (d_l * d_l + d_l * d_r + d_r * d_r),
-            slopes * slopes * half * (rule.weights @ eps_fn(gx)))
+            slopes * slopes * eps_int)
 
 
 @dataclass(frozen=True)
@@ -84,7 +94,9 @@ def energy_norm(v, coeffs) -> float:
     adaptive quadrature seeded with breakpoints clustered into the layer.
     """
     if isinstance(v, FemSolution):
-        l2, wg = _linear_norms(v.mesh.nodes, v.coefficients, coeffs.eps)
+        nodes = v.mesh.nodes
+        l2, wg = _linear_norms(nodes, v.coefficients,
+                               _eps_integrals(nodes[:-1], nodes[1:], coeffs.eps))
         return math.sqrt(l2.sum() + wg.sum())
     bp = np.concatenate(([0.0], np.geomspace(1e-12, 1.0, 257)))
     val = integrate(lambda x: coeffs.eps(x) * v.d(x) ** 2 + v(x) ** 2,
@@ -104,15 +116,24 @@ def error_report(sol: FemSolution, scenario,
         if len(reference.mesh.nodes) < 8 * len(sol.mesh.nodes):
             raise ConfigurationError(
                 "reference mesh must have at least 8x the node density")
-        # the reference's nodes and values, with the coarse nodes it lacks
-        # inserted in order
+        # the reference's nodes, values and eps integrals, with the coarse
+        # nodes it lacks inserted in order
         fine, coarse = reference.mesh.nodes, sol.mesh.nodes
         at = np.searchsorted(fine, coarse)
         new = fine[np.minimum(at, len(fine) - 1)] != coarse
-        extra = coarse[new]
-        merged = np.insert(fine, at[new], extra)
-        ref_vals = np.insert(reference.coefficients, at[new], reference(extra))
-        l2, wg = _linear_norms(merged, ref_vals - sol(merged), eps_fn)
+        extra, at = coarse[new], at[new]
+        merged = np.insert(fine, at, extra)
+        ref_vals = np.insert(reference.coefficients, at, reference(extra))
+        eps_int = reference.eps_integrals
+        if eps_int is None:
+            eps_int = _eps_integrals(fine[:-1], fine[1:], eps_fn)
+        eps_int = np.insert(eps_int, at, 0.0)
+        # merged node p = at + (nodes inserted before it) splits its reference
+        # element into merged elements p - 1 and p
+        p = at + np.arange(len(extra))
+        split = np.concatenate((p - 1, p))
+        eps_int[split] = _eps_integrals(merged[split], merged[split + 1], eps_fn)
+        l2, wg = _linear_norms(merged, ref_vals - sol(merged), eps_int)
         kind = "fine-mesh"
     else:
         raise ConfigurationError(

@@ -225,14 +225,26 @@ def layer_integral(coeffs, kind: str) -> CumulativeIntegral:
     return CumulativeIntegral.build(integrand)
 
 
+def _on_panel(g: CumulativeIntegral, k: int, x: float) -> float:
+    """g(x) for x in [breakpoints[k], breakpoints[k+1]], bit for bit: the
+    stored sum at panel k plus one local Gauss panel, without g's range
+    check and search.  At x == breakpoints[k+1] g reads panel k+1 (unless
+    k is the last panel), and so does this."""
+    if x == g.breakpoints[k + 1] and k + 2 < len(g.breakpoints):
+        k += 1
+    return float(g.partial_sums[k]
+                 + _panel_sums(g.integrand, [g.breakpoints[k]], [x], _G10)[0])
+
+
 def invert_monotone(g: CumulativeIntegral, target: float) -> float:
     """Solve g(x) = target on [0, 1] for strictly increasing g.
 
     The breakpoint panel that brackets target (searchsorted on partial_sums)
     gives the first iterate by linear interpolation.  Newton steps with
     g' = g.integrand follow; each shrinks the bracket, and a step that would
-    leave it bisects instead.  Iteration stops once the residual is within
-    4 ulps of target or the bracket is one ulp wide.
+    leave it bisects instead.  Every iterate stays in that panel, so g is
+    evaluated there directly (_on_panel).  Iteration stops once the residual
+    is within 4 ulps of target or the bracket is one ulp wide.
     """
     # g(0.0) and g(1.0) are the first and last stored partial sums
     lo, hi = float(g.partial_sums[0]), float(g.partial_sums[-1])
@@ -249,7 +261,7 @@ def invert_monotone(g: CumulativeIntegral, target: float) -> float:
     a, b = g.breakpoints[k], g.breakpoints[k + 1]
     g_a, g_b = g.partial_sums[k], g.partial_sums[k + 1]
     x = min(b, a + (b - a) * (target - g_a) / (g_b - g_a))
-    r = g(x) - target
+    r = _on_panel(g, k, x) - target
     while abs(r) > 4 * np.finfo(float).eps * abs(target):
         a, b = (a, x) if r > 0 else (x, b)
         slope = float(g.integrand(x))
@@ -259,7 +271,7 @@ def invert_monotone(g: CumulativeIntegral, target: float) -> float:
             if not a < step < b:
                 break
         x = step
-        r = g(x) - target
+        r = _on_panel(g, k, x) - target
     if abs(r) > _INVERT_TOL * max(1.0, abs(target)):
         raise ConvergenceError("monotone inversion residual above tolerance")
     return float(x)

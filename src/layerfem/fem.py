@@ -11,12 +11,18 @@ sampled at all, its moments are one closed-form column.  Only the element
 entries that the system keeps are formed.  The assembled system is
 tridiagonal over the interior nodes and is solved by calling LAPACK's
 pivoting tridiagonal solver dgtsv directly, in O(n) time and memory, with no
-fallback path.
+fallback path.  Assembly keeps the element integrals of eps that the
+stiffness is made from (5-point Gauss, half-width times the weighted sum),
+and galerkin_solve hands them on as FemSolution.eps_integrals; they belong
+to the eps of the scenario that was solved, and fine-mesh error reports
+reuse them in place of sampling eps again.  An element whose width squared
+is below the smallest normal float raises AssemblyError before any division.
 """
 
 import numpy as np
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from scipy.linalg import lapack
+from typing import Optional
 
 from .calculus import _gauss_map, _vec_eval, gauss_legendre
 from .errors import (
@@ -36,6 +42,9 @@ class TridiagonalSystem:
     diag: np.ndarray  # length n
     sup: np.ndarray   # length n-1
     rhs: np.ndarray   # length n
+    # per-element integrals of eps, one per mesh element
+    eps_integrals: Optional[np.ndarray] = field(
+        default=None, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -54,6 +63,9 @@ class FemSolution:
 
     mesh: LayerMesh
     coefficients: np.ndarray
+    # per-element integrals of the solved scenario's eps (galerkin_solve only)
+    eps_integrals: Optional[np.ndarray] = field(
+        default=None, repr=False, compare=False)
 
     def __call__(self, x):
         return np.interp(x, self.mesh.nodes, self.coefficients)
@@ -105,9 +117,16 @@ def _moments(label, fn, gx, weighted):
 
 def assemble(scenario, mesh: LayerMesh) -> TridiagonalSystem:
     """Assemble the Galerkin tridiagonal system for the interior nodes."""
+    w = np.diff(mesh.nodes)
+    w2 = w * w
+    subnormal = w2 < np.finfo(float).tiny
+    if subnormal.any():
+        el = int(np.argmax(subnormal))
+        raise AssemblyError(
+            f"element {el} has width {float(w[el])!r}, whose square is "
+            "below the smallest normal float")
     rule = gauss_legendre(_QUAD)
     gx, half = _gauss_map(mesh.nodes[:-1], mesh.nodes[1:], rule)
-    w = np.diff(mesh.nodes)
     co = scenario.coeffs
 
     # The hats phi_L = 1 - t, phi_R = t have slopes -1/w, 1/w and take the
@@ -131,7 +150,8 @@ def assemble(scenario, mesh: LayerMesh) -> TridiagonalSystem:
     # entries and [1:-1] off-diagonal ones.  Rounding is symmetric, so
     # -stiff - b_l/w is exactly -(stiff + b_l/w), and -stiff + b_r/w is
     # -(stiff - b_r/w): the off-diagonals reuse the diagonal's sums.
-    stiff = half * m_eps[0] / (w * w)
+    eps_int = half * m_eps[0]
+    stiff = eps_int / w2
     left = stiff[1:] + half[1:] * m_b[0, 1:] / w[1:]
     right = stiff[:-1] - half[:-1] * m_b[1, :-1] / w[:-1]
     c_lr = half[1:-1] * m_c[1, 1:-1]
@@ -140,6 +160,7 @@ def assemble(scenario, mesh: LayerMesh) -> TridiagonalSystem:
         diag=(right + half[:-1] * m_c[2, :-1]) + (left + half[1:] * m_c[0, 1:]),
         sup=c_lr - left[:-1],
         rhs=half[:-1] * m_f[1, :-1] + half[1:] * m_f[0, 1:],
+        eps_integrals=eps_int,
     )
 
 
@@ -178,7 +199,8 @@ def galerkin_solve(scenario, mesh: LayerMesh) -> FemSolution:
     interior = solve_tridiagonal(system)
     coef = np.zeros(len(mesh.nodes))
     coef[1:-1] = interior
-    return FemSolution(mesh=mesh, coefficients=coef)
+    return FemSolution(mesh=mesh, coefficients=coef,
+                       eps_integrals=system.eps_integrals)
 
 
 def bilinear_form(v: FemSolution, w: FemSolution, scenario) -> float:

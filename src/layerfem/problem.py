@@ -228,10 +228,11 @@ def get_scenario(name: str, eps0: float) -> Scenario:
     """Built-in scenario `name` at diffusion scale eps0 (0 < eps0 <= 0.1).
 
     b = 2, c = 1, f = 1; manufactured is eps-linear with the f of its exact
-    solution u = cos(pi x / 2) - E(x), E the layer exemplar.
+    solution u = cos(pi x / 2) - E(x), E the layer exemplar.  A subnormal
+    eps0 is refused: 1/eps0 overflows.
     """
-    if not (0.0 < eps0 <= 0.1):
-        raise ParameterError("eps0 must lie in (0, 0.1]")
+    if not (np.finfo(float).tiny <= eps0 <= 0.1):
+        raise ParameterError("eps0 must lie in (0, 0.1] and not be subnormal")
     if name not in SCENARIO_NAMES:
         raise ParameterError(f"unknown scenario {name!r}; choose from {SCENARIO_NAMES}")
     upper, sigma, eps_fn, epsp_fn, e_fn = _FAMILIES[

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -122,9 +123,9 @@ class TestErrorReport:
         ref = galerkin_solve(sc, uniform_mesh(fine))
         merged_meshes = []
 
-        def spy(nodes, values, eps_fn):
+        def spy(nodes, values, eps_int):
             merged_meshes.append(nodes)
-            return linear_norms(nodes, values, eps_fn)
+            return linear_norms(nodes, values, eps_int)
 
         linear_norms = analysis._linear_norms
         monkeypatch.setattr(analysis, "_linear_norms", spy)
@@ -135,6 +136,38 @@ class TestErrorReport:
         assert_report_matches(rep, *oracle_norms(
             merged, lambda x: ref(x) - sol(x),
             lambda x: ref.deriv(x) - sol.deriv(x), sc.coeffs.eps))
+
+    def test_two_coarse_nodes_in_one_reference_element(self):
+        # the reference element [0.3, 0.52] holds the coarse nodes 0.375 and
+        # 0.5, so its three merged pieces are all integrated anew
+        sc = get_scenario("eps-exp", 1e-2)
+        sol = galerkin_solve(sc, uniform_mesh(9))
+        nodes = np.concatenate((np.linspace(0.0, 0.3, 60),
+                                np.linspace(0.52, 1.0, 100)))
+        ref = galerkin_solve(sc, LayerMesh(nodes=nodes, h=0.3 / 59, delta=1.0,
+                                           tau_index=1, tau_star=nodes[1]))
+        merged = np.union1d(sol.mesh.nodes, ref.mesh.nodes)
+        assert np.count_nonzero((merged > 0.3) & (merged < 0.52)) == 2
+        assert_report_matches(
+            error_report(sol, sc, reference=ref),
+            *oracle_norms(merged, lambda x: ref(x) - sol(x),
+                          lambda x: ref.deriv(x) - sol.deriv(x), sc.coeffs.eps))
+
+    @pytest.mark.parametrize("name", ["eps-const", "eps-linear", "eps-exp"])
+    @pytest.mark.parametrize("eps0", [1e-2, 1e-6, 1e-12])
+    def test_stored_eps_integrals_match_resampled(self, name, eps0):
+        # a reference built by hand has no stored integrals; they are sampled
+        # by the same 5-point rule, summed in another order
+        sc = get_scenario(name, eps0)
+        sol = galerkin_solve(sc, ds_mesh(sc, 1.0 / 32))
+        ref = galerkin_solve(sc, ds_mesh(sc, 1.0 / 512))
+        bare = FemSolution(ref.mesh, ref.coefficients)
+        assert ref.eps_integrals is not None and bare.eps_integrals is None
+        got = error_report(sol, sc, reference=ref)
+        want = error_report(sol, sc, reference=bare)
+        for field in ("energy_error", "l2_error", "weighted_grad_error"):
+            assert getattr(got, field) == pytest.approx(
+                getattr(want, field), rel=1e-14, abs=0), field
 
     def test_missing_reference(self):
         sc = get_scenario("eps-const", 1e-3)  # no closed-form exact
@@ -251,6 +284,53 @@ class TestConvergenceStudy:
         fine = galerkin_solve(sc, ds_mesh(sc, 1.0 / 256))
         ref = galerkin_solve(sc, ds_mesh(sc, 1.0 / 4096))
         assert last.energy_error == error_report(fine, sc, ref).energy_error
+
+    def test_eps_sampled_once_per_solved_mesh(self, monkeypatch):
+        # assembly samples eps on each solved mesh's 5-point grid; a report
+        # samples it again only on the 2 pieces of each reference element
+        # that a coarse node splits, and not at all on the rest
+        sc = get_scenario("eps-exp", 1e-6)
+        eps = sc.coeffs.eps
+        calls, phase = [], [None]
+
+        def counting_eps(x):
+            calls.append((phase[0], np.shape(x)))
+            return eps.value(x)
+
+        spied = dataclasses.replace(sc, coeffs=dataclasses.replace(
+            sc.coeffs, eps=dataclasses.replace(eps, value=counting_eps)))
+        solved, reported = [], []
+
+        def in_phase(name, fn, *args, **kwargs):
+            phase[0], start = name, len(calls)
+            try:
+                return fn(*args, **kwargs), calls[start:]
+            finally:
+                phase[0] = None
+
+        def solve(scenario, mesh):
+            sol, seen = in_phase("solve", galerkin_solve, scenario, mesh)
+            solved.append((mesh.node_count - 1, seen))
+            return sol
+
+        def report(sol, scenario, reference=None):
+            rep, seen = in_phase("report", error_report, sol, scenario,
+                                 reference=reference)
+            lacking = np.isin(sol.mesh.nodes, reference.mesh.nodes,
+                              invert=True)
+            reported.append((np.count_nonzero(lacking), seen))
+            return rep
+
+        monkeypatch.setattr(analysis, "galerkin_solve", solve)
+        monkeypatch.setattr(analysis, "error_report", report)
+        table = convergence_study(lambda eps0: spied, [1.0 / 16, 1.0 / 32],
+                                  [1e-6])
+        assert len(table.rows) == 2
+        assert len(solved) == 4 and len(reported) == 2
+        for elements, seen in solved:
+            assert seen == [("solve", (5, elements))]
+        for lacking, seen in reported:
+            assert lacking > 0 and seen == [("report", (5, 2 * lacking))]
 
     def test_manufactured_table(self):
         hs = [1.0 / 8, 1.0 / 16, 1.0 / 32]

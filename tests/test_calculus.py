@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from layerfem.calculus import (
     CumulativeIntegral,
+    _on_panel,
     gauss_legendre,
     integrate,
     invert_monotone,
@@ -19,6 +20,7 @@ from layerfem.errors import (
     OutOfRangeError,
     ParameterError,
 )
+from layerfem.mesh import compute_tau_star
 from layerfem.problem import builtin_scenarios, get_scenario
 
 
@@ -225,6 +227,48 @@ class TestInvertMonotone:
             target = e(x)
             root = invert_monotone(e, target)
             assert abs(e(root) - target) <= 10 * tol * max(1.0, abs(target))
+
+
+def newton_invert(g, target):
+    """invert_monotone as it was written before it evaluated g on its
+    bracketing panel directly: every iterate through g's own __call__."""
+    k = min(int(np.searchsorted(g.partial_sums, target, side="right")) - 1,
+            len(g.breakpoints) - 2)
+    a, b = g.breakpoints[k], g.breakpoints[k + 1]
+    g_a, g_b = g.partial_sums[k], g.partial_sums[k + 1]
+    x = min(b, a + (b - a) * (target - g_a) / (g_b - g_a))
+    r = g(x) - target
+    while abs(r) > 4 * np.finfo(float).eps * abs(target):
+        a, b = (a, x) if r > 0 else (x, b)
+        slope = float(g.integrand(x))
+        step = x - r / slope if slope > 0 else a
+        if not a < step < b:
+            step = 0.5 * (a + b)
+            if not a < step < b:
+                break
+        x = step
+        r = g(x) - target
+    return float(x)
+
+
+class TestInversionOnItsPanel:
+    @pytest.mark.parametrize("name", ["eps-const", "eps-linear", "eps-exp"])
+    @pytest.mark.parametrize("eps0", [1e-2, 1e-4, 1e-7, 1e-12])
+    @pytest.mark.parametrize("h", [1.0 / 16, 1.0 / 4096, 1.0 / 32768])
+    def test_tau_star_matches_newton_through_e(self, name, eps0, h):
+        coeffs = get_scenario(name, eps0).coeffs
+        e = layer_integral(coeffs, "e")
+        target = -2.0 * math.log(h) / coeffs.beta
+        assert compute_tau_star(coeffs, e, h) == newton_invert(e, target)
+
+    @pytest.mark.parametrize("name", ["eps-const", "eps-linear", "eps-exp"])
+    def test_panel_value_is_e_at_both_ends(self, name):
+        # at a right end e reads the next panel, except on the last one
+        e = layer_integral(get_scenario(name, 1e-6).coeffs, "e")
+        bp = e.breakpoints
+        for k in (0, 1, 2000, len(bp) - 3, len(bp) - 2):
+            for x in (bp[k], 0.5 * (bp[k] + bp[k + 1]), bp[k + 1]):
+                assert _on_panel(e, k, x) == e(x)
 
 
 # closed-form inverses of e, x = e^{-1}(T)

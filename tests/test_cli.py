@@ -223,6 +223,32 @@ class TestErrorContract:
         assert code == 2 and out == ""
         assert err == "usage error: --seed must be nonnegative, got -1\n"
 
+    # a mesh element whose width squared is subnormal (w = h^2 eps0 at
+    # the first graded step) is refused before assembly divides by it; a
+    # subnormal eps0 is a usage error
+    @pytest.mark.parametrize("scenario, eps0, h", [
+        ("eps-exp", "1e-155", "1/16,1/32"),
+        ("eps-exp", "1e-160", "1/16"),
+        ("eps-linear", "1e-300", "1/16"),
+    ])
+    def test_subnormal_element_is_assembly_error(self, capsys, scenario, eps0, h):
+        code, out, err = run_cli(["converge", "--scenario", scenario,
+                                  "--eps0", eps0, "--h", h], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: element ") and err.count("\n") == 1
+        assert "smallest normal float" in err
+
+    def test_subnormal_eps0_is_usage_error(self, capsys):
+        code, out, err = run_cli(["mesh", "--eps0", "1e-310", "--h", "1/16"],
+                                 capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("usage error: eps0 must lie in (0, 0.1]")
+
+    def test_eps0_1e_100_still_converges(self, capsys):
+        code, out, _ = run_cli(["converge", "--scenario", "eps-exp",
+                                "--eps0", "1e-100", "--h", "1/16,1/32"], capsys)
+        assert code == 0 and len(out.strip().split("\n")) == 3
+
     def test_internal_value_error_is_not_usage_error(self, capsys, monkeypatch):
         def broken(*args, **kwargs):
             raise ValueError("internal failure")

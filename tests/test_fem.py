@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from layerfem import fem
-from layerfem.analysis import energy_norm, error_report
+from layerfem.analysis import energy_norm, error_report, interpolate
 from layerfem.calculus import gauss_legendre, layer_integral
 from layerfem.errors import (
     AssemblyError,
@@ -102,6 +102,44 @@ class TestAssembly:
             sc.coeffs, b=ScalarFunction.constant(np.nan)))
         with pytest.raises(AssemblyError, match="non-finite b"):
             assemble(bad, uniform_mesh(9))
+
+
+    @pytest.mark.parametrize("nodes, el", [
+        ([0.0, 1e-200, 2e-200, 0.5, 1.0], 0),
+        ([0.0, 1e-140, 2e-140, 2e-140 + 1e-155, 0.5, 1.0], 2),
+        ([0.0, 0.25, 0.5, 0.5, 0.75, 1.0], 2),  # a repeated node
+    ])
+    def test_subnormal_width_squared_raises(self, nodes, el):
+        # w * w underflows, so the stiffness would divide by zero or by a
+        # subnormal with few significant bits; assembly refuses first
+        mesh = LayerMesh(nodes=np.array(nodes), h=0.25, delta=1.0,
+                         tau_index=1, tau_star=nodes[1])
+        with pytest.raises(AssemblyError, match=f"element {el} has width"):
+            assemble(plain_scenario(eps=1.0, f=1.0), mesh)
+
+    def test_smallest_normal_width_squared_assembles(self):
+        w = 2.0 ** -511  # w * w = 2**-1022, the smallest normal float
+        mesh = LayerMesh(nodes=np.array([0.0, w, 2 * w, 0.5, 1.0]), h=0.25,
+                         delta=1.0, tau_index=1, tau_star=w)
+        assert np.all(np.isfinite(assemble(plain_scenario(eps=1.0), mesh).diag))
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_solution_keeps_element_integrals_of_eps(name):
+    sc = get_scenario(name, 1e-4)
+    mesh = build_mesh(sc.coeffs, layer_integral(sc.coeffs, "e"), 1.0 / 64)
+    nodes = mesh.nodes
+    rule = gauss_legendre(fem._QUAD)
+    w = np.diff(nodes)
+    gx = 0.5 * (nodes[:-1] + nodes[1:]) + 0.5 * np.multiply.outer(rule.points, w)
+    want = 0.5 * w * (rule.weights @ sc.coeffs.eps(gx))
+    sol = galerkin_solve(sc, mesh)
+    assert sol.eps_integrals.shape == want.shape
+    assert np.all(np.abs(sol.eps_integrals - want) <= 1e-15 * want)
+    # only a solve knows them; the field takes no part in repr or ==
+    bare = FemSolution(mesh, sol.coefficients)
+    assert bare.eps_integrals is None and repr(bare) == repr(sol)
+    assert interpolate(sc.smooth_exemplar, mesh).eps_integrals is None
 
 
 def unit_hat(mesh, i):

@@ -175,6 +175,11 @@ class TestBuiltinScenarios:
             builtin_scenarios(0.2)
         with pytest.raises(ParameterError):
             builtin_scenarios(0.0)
+        # subnormal: 1/eps0 overflows
+        for eps0 in (np.finfo(float).tiny / 2, 5e-324):
+            with pytest.raises(ParameterError, match="subnormal"):
+                builtin_scenarios(eps0)
+        assert len(builtin_scenarios(np.finfo(float).tiny)) == 4
 
     def test_exact_boundary_values(self):
         sc = get_scenario("manufactured", 1e-3)
