@@ -3,11 +3,14 @@
 Exit codes: 0 success, 1 failed verification or other LayerFemError, 2 usage
 error (a ParameterError, including unparsable numbers and an --output file
 that cannot be opened), 3 degenerate mesh regime.  Any other exception is a bug and propagates with its traceback.
+Each command returns its rows, and --output is opened only after it
+returns, so a command that fails leaves an existing file as it was.
 CSV output uses ',' separators, '.' decimal points, LF line endings and a
 mandatory header; numbers carry 17 significant digits.
 """
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -96,26 +99,24 @@ def _emit(rows, header, fmt, meta, out):
             out.write("  ".join(c.ljust(w) for c, w in zip(cells, widths)) + "\n")
 
 
-def _meta(args, **extra):
+def _meta(args):
     meta = {"version": __version__, "subcommand": args.command}
     for key in ("scenario", "eps0", "h", "delta", "format", "seed", "suite"):
         if hasattr(args, key):
             meta[key] = getattr(args, key)
-    meta.update(extra)
     return meta
 
 
-def cmd_mesh(args, out) -> int:
+def cmd_mesh(args):
     scenario = get_scenario(args.scenario, _parse_float(args.eps0))
     e = layer_integral(scenario.coeffs, "e")
     msh = build_mesh(scenario.coeffs, e, parse_h(args.h), args.delta)
     rows = list(zip(range(msh.node_count), msh.nodes.tolist(),
                     msh.regions().tolist()))
-    _emit(rows, ["index", "x", "region"], args.format, _meta(args), out)
-    return 0
+    return rows, ["index", "x", "region"], 0
 
 
-def cmd_solve(args, out) -> int:
+def cmd_solve(args):
     scenario = get_scenario(args.scenario, _parse_float(args.eps0))
     e = layer_integral(scenario.coeffs, "e")
     msh = build_mesh(scenario.coeffs, e, parse_h(args.h), args.delta)
@@ -129,11 +130,10 @@ def cmd_solve(args, out) -> int:
         header.append("exact")
         columns.append(scenario.exact(msh.nodes))
     rows = list(zip(*(np.asarray(c, dtype=float).tolist() for c in columns)))
-    _emit(rows, header, args.format, _meta(args), out)
-    return 0
+    return rows, header, 0
 
 
-def cmd_converge(args, out) -> int:
+def cmd_converge(args):
     eps0_list = _parse_list(args.eps0)
     h_list = _parse_list(args.h, parse_h)
     family = lambda eps0: get_scenario(args.scenario, eps0)
@@ -142,15 +142,13 @@ def cmd_converge(args, out) -> int:
         (r.eps0, r.h, r.node_count, r.energy_error, r.l2_error, r.rate)
         for r in table.rows if r.skipped_reason is None
     ]
-    _emit(rows, ["eps0", "h", "nodes", "energy_err", "l2_err", "rate"],
-          args.format, _meta(args), out)
-    skipped = [r for r in table.rows if r.skipped_reason is not None]
-    for r in skipped:
-        sys.stderr.write(f"skipped eps0={r.eps0} h={r.h}: {r.skipped_reason}\n")
-    return 0
+    for r in table.rows:
+        if r.skipped_reason is not None:
+            sys.stderr.write(f"skipped eps0={r.eps0} h={r.h}: {r.skipped_reason}\n")
+    return rows, ["eps0", "h", "nodes", "energy_err", "l2_err", "rate"], 0
 
 
-def cmd_interp(args, out) -> int:
+def cmd_interp(args):
     scenario = get_scenario(args.scenario, _parse_float(args.eps0))
     h_list = _parse_list(args.h, parse_h)
     rows_raw = interpolation_study(scenario, h_list, args.delta)
@@ -159,10 +157,8 @@ def cmd_interp(args, out) -> int:
          r.layer_max_coarse, r.layer_wl2_fine, r.layer_wh1_fine)
         for r in rows_raw
     ]
-    _emit(rows, ["h", "nodes", "smooth_l2", "smooth_h1", "layer_l2_coarse",
-                 "layer_max_coarse", "layer_wl2_fine", "layer_wh1_fine"],
-          args.format, _meta(args), out)
-    return 0
+    return rows, ["h", "nodes", "smooth_l2", "smooth_h1", "layer_l2_coarse",
+                  "layer_max_coarse", "layer_wl2_fine", "layer_wh1_fine"], 0
 
 
 def _verify_reports(suite: str, seed: int, eps0: float):
@@ -185,13 +181,12 @@ def _verify_reports(suite: str, seed: int, eps0: float):
     return reports
 
 
-def cmd_verify(args, out) -> int:
+def cmd_verify(args):
     reports = _verify_reports(args.suite, args.seed, _parse_float(args.eps0))
     rows = [(r.name, r.worst_margin, r.worst_point,
              "PASS" if r.passed else "FAIL") for r in reports]
-    _emit(rows, ["name", "worst_margin", "worst_point", "status"],
-          args.format, _meta(args), out)
-    return 0 if all(r.passed for r in reports) else 1
+    return (rows, ["name", "worst_margin", "worst_point", "status"],
+            0 if all(r.passed for r in reports) else 1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -241,14 +236,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.output:
-            try:
-                fh = open(args.output, "w", newline="")
-            except OSError as exc:
-                raise ParameterError(f"cannot open --output: {exc}") from exc
-            with fh:
-                return args.func(args, fh)
-        return args.func(args, sys.stdout)
+        rows, header, code = args.func(args)
+        try:
+            out = (open(args.output, "w", newline="") if args.output
+                   else contextlib.nullcontext(sys.stdout))
+        except OSError as exc:
+            raise ParameterError(f"cannot open --output: {exc}") from exc
+        with out as fh:
+            _emit(rows, header, args.format, _meta(args), fh)
+        return code
     except DegenerateRegimeError as exc:
         sys.stderr.write(f"degenerate regime: {exc}\n")
         return 3

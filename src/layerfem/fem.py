@@ -11,17 +11,20 @@ sampled at all, its moments are one closed-form column.  Only the element
 entries that the system keeps are formed.  The assembled system is
 tridiagonal over the interior nodes and is solved by calling LAPACK's
 pivoting tridiagonal solver dgtsv directly, in O(n) time and memory, with no
-fallback path.  Assembly keeps the element integrals of eps that the
-stiffness is made from (5-point Gauss, half-width times the weighted sum),
-and galerkin_solve hands them on as FemSolution.eps_integrals; they belong
-to the eps of the scenario that was solved, and fine-mesh error reports
-reuse them in place of sampling eps again.  An element whose width squared
-is below the smallest normal float raises AssemblyError before any division.
+fallback path.  dgtsv is the package's only use of scipy, and scipy.linalg
+is imported by the first solve_tridiagonal call that reaches it, so runs that
+never solve (meshes, interpolation errors, the lemma and barrier checks) skip
+its import of about 0.2 s and 28 MB.  Assembly keeps the element integrals of
+eps that the stiffness is made from (5-point Gauss, half-width times the
+weighted sum), and galerkin_solve hands them on as FemSolution.eps_integrals;
+they belong to the eps of the scenario that was solved, and fine-mesh error
+reports reuse them in place of sampling eps again.  An element whose width
+squared is below the smallest normal float raises AssemblyError before any
+division.
 """
 
 import numpy as np
 from dataclasses import dataclass, field
-from scipy.linalg import lapack
 from typing import Optional
 
 from .calculus import _gauss_map, _vec_eval, gauss_legendre
@@ -180,6 +183,7 @@ def solve_tridiagonal(system: TridiagonalSystem) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             x = rhs / diag
     else:
+        from scipy.linalg import lapack  # here: runs that never solve skip it
         _, _, _, x, info = lapack.dgtsv(sub, diag, sup, rhs)
         if info > 0:  # a zero pivot U(info, info)
             raise SingularSystemError("system is singular")

@@ -81,6 +81,21 @@ class TestMesh:
         assert err.startswith("usage error") and err.count("\n") == 1
         assert not target.parent.exists()
 
+    def test_failing_command_keeps_existing_output(self, capsys, tmp_path):
+        target = tmp_path / "out.csv"
+        target.write_bytes(b"keep\n")
+        for argv, expected in (
+                (["solve", "--eps0", "1e-310"], 2),  # eps0 below the normal floats
+                (["mesh", "--scenario", "eps-const", "--eps0", "0.1",
+                  "--h", "0.05"], 3)):  # degenerate regime
+            code, out, _ = run_cli(argv + ["--output", str(target)], capsys)
+            assert (code, out) == (expected, "")
+            assert target.read_bytes() == b"keep\n"
+        code, _, _ = run_cli(["mesh", "--eps0", "0.001", "--h", "1/16",
+                              "--output", str(target)], capsys)
+        assert code == 0
+        assert target.read_text().startswith("index,x,region\n")
+
 
 def per_cell_csv(header, columns):
     """CSV text formatted cell by cell: numbers as '%.17g' % float(v),

@@ -289,12 +289,13 @@ class TestTridiagonalSolve:
     def test_single_unknown_is_a_division(self, monkeypatch):
         # dgtsv rejects the empty off-diagonals of a 1 x 1 system
         with pytest.raises(ValueError, match="unexpected array size"):
-            fem.lapack.dgtsv(np.zeros(0), np.ones(1), np.zeros(0), np.ones(1))
+            scipy.linalg.lapack.dgtsv(np.zeros(0), np.ones(1), np.zeros(0), np.ones(1))
 
         def no_lapack(*args):
             raise AssertionError("dgtsv called for one unknown")
 
-        monkeypatch.setattr(fem.lapack, "dgtsv", no_lapack)
+        # fem imports lapack at call time, so the patch reaches solve_tridiagonal
+        monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", no_lapack)
         empty = np.zeros(0)
         sys_ = TridiagonalSystem(sub=empty, diag=np.array([4.0]), sup=empty,
                                  rhs=np.array([3.0]))

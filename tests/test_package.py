@@ -1,7 +1,10 @@
+import json
 import os
 import subprocess
 import sys
 import types
+
+import pytest
 
 import layerfem
 
@@ -28,3 +31,34 @@ def test_cli_import_leaves_out_scipy_optimize():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def _scipy_modules_after(code):
+    """The scipy modules that a fresh interpreter holds after running code."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(layerfem.__file__)))
+    code += ("\nimport json, sys; print(json.dumps(sorted("
+             "m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def test_cli_import_loads_no_scipy():
+    assert _scipy_modules_after("import layerfem.cli") == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["mesh", "--h", "1/64"], ["interp"],
+    ["verify", "--suite", "lemmas"], ["verify", "--suite", "barriers"]])
+def test_commands_that_never_solve_load_no_scipy(argv):
+    code = f"from layerfem import cli; assert cli.main({argv!r}) == 0"
+    assert _scipy_modules_after(code) == []
+
+
+def test_solve_loads_scipy_linalg_only():
+    # scipy is imported by the first tridiagonal solve, for dgtsv alone
+    code = "from layerfem import cli; assert cli.main(['solve', '--h', '1/64']) == 0"
+    loaded = _scipy_modules_after(code)
+    assert "scipy.linalg" in loaded
+    assert "scipy.optimize" not in loaded
