@@ -7,7 +7,9 @@ Three falsifiable checks behind the error analysis:
 1. an exponential-weight integral inequality (the workhorse lemma),
 2. positivity of the operator image of the layer barrier function,
 3. eps-uniformity of the pointwise derivative bounds, judged by how much
-   the ratio sup |u^(k)| / bound moves across three decades of eps0.
+   the ratio sup |u^(k)| / bound moves across three decades of eps0.  U0-U2
+   bound u, u', u'' through the stretched variable e(x); T0 and T1 bound u
+   and u' through the transformed variable etilde(x).
 
 The third check comes with a negative control: doubling the decay rate in
 the bound demands more decay than the solution actually has, and the
@@ -29,7 +31,8 @@ rng = np.random.default_rng(7)
 print("-- integral lemma, 50 random (a, x, l, gamma) tuples per scenario --")
 for name in ("eps-const", "eps-linear", "eps-exp"):
     scenario = get_scenario(name, 0.01)
-    rep = check_integral_lemma_random(scenario, 50, rng)
+    e = layer_integral(scenario.coeffs, "e")
+    rep = check_integral_lemma_random(scenario, 50, rng, e=e)
     print(f"{rep.name:45s} worst margin {rep.worst_margin:+.2e}  "
           f"{'PASS' if rep.passed else 'FAIL'}")
 
@@ -43,7 +46,7 @@ for name in ("eps-const", "eps-linear", "eps-exp", "manufactured"):
 
 print("\n-- derivative-bound uniformity across eps0 = 1e-3, 1e-5, 1e-7 --")
 family = lambda eps0: get_scenario("manufactured", eps0)
-for rep in check_bound_uniformity(family, ("U0", "U1")):
+for rep in check_bound_uniformity(family, ("U0", "U1", "U2", "T0", "T1")):
     print(f"{rep.name:45s} variation {rep.sup_ratio:8.3f}  "
           f"{'PASS' if rep.passed else 'FAIL'}")
 

@@ -3,9 +3,8 @@ convection-diffusion problems with variable small diffusion."""
 
 __version__ = "0.1.0"
 
-from .analysis import (ConvergenceTable, ErrorReport, convergence_study,
-                       energy_norm, error_report, interpolate,
-                       interpolation_study)
+from .analysis import (ErrorReport, convergence_study, energy_norm,
+                       error_report, interpolate, interpolation_study)
 from .calculus import (CumulativeIntegral, QuadratureRule, gauss_legendre,
                        integrate, invert_monotone, layer_integral)
 from .fem import (FemSolution, TridiagonalSystem, assemble, bilinear_form,
@@ -16,13 +15,12 @@ from .problem import (BoundCheckReport, CoefficientSet, ScalarFunction,
                       manufactured_rhs, validate_coefficients)
 from .verify import (check_barrier_operator, check_bound_uniformity,
                      check_integral_lemma, check_integral_lemma_random,
-                     check_solution_bounds, check_transformed_bounds,
-                     reference_solution, solution_bound_values,
-                     transformed_bound_values)
+                     check_solution_bounds, reference_solution,
+                     solution_bound_values, transformed_bound_values)
 
 # the public names, without the submodules that importing them binds here
 __all__ = [
-    "ConvergenceTable", "ErrorReport", "convergence_study", "energy_norm",
+    "ErrorReport", "convergence_study", "energy_norm",
     "error_report", "interpolate", "interpolation_study",
     "CumulativeIntegral", "QuadratureRule", "gauss_legendre", "integrate",
     "invert_monotone", "layer_integral",
@@ -33,6 +31,6 @@ __all__ = [
     "get_scenario", "manufactured_rhs", "validate_coefficients",
     "BoundCheckReport", "check_barrier_operator", "check_bound_uniformity",
     "check_integral_lemma", "check_integral_lemma_random",
-    "check_solution_bounds", "check_transformed_bounds", "reference_solution",
+    "check_solution_bounds", "reference_solution",
     "solution_bound_values", "transformed_bound_values",
 ]

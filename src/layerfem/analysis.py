@@ -1,4 +1,4 @@
-"""Interpolation, energy norms, error reports and convergence tables.
+"""Interpolation, energy norms, error reports and convergence studies.
 
 Error measurement against closed-form solutions uses 7-point Gauss per
 element (assembly uses 5).  That under-resolves element tau_index, the first
@@ -15,7 +15,8 @@ A finer solve is compared on its own nodes plus the coarse nodes it lacks,
 found by a binary search and inserted in place; it is interpolated only at
 those.  The eps integrals of its elements are the ones its assembly stored
 (FemSolution.eps_integrals), so eps is sampled again only on the two pieces
-of each reference element that an inserted node splits."""
+of each reference element that an inserted node splits.  Every eps sample
+is checked: a non-finite one raises EvaluationError."""
 
 import math
 
@@ -23,13 +24,15 @@ import numpy as np
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .calculus import _gauss_map, gauss_legendre, integrate, layer_integral
+from .calculus import (_finite_eval, _gauss_map, _panel_sums, gauss_legendre,
+                       integrate, layer_integral)
 from .errors import ConfigurationError, DegenerateRegimeError, ParameterError
 from .fem import _QUAD, FemSolution, _on_elements, galerkin_solve
 from .mesh import LayerMesh, build_mesh
 from .problem import ScalarFunction
 
 _ERR_QUAD = 7
+_G5 = gauss_legendre(_QUAD)  # assembly's rule, which made FemSolution.eps_integrals
 _REFERENCE_REFINE = 16  # h / reference h when there is no closed form
 
 
@@ -53,15 +56,7 @@ def _error_on_elements(nodes, coefficients, exact):
 def _norms_on_elements(nodes, coefficients, eps_fn, exact):
     """Per-element (integral of d^2, integral of eps * d'^2), d as above."""
     gx, half, wq, d, dd = _error_on_elements(nodes, coefficients, exact)
-    return half * (wq @ (d * d)), half * (wq @ (eps_fn(gx) * dd * dd))
-
-
-def _eps_integrals(lefts, rights, eps_fn):
-    """Integrals of eps over the elements [lefts_i, rights_i] by assembly's
-    5-point Gauss rule (fem._QUAD)."""
-    rule = gauss_legendre(_QUAD)
-    gx, half = _gauss_map(lefts, rights, rule)
-    return half * (rule.weights @ eps_fn(gx))
+    return half * (wq @ (d * d)), half * (wq @ (_finite_eval(eps_fn, gx) * dd * dd))
 
 
 def _linear_norms(nodes, values, eps_int):
@@ -96,7 +91,7 @@ def energy_norm(v, coeffs) -> float:
     if isinstance(v, FemSolution):
         nodes = v.mesh.nodes
         l2, wg = _linear_norms(nodes, v.coefficients,
-                               _eps_integrals(nodes[:-1], nodes[1:], coeffs.eps))
+                               _panel_sums(coeffs.eps, nodes[:-1], nodes[1:], _G5))
         return math.sqrt(l2.sum() + wg.sum())
     bp = np.concatenate(([0.0], np.geomspace(1e-12, 1.0, 257)))
     val = integrate(lambda x: coeffs.eps(x) * v.d(x) ** 2 + v(x) ** 2,
@@ -126,13 +121,13 @@ def error_report(sol: FemSolution, scenario,
         ref_vals = np.insert(reference.coefficients, at, reference(extra))
         eps_int = reference.eps_integrals
         if eps_int is None:
-            eps_int = _eps_integrals(fine[:-1], fine[1:], eps_fn)
+            eps_int = _panel_sums(eps_fn, fine[:-1], fine[1:], _G5)
         eps_int = np.insert(eps_int, at, 0.0)
         # merged node p = at + (nodes inserted before it) splits its reference
         # element into merged elements p - 1 and p
         p = at + np.arange(len(extra))
         split = np.concatenate((p - 1, p))
-        eps_int[split] = _eps_integrals(merged[split], merged[split + 1], eps_fn)
+        eps_int[split] = _panel_sums(eps_fn, merged[split], merged[split + 1], _G5)
         l2, wg = _linear_norms(merged, ref_vals - sol(merged), eps_int)
         kind = "fine-mesh"
     else:
@@ -157,26 +152,14 @@ class ConvergenceRow:
     skipped_reason: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class ConvergenceTable:
-    rows: tuple
-
-    def rates(self, eps0: float):
-        return [r.rate for r in self.rows
-                if r.eps0 == eps0 and r.rate is not None]
-
-    def errors(self, eps0: float):
-        return [(r.h, r.energy_error) for r in self.rows
-                if r.eps0 == eps0 and r.skipped_reason is None]
-
-
 def observed_rate(err_coarse, err_fine, h_coarse, h_fine) -> float:
     return math.log(err_coarse / err_fine) / math.log(h_coarse / h_fine)
 
 
 def convergence_study(scenario_family: Callable[[float], "object"],
-                      h_list, eps0_list, delta: float = 1.0) -> ConvergenceTable:
-    """Cartesian (h, eps0) sweep of solve + error measurement.
+                      h_list, eps0_list, delta: float = 1.0) -> tuple:
+    """Cartesian (h, eps0) sweep of solve + error measurement, returned as a
+    tuple of ConvergenceRow, eps0 ascending and h descending within each.
 
     Scenarios without a closed-form solution are measured against a solve of
     the same mesh family at h/_REFERENCE_REFINE; a reference whose mesh
@@ -224,7 +207,7 @@ def convergence_study(scenario_family: Callable[[float], "object"],
                 energy_error=rep.energy_error, l2_error=rep.l2_error,
                 rate=rate))
             prev = (h, rep.energy_error)
-    return ConvergenceTable(rows=tuple(rows))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -260,7 +243,7 @@ def interpolation_study(scenario, h_list, delta: float = 1.0):
 
         # the layer norms share one Gauss grid and one evaluation of E - E^I
         gx, half, wq, d, dd = _error_on_elements(msh.nodes, lay(msh.nodes), lay)
-        eps_g = coeffs.eps(gx)
+        eps_g = _finite_eval(coeffs.eps, gx)
         e_l2 = half * (wq @ (d * d))
         e_wh1 = half * (wq @ (eps_g * dd * dd))
         e_invl2 = half * (wq @ (d * d / eps_g))  # weight 1/eps
@@ -275,9 +258,3 @@ def interpolation_study(scenario, h_list, delta: float = 1.0):
             layer_wh1_fine=math.sqrt(e_wh1[:k].sum()),
         ))
     return rows
-
-
-def rates_of(values, hs):
-    """Observed rates between consecutive table entries (h descending)."""
-    return [observed_rate(values[i], values[i + 1], hs[i], hs[i + 1])
-            for i in range(len(values) - 1)]

@@ -88,15 +88,21 @@ def _gauss_map(lefts, rights, rule: QuadratureRule):
     return x, half
 
 
+def _finite_eval(f, x: np.ndarray) -> np.ndarray:
+    """_vec_eval(f, x) for points-major Gauss points x; a non-finite sample
+    raises EvaluationError naming the first such x, panel by panel."""
+    y = _vec_eval(f, x)
+    if not np.all(np.isfinite(y)):
+        bad = x.T[~np.isfinite(y.T)]
+        raise EvaluationError(f"non-finite integrand sample at x={float(bad[0])!r}")
+    return y
+
+
 def _panel_sums(f, lefts, rights, rule: QuadratureRule) -> np.ndarray:
     """Gauss sums of f over a batch of panels [lefts_i, rights_i]."""
     x, half = _gauss_map(np.asarray(lefts, dtype=float),
                          np.asarray(rights, dtype=float), rule)
-    y = _vec_eval(f, x)
-    if not np.all(np.isfinite(y)):
-        bad = x.T[~np.isfinite(y.T)]  # panel by panel: the first bad x in order
-        raise EvaluationError(f"non-finite integrand sample at x={bad[0]!r}")
-    return (rule.weights @ y) * half
+    return (rule.weights @ _finite_eval(f, x)) * half
 
 
 def _panel_rows(f, lefts, rights, wholes, depths):
@@ -113,7 +119,7 @@ def integrate(
     f: Callable,
     a: float,
     b: float,
-    breakpoints=None,
+    breakpoints=(),
 ) -> float:
     """Adaptive composite 5-point Gauss quadrature of f over [a, b].
 
@@ -125,7 +131,7 @@ def integrate(
     most _REL_TOL times the running integral.  ConvergenceError is raised
     past _MAX_DEPTH bisections of a panel or _MAX_PANELS live panels, so a
     noisy integrand fails fast.
-    Optional breakpoints seed the initial panelization, which is how
+    Breakpoints inside (a, b) seed the initial panelization, which is how
     callers with known layer locations keep the bisection shallow.
     """
     if not (np.isfinite(a) and np.isfinite(b)):
@@ -135,12 +141,9 @@ def integrate(
     if a == b:
         return 0.0
 
-    if breakpoints is None:
-        edges = np.array([a, b], dtype=float)
-    else:
-        inner = np.asarray(breakpoints, dtype=float)
-        inner = inner[(inner > a) & (inner < b)]
-        edges = np.unique(np.concatenate(([a], inner, [b])))
+    inner = np.asarray(breakpoints, dtype=float)
+    inner = inner[(inner > a) & (inner < b)]
+    edges = np.unique(np.concatenate(([a], inner, [b])))
 
     lefts, rights = edges[:-1], edges[1:]
     panels = _panel_rows(f, lefts, rights, _panel_sums(f, lefts, rights, _G5),

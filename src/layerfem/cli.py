@@ -137,12 +137,12 @@ def cmd_converge(args):
     eps0_list = _parse_list(args.eps0)
     h_list = _parse_list(args.h, parse_h)
     family = lambda eps0: get_scenario(args.scenario, eps0)
-    table = convergence_study(family, h_list, eps0_list, args.delta)
+    study = convergence_study(family, h_list, eps0_list, args.delta)
     rows = [
         (r.eps0, r.h, r.node_count, r.energy_error, r.l2_error, r.rate)
-        for r in table.rows if r.skipped_reason is None
+        for r in study if r.skipped_reason is None
     ]
-    for r in table.rows:
+    for r in study:
         if r.skipped_reason is not None:
             sys.stderr.write(f"skipped eps0={r.eps0} h={r.h}: {r.skipped_reason}\n")
     return rows, ["eps0", "h", "nodes", "energy_err", "l2_err", "rate"], 0

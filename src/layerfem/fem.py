@@ -73,13 +73,6 @@ class FemSolution:
     def __call__(self, x):
         return np.interp(x, self.mesh.nodes, self.coefficients)
 
-    def deriv(self, x):
-        """Element-wise slope; at nodes the right-hand element is used."""
-        slopes = self.slopes
-        idx = np.clip(np.searchsorted(self.mesh.nodes, x, side="right") - 1,
-                      0, len(slopes) - 1)
-        return slopes[idx]
-
     @property
     def slopes(self) -> np.ndarray:
         return np.diff(self.coefficients) / np.diff(self.mesh.nodes)

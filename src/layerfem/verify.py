@@ -2,16 +2,15 @@
 
 Covered: the exponential-weight integral inequality, positivity of the
 barrier-function operator image, and bounded-ratio checks of the pointwise
-derivative bounds (both in the original variable, driven by e(x), and in the
-transformed variable, driven by etilde(x)).  "The constant is eps-uniform"
-is operationalized as: the sup of |w^(k)| / bound varies by at most 4x
-across three decades of eps0.
+derivative bounds, U0-U2 through e(x) and T0, T1 through etilde(x), named in
+one table (_BOUNDS).  "The constant is eps-uniform" is operationalized as:
+the sup of |w^(k)| / bound varies by at most 4x across three decades of
+eps0.  Every check takes the layer integral it needs as an argument.
 """
 
 import math
 
 import numpy as np
-from typing import Optional
 
 from .calculus import CumulativeIntegral, integrate, layer_integral
 from .errors import ConfigurationError, ParameterError
@@ -28,13 +27,13 @@ _H_REF = 1.0 / 512  # h of reference solves, the coarsest that bound checks take
 
 def check_integral_lemma(coeffs, a: float, x: float, ell: int,
                          gamma_param: float,
-                         e: Optional[CumulativeIntegral] = None) -> BoundCheckReport:
+                         e: CumulativeIntegral) -> BoundCheckReport:
     """Verify  int_a^x eps^l exp(g e_a)  <=  (eps(x)^(l+1) exp(g e_a(x)) - eps(a)^(l+1)) / (g + (l+1) s0).
 
     s0 is the minimum of eps' over _LEMMA_SAMPLES points of [a, x] and must
     be nonnegative; the inequality requires g > -(l+1) s0.  For positive g
     both sides are rescaled by exp(-g e_a(x)) so that huge layer exponents
-    never overflow.
+    never overflow.  e is the layer integral of coeffs, kind "e".
 
     Equality holds whenever eps' is constant on [a, x] (eps-const,
     eps-linear, manufactured): then d/dt[eps^(l+1) exp(g e_a)] equals
@@ -51,8 +50,6 @@ def check_integral_lemma(coeffs, a: float, x: float, ell: int,
         raise ParameterError("integral inequality requires eps' >= 0 on [a, x]")
     if gamma_param <= -(ell + 1) * sigma0:
         raise ParameterError("gamma must exceed -(ell + 1) * sigma0")
-    if e is None:
-        e = layer_integral(coeffs, "e")
 
     eps = coeffs.eps
     e_a, e_x = e(a), e(x)
@@ -78,12 +75,10 @@ def check_integral_lemma(coeffs, a: float, x: float, ell: int,
 
 
 def check_integral_lemma_random(scenario, n_tuples: int, rng,
-                                e: Optional[CumulativeIntegral] = None) -> BoundCheckReport:
-    """Aggregate of n_tuples >= 1 randomized integral-lemma instances."""
+                                e: CumulativeIntegral) -> BoundCheckReport:
+    """Aggregate of n_tuples >= 1 randomized integral-lemma instances on e."""
     if n_tuples < 1:
         raise ParameterError("n_tuples must be at least 1")
-    if e is None:
-        e = layer_integral(scenario.coeffs, "e")
     worst = math.inf
     worst_pt = math.nan
     passed = True
@@ -165,7 +160,21 @@ def transformed_bound_values(coeffs, xs, etilde_vals, k: int,
     raise ParameterError("k must be 0 or 1 for the transformed bounds")
 
 
-_WHICH_TO_K = {"U0": 0, "U1": 1, "U2": 2}
+# bound name -> (layer integral kind, derivative order k, right-hand side)
+_BOUNDS = {
+    "U0": ("e", 0, solution_bound_values),
+    "U1": ("e", 1, solution_bound_values),
+    "U2": ("e", 2, solution_bound_values),
+    "T0": ("etilde", 0, transformed_bound_values),
+    "T1": ("etilde", 1, transformed_bound_values),
+}
+
+
+def _bound(which: str):
+    """The _BOUNDS entry of which; an unknown name raises ParameterError."""
+    if which not in _BOUNDS:
+        raise ParameterError(f"unknown bound {which!r}; known: {', '.join(_BOUNDS)}")
+    return _BOUNDS[which]
 
 
 def _derivative_samples(reference: FemSolution, k: int):
@@ -186,84 +195,60 @@ def _derivative_samples(reference: FemSolution, k: int):
     return nodes[2:-2], (2.0 * (s2 - s1) / (w1 + w2))[1:-1]
 
 
-def _bounded_ratio(name, scenario, reference: FemSolution, k: int,
-                   bound_values, beta_factor: float,
-                   integral: Optional[CumulativeIntegral],
-                   kind: str) -> BoundCheckReport:
-    """Sup of |w^(k)| / bound_values(coeffs, xs, integral(xs), k, beta_factor)
-    on a reference solve; integral defaults to the layer integral of kind."""
+def check_solution_bounds(scenario, reference: FemSolution, which: str,
+                          integral: CumulativeIntegral,
+                          beta_factor: float = 1.0) -> BoundCheckReport:
+    """Sup of |w^(k)| / bound on a reference solve for the bound named which
+    (U0, U1, U2, T0 or T1); passes iff finite.
+
+    integral is the scenario's layer integral of the kind the bound is
+    stated in: "e" for U0-U2, "etilde" for T0 and T1.  eps-uniformity of the
+    hidden constant is the content of the bound and is judged across eps0
+    by check_bound_uniformity.
+    """
+    _, k, bound_values = _bound(which)
     if reference.mesh.h > _H_REF + 1e-12:
         raise ConfigurationError("reference solve too coarse (need h <= 1/512)")
-    if integral is None:
-        integral = layer_integral(scenario.coeffs, kind)
     xs, dk = _derivative_samples(reference, k)
     bound = bound_values(scenario.coeffs, xs, integral(xs), k, beta_factor)
     ratios = np.abs(dk) / bound
     i = int(np.argmax(ratios))
     sup = float(ratios[i])
     return BoundCheckReport(
-        name=name, sample_count=len(xs), worst_margin=-sup,
-        worst_point=float(xs[i]), passed=bool(np.isfinite(sup)), sup_ratio=sup)
+        name=f"solution-bound-{which}[{scenario.name}]", sample_count=len(xs),
+        worst_margin=-sup, worst_point=float(xs[i]),
+        passed=bool(np.isfinite(sup)), sup_ratio=sup)
 
 
-def check_solution_bounds(scenario, reference: FemSolution, which: str,
-                          beta_factor: float = 1.0,
-                          e: Optional[CumulativeIntegral] = None) -> BoundCheckReport:
-    """Sup of |w^(k)| / bound_k on a reference solve; passes iff finite.
-
-    eps-uniformity of the hidden constant is the content of the bound and is
-    judged across eps0 by check_bound_uniformity.
-    """
-    if which not in _WHICH_TO_K:
-        raise ParameterError("which must be one of U0, U1, U2")
-    return _bounded_ratio(
-        f"solution-bound-{which}[{scenario.name}]", scenario, reference,
-        _WHICH_TO_K[which], solution_bound_values, beta_factor, e, "e")
-
-
-def check_transformed_bounds(scenario, reference: FemSolution, which: str,
-                             beta_factor: float = 1.0,
-                             etilde: Optional[CumulativeIntegral] = None) -> BoundCheckReport:
-    """Same bounded-ratio protocol against the etilde-based bounds (k = 0, 1)."""
-    if which not in ("U0", "U1"):
-        raise ParameterError("transformed bounds are checked for U0 and U1")
-    return _bounded_ratio(
-        f"transformed-bound-{which}[{scenario.name}]", scenario, reference,
-        _WHICH_TO_K[which], transformed_bound_values, beta_factor, etilde,
-        "etilde")
-
-
-def reference_solution(scenario,
-                       e: Optional[CumulativeIntegral] = None) -> FemSolution:
-    """Galerkin solve at h = _H_REF."""
-    if e is None:
-        e = layer_integral(scenario.coeffs, "e")
+def reference_solution(scenario, e: CumulativeIntegral) -> FemSolution:
+    """Galerkin solve at h = _H_REF on the mesh built from the layer integral e."""
     msh = build_mesh(scenario.coeffs, e, _H_REF)
     return galerkin_solve(scenario, msh)
 
 
 def check_bound_uniformity(scenario_family, which: tuple,
-                           beta_factor: float = 1.0,
-                           transformed: bool = False) -> tuple:
+                           beta_factor: float = 1.0) -> tuple:
     """Cross-eps0 uniformity of the sup ratio over _UNIFORMITY_EPS0, on
     reference solves at h = 1/512: max/min must stay <= 4.
 
-    which is a tuple of bound names ("U0", "U1", ...); one report is
-    returned per name, in order, all judged on the same layer integral and
-    reference solve per eps0.  A family is a callable eps0 -> Scenario.
-    This is the falsifiable content of "the constant C does not depend on eps".
+    which is a tuple of bound names of check_solution_bounds; an unknown
+    name raises ParameterError before any solve.  One report is returned
+    per name, in order, all judged on the same reference solve per eps0,
+    and each layer integral the names need is built once per eps0.  A
+    family is a callable eps0 -> Scenario.  This is the falsifiable content
+    of "the constant C does not depend on eps".
     """
+    kinds = [_bound(name)[0] for name in which]
     rows = []  # one row per eps0, one report per name
     for eps0 in _UNIFORMITY_EPS0:
         scenario = scenario_family(eps0)
-        e = layer_integral(scenario.coeffs, "e")
-        ref = reference_solution(scenario, e=e)
-        if transformed:
-            check, integral = (check_transformed_bounds,
-                               layer_integral(scenario.coeffs, "etilde"))
-        else:
-            check, integral = check_solution_bounds, e
-        rows.append([check(scenario, ref, k, beta_factor, integral) for k in which])
+        # "e" builds the reference mesh whether or not a bound is stated in it
+        integrals = {kind: layer_integral(scenario.coeffs, kind)
+                     for kind in dict.fromkeys(["e"] + kinds)}
+        ref = reference_solution(scenario, integrals["e"])
+        rows.append([check_solution_bounds(scenario, ref, name,
+                                           integrals[kind], beta_factor)
+                     for name, kind in zip(which, kinds)])
     out = []
     for per_name in zip(*rows):
         sups = np.array([rep.sup_ratio for rep in per_name])

@@ -8,17 +8,15 @@ import pytest
 
 from layerfem import analysis
 from layerfem.analysis import (
-    ConvergenceTable,
     energy_norm,
     error_report,
     convergence_study,
     interpolate,
     interpolation_study,
     observed_rate,
-    rates_of,
 )
 from layerfem.calculus import gauss_legendre, layer_integral
-from layerfem.errors import ConfigurationError, ParameterError
+from layerfem.errors import ConfigurationError, EvaluationError, ParameterError
 from layerfem.fem import FemSolution, galerkin_solve
 from layerfem.mesh import LayerMesh, build_mesh
 from layerfem.problem import SCENARIO_NAMES, ScalarFunction, Scenario, get_scenario
@@ -33,6 +31,19 @@ def uniform_mesh(n_nodes):
 def ds_mesh(scenario, h):
     e = layer_integral(scenario.coeffs, "e")
     return build_mesh(scenario.coeffs, e, h)
+
+
+def slope_at(sol, x):
+    """Element-wise slope of an FE function; at nodes the right-hand element."""
+    idx = np.clip(np.searchsorted(sol.mesh.nodes, x, side="right") - 1,
+                  0, len(sol.slopes) - 1)
+    return sol.slopes[idx]
+
+
+def rates_of(values, hs):
+    """Observed rates between consecutive table entries (h descending)."""
+    return [observed_rate(values[i], values[i + 1], hs[i], hs[i + 1])
+            for i in range(len(values) - 1)]
 
 
 class TestInterpolate:
@@ -109,7 +120,7 @@ class TestErrorReport:
         sol = galerkin_solve(sc, mesh)
         wrapped = Scenario(
             name="self", coeffs=sc.coeffs,
-            exact=ScalarFunction(value=sol, deriv=sol.deriv),
+            exact=ScalarFunction(value=sol, deriv=lambda x: slope_at(sol, x)),
             smooth_exemplar=None, layer_exemplar=None)
         rep = error_report(sol, wrapped)
         assert rep.energy_error <= 1e-13
@@ -135,7 +146,7 @@ class TestErrorReport:
         assert np.all(np.diff(merged_meshes[0]) > 0)
         assert_report_matches(rep, *oracle_norms(
             merged, lambda x: ref(x) - sol(x),
-            lambda x: ref.deriv(x) - sol.deriv(x), sc.coeffs.eps))
+            lambda x: slope_at(ref, x) - slope_at(sol, x), sc.coeffs.eps))
 
     def test_two_coarse_nodes_in_one_reference_element(self):
         # the reference element [0.3, 0.52] holds the coarse nodes 0.375 and
@@ -151,7 +162,7 @@ class TestErrorReport:
         assert_report_matches(
             error_report(sol, sc, reference=ref),
             *oracle_norms(merged, lambda x: ref(x) - sol(x),
-                          lambda x: ref.deriv(x) - sol.deriv(x), sc.coeffs.eps))
+                          lambda x: slope_at(ref, x) - slope_at(sol, x), sc.coeffs.eps))
 
     @pytest.mark.parametrize("name", ["eps-const", "eps-linear", "eps-exp"])
     @pytest.mark.parametrize("eps0", [1e-2, 1e-6, 1e-12])
@@ -210,7 +221,7 @@ def assert_report_matches(rep, l2, wg):
 
 class TestMatchesPointwiseOracle:
     # the library evaluates FE functions from their nodal values; the oracle
-    # calls np.interp and deriv at each Gauss point
+    # calls np.interp and slope_at at each Gauss point
 
     @pytest.mark.parametrize("eps0", [1e-2, 1e-6, 1e-12])
     @pytest.mark.parametrize("h", [1.0 / 16, 1.0 / 128, 1.0 / 1024])
@@ -220,8 +231,8 @@ class TestMatchesPointwiseOracle:
         u, eps = sc.exact, sc.coeffs.eps
         nodes = sol.mesh.nodes
         assert_report_matches(error_report(sol, sc), *oracle_norms(
-            nodes, lambda x: u(x) - sol(x), lambda x: u.d(x) - sol.deriv(x), eps))
-        l2, wg = oracle_norms(nodes, sol, sol.deriv, eps)
+            nodes, lambda x: u(x) - sol(x), lambda x: u.d(x) - slope_at(sol, x), eps))
+        l2, wg = oracle_norms(nodes, sol, lambda x: slope_at(sol, x), eps)
         assert energy_norm(sol, sc.coeffs) == pytest.approx(
             math.sqrt(l2 + wg), rel=1e-12, abs=0)
 
@@ -239,7 +250,7 @@ class TestMatchesPointwiseOracle:
         assert_report_matches(
             error_report(sol, sc, reference=ref),
             *oracle_norms(merged, lambda x: ref(x) - sol(x),
-                          lambda x: ref.deriv(x) - sol.deriv(x), sc.coeffs.eps))
+                          lambda x: slope_at(ref, x) - slope_at(sol, x), sc.coeffs.eps))
 
 
 _REFERENCE_JSON = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
@@ -256,10 +267,10 @@ def test_convergence_matches_recorded_rows(name):
                     for r in json.load(fh)["sweep"]["converge"]
                     if r["scenario"] == name}
     hs = [1.0 / 16, 1.0 / 32, 1.0 / 64, 1.0 / 128, 1.0 / 256]
-    table = convergence_study(lambda eps0: get_scenario(name, eps0), hs,
-                              [1e-12, 1e-07, 0.01])
-    assert len(table.rows) == 15
-    for row in table.rows:
+    rows = convergence_study(lambda eps0: get_scenario(name, eps0), hs,
+                             [1e-12, 1e-07, 0.01])
+    assert len(rows) == 15
+    for row in rows:
         want = recorded[(row.eps0, row.h)]
         assert row.skipped_reason is None
         assert row.node_count == want["nodes"]
@@ -278,9 +289,9 @@ class TestConvergenceStudy:
         monkeypatch.setattr(analysis, "galerkin_solve", counting_solve)
         hs = [1.0 / 16, 1.0 / 32, 1.0 / 64, 1.0 / 128, 1.0 / 256]
         sc = get_scenario("eps-exp", 1e-6)
-        table = convergence_study(lambda eps0: sc, hs, [1e-6])
+        rows = convergence_study(lambda eps0: sc, hs, [1e-6])
         assert len(solves) == 9 and solves.count(1.0 / 256) == 1
-        last = table.rows[-1]
+        last = rows[-1]
         fine = galerkin_solve(sc, ds_mesh(sc, 1.0 / 256))
         ref = galerkin_solve(sc, ds_mesh(sc, 1.0 / 4096))
         assert last.energy_error == error_report(fine, sc, ref).energy_error
@@ -323,9 +334,9 @@ class TestConvergenceStudy:
 
         monkeypatch.setattr(analysis, "galerkin_solve", solve)
         monkeypatch.setattr(analysis, "error_report", report)
-        table = convergence_study(lambda eps0: spied, [1.0 / 16, 1.0 / 32],
-                                  [1e-6])
-        assert len(table.rows) == 2
+        rows = convergence_study(lambda eps0: spied, [1.0 / 16, 1.0 / 32],
+                                 [1e-6])
+        assert len(rows) == 2
         assert len(solved) == 4 and len(reported) == 2
         for elements, seen in solved:
             assert seen == [("solve", (5, elements))]
@@ -334,22 +345,22 @@ class TestConvergenceStudy:
 
     def test_manufactured_table(self):
         hs = [1.0 / 8, 1.0 / 16, 1.0 / 32]
-        table = convergence_study(
+        rows = convergence_study(
             lambda eps0: get_scenario("manufactured", eps0), hs, [1e-3, 1e-5])
-        assert isinstance(table, ConvergenceTable)
-        assert len(table.rows) == 6
+        assert isinstance(rows, tuple)
+        assert len(rows) == 6
         for eps0 in (1e-3, 1e-5):
-            rates = table.rates(eps0)
+            rates = [r.rate for r in rows if r.eps0 == eps0 and r.rate is not None]
             assert len(rates) == 2
             assert all(r >= 0.9 for r in rates)
 
     def test_degenerate_cell_skipped(self):
         # tau* = -2 eps0 ln h grows as h shrinks, so only the finer cell
         # crosses 1/2 and gets skipped
-        table = convergence_study(
+        rows = convergence_study(
             lambda eps0: get_scenario("manufactured", eps0), [0.25, 1.0 / 16],
             [0.095])
-        skipped = [r for r in table.rows if r.skipped_reason is not None]
+        skipped = [r for r in rows if r.skipped_reason is not None]
         assert len(skipped) == 1 and skipped[0].h == 1.0 / 16
 
     def test_repeated_h_is_parameter_error(self):
@@ -366,11 +377,11 @@ class TestConvergenceStudy:
                                 [1.0 / 16, 1.0 / 16, 0.0625])
 
     def test_fine_mesh_reference_family(self):
-        table = convergence_study(
+        rows = convergence_study(
             lambda eps0: get_scenario("eps-exp", eps0), [1.0 / 8, 1.0 / 16],
             [1e-4])
-        errs = table.errors(1e-4)
-        assert len(errs) == 2 and errs[0][1] > errs[1][1] > 0
+        errs = [r.energy_error for r in rows]
+        assert len(errs) == 2 and errs[0] > errs[1] > 0
 
 
 class TestInterpolationStudy:
@@ -397,6 +408,37 @@ class TestInterpolationStudy:
                             smooth_exemplar=None, layer_exemplar=None)
         with pytest.raises(ConfigurationError):
             interpolation_study(stripped, [1.0 / 16])
+
+
+def _poisoned_eps(sc):
+    """sc with eps NaN for x > 0.7."""
+    eps = sc.coeffs.eps
+    bad = lambda x: np.where(np.asarray(x) > 0.7, np.nan, eps.value(x))
+    return dataclasses.replace(sc, coeffs=dataclasses.replace(
+        sc.coeffs, eps=dataclasses.replace(eps, value=bad, const=None)))
+
+
+@pytest.mark.parametrize("entry", ["energy_norm", "closed-form report",
+                                   "hand-built reference", "interpolation"])
+def test_nonfinite_eps_raises(entry):
+    # the first three once returned energy_error = nan without an error;
+    # every entry point names the first bad x as a plain float
+    sc = get_scenario("manufactured", 1e-4)
+    bad = _poisoned_eps(sc)
+    h = 1.0 / 16
+    sol = galerkin_solve(sc, ds_mesh(sc, h))
+    ref = galerkin_solve(sc, ds_mesh(sc, h / 16))
+    calls = {
+        "energy_norm": lambda: energy_norm(
+            interpolate(sc.exact, sol.mesh), bad.coeffs),
+        "closed-form report": lambda: error_report(sol, bad),
+        "hand-built reference": lambda: error_report(
+            sol, bad, reference=FemSolution(ref.mesh, ref.coefficients)),
+        "interpolation": lambda: interpolation_study(bad, [h]),
+    }
+    with pytest.raises(EvaluationError,
+                       match=r"^non-finite integrand sample at x=0\.7\d*$"):
+        calls[entry]()
 
 
 def test_observed_rate_identity():

@@ -16,6 +16,25 @@ def test_all_names_resolve_and_none_is_a_module():
         assert not isinstance(obj, types.ModuleType), name
 
 
+def test_public_names_are_pinned():
+    # adding or dropping a public name shows in this list
+    assert sorted(layerfem.__all__) == [
+        "BoundCheckReport", "CoefficientSet", "CumulativeIntegral",
+        "ErrorReport", "FemSolution", "LayerMesh", "QuadratureRule",
+        "ScalarFunction", "Scenario", "TridiagonalSystem", "assemble",
+        "bilinear_form", "build_mesh", "builtin_scenarios",
+        "check_barrier_operator", "check_bound_uniformity",
+        "check_integral_lemma", "check_integral_lemma_random",
+        "check_solution_bounds", "compute_tau_star", "convergence_study",
+        "energy_norm", "error_report", "galerkin_solve", "gauss_legendre",
+        "get_scenario", "integrate", "interpolate", "interpolation_study",
+        "invert_monotone", "layer_integral", "manufactured_rhs",
+        "predict_cardinality", "reference_solution", "solution_bound_values",
+        "solve_tridiagonal", "transformed_bound_values",
+        "validate_coefficients",
+    ]
+
+
 def test_one_check_report_type():
     # assumption checks and bound checks report through the same class
     from layerfem import problem, verify

@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from layerfem import verify
 from layerfem.calculus import layer_integral
 from layerfem.errors import ConfigurationError, ParameterError
 from layerfem.fem import FemSolution
 from layerfem.mesh import build_mesh
 from layerfem.problem import (
+    SCENARIO_NAMES,
     CoefficientSet,
     ScalarFunction,
     builtin_scenarios,
@@ -20,7 +22,6 @@ from layerfem.verify import (
     check_integral_lemma,
     check_integral_lemma_random,
     check_solution_bounds,
-    check_transformed_bounds,
     reference_solution,
     solution_bound_values,
     transformed_bound_values,
@@ -35,11 +36,16 @@ def const_coeffs(eps=0.01, b=2.0, c=1.0, beta=1.0):
         eps_lower=eps, eps_upper=eps, sigma=0.0)
 
 
+def lemma(coeffs, a, x, ell, gamma):
+    return check_integral_lemma(coeffs, a, x, ell, gamma,
+                                layer_integral(coeffs, "e"))
+
+
 class TestIntegralLemma:
     def test_constant_eps_is_equality(self):
         # sigma0 = 0: int_0^x exp(g t / eps) = eps/g (exp(g x/eps) - 1),
         # which is exactly the right-hand side -- margin ~ 0
-        rep = check_integral_lemma(const_coeffs(), 0.0, 0.5, 0, 1.0)
+        rep = lemma(const_coeffs(), 0.0, 0.5, 0, 1.0)
         assert rep.passed
         assert abs(rep.worst_margin) <= 1e-8
 
@@ -49,7 +55,7 @@ class TestIntegralLemma:
         # the lemma holds with equality and the margin is roundoff of
         # either sign.  The strict case is test_exp_eps_strict_inequality.
         sc = get_scenario("eps-linear", 0.01)
-        rep = check_integral_lemma(sc.coeffs, 0.1, 0.9, 0, 1.0)
+        rep = lemma(sc.coeffs, 0.1, 0.9, 0, 1.0)
         assert rep.passed
         assert abs(rep.worst_margin) <= 1e-8
 
@@ -57,30 +63,31 @@ class TestIntegralLemma:
         # eps' = eps varies on [a, x], so s0 = min eps' < eps' somewhere
         # and the lemma is not tight
         sc = get_scenario("eps-exp", 0.01)
-        rep = check_integral_lemma(sc.coeffs, 0.1, 0.9, 0, 1.0)
+        rep = lemma(sc.coeffs, 0.1, 0.9, 0, 1.0)
         assert rep.passed and rep.worst_margin > 1e-3
 
     def test_higher_power(self):
         sc = get_scenario("eps-exp", 0.01)
-        rep = check_integral_lemma(sc.coeffs, 0.0, 1.0, 1, 0.5)
+        rep = lemma(sc.coeffs, 0.0, 1.0, 1, 0.5)
         assert rep.passed
 
     def test_gamma_at_threshold_rejected(self):
         # gamma = -(l+1) sigma0 makes the denominator vanish
         rep_coeffs = const_coeffs()
         with pytest.raises(ParameterError):
-            check_integral_lemma(rep_coeffs, 0.0, 1.0, 0, 0.0)
+            lemma(rep_coeffs, 0.0, 1.0, 0, 0.0)
 
     def test_bad_interval(self):
         with pytest.raises(ParameterError):
-            check_integral_lemma(const_coeffs(), 0.5, 0.5, 0, 1.0)
+            lemma(const_coeffs(), 0.5, 0.5, 0, 1.0)
 
     @pytest.mark.parametrize("name", ["eps-const", "eps-linear", "eps-exp",
                                       "manufactured"])
     def test_random_tuples_no_violation(self, name):
         sc = get_scenario(name, 0.01)
         rng = np.random.default_rng(42)
-        rep = check_integral_lemma_random(sc, 25, rng)
+        rep = check_integral_lemma_random(sc, 25, rng,
+                                          layer_integral(sc.coeffs, "e"))
         assert rep.passed
         assert rep.worst_margin >= -1e-8
 
@@ -88,7 +95,8 @@ class TestIntegralLemma:
         # zero instances would report PASS with worst_margin = inf
         sc = get_scenario("eps-const", 0.01)
         with pytest.raises(ParameterError):
-            check_integral_lemma_random(sc, 0, np.random.default_rng(0))
+            check_integral_lemma_random(sc, 0, np.random.default_rng(0),
+                                        layer_integral(sc.coeffs, "e"))
 
 
 class TestBarrierOperator:
@@ -169,26 +177,29 @@ class TestBoundValues:
 class TestSolutionBounds:
     def test_reference_too_coarse(self, monkeypatch):
         sc = get_scenario("eps-const", 1e-3)
+        e = layer_integral(sc.coeffs, "e")
         with monkeypatch.context() as m:
             m.setattr("layerfem.verify._H_REF", 1.0 / 64)
-            ref = reference_solution(sc)
+            ref = reference_solution(sc, e)
         with pytest.raises(ConfigurationError):
-            check_solution_bounds(sc, ref, "U0")
+            check_solution_bounds(sc, ref, "U0", e)
 
     def test_bad_which(self):
         sc = get_scenario("eps-const", 1e-3)
-        ref = reference_solution(sc)
-        with pytest.raises(ParameterError):
-            check_solution_bounds(sc, ref, "U7")
+        e = layer_integral(sc.coeffs, "e")
+        ref = reference_solution(sc, e)
+        with pytest.raises(ParameterError, match="'U7'; known: U0, U1, U2, T0, T1"):
+            check_solution_bounds(sc, ref, "U7", e)
 
     def test_single_solve_ratios_finite(self):
         sc = get_scenario("manufactured", 1e-4)
-        ref = reference_solution(sc)
-        for which in ("U0", "U1", "U2"):
-            rep = check_solution_bounds(sc, ref, which)
-            assert rep.passed and np.isfinite(rep.sup_ratio)
-        for which in ("U0", "U1"):
-            rep = check_transformed_bounds(sc, ref, which)
+        e = layer_integral(sc.coeffs, "e")
+        et = layer_integral(sc.coeffs, "etilde")
+        ref = reference_solution(sc, e)
+        for which, integral in (("U0", e), ("U1", e), ("U2", e),
+                                ("T0", et), ("T1", et)):
+            rep = check_solution_bounds(sc, ref, which, integral)
+            assert rep.name == f"solution-bound-{which}[manufactured]"
             assert rep.passed and np.isfinite(rep.sup_ratio)
 
     # The derivative stencils are exact for quadratics, so nodal values x^2
@@ -205,7 +216,7 @@ class TestSolutionBounds:
         sc, e, ref = self.quadratic_reference()
         xs = ref.mesh.nodes[1:-1]
         want = np.max(2 * xs / solution_bound_values(sc.coeffs, xs, e(xs), 1))
-        rep = check_solution_bounds(sc, ref, "U1", e=e)
+        rep = check_solution_bounds(sc, ref, "U1", e)
         assert rep.sample_count == len(xs)
         assert rep.sup_ratio == pytest.approx(want, rel=1e-12)
 
@@ -213,39 +224,55 @@ class TestSolutionBounds:
         sc, e, ref = self.quadratic_reference()
         xs = ref.mesh.nodes[2:-2]
         want = np.max(2 / solution_bound_values(sc.coeffs, xs, e(xs), 2))
-        rep = check_solution_bounds(sc, ref, "U2", e=e)
+        rep = check_solution_bounds(sc, ref, "U2", e)
         assert rep.sample_count == len(xs)
         assert rep.sup_ratio == pytest.approx(want, rel=1e-10)
 
 
+ALL_BOUNDS = ("U0", "U1", "U2", "T0", "T1")
+
+
 class TestUniformity:
-    def test_positive_u0_u1(self):
-        fam = lambda eps0: get_scenario("manufactured", eps0)
-        for rep in check_bound_uniformity(fam, ("U0", "U1")):
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_every_bound_is_uniform(self, name):
+        # variations are at most 1.011 on the built-in families
+        fam = lambda eps0: get_scenario(name, eps0)
+        reps = check_bound_uniformity(fam, ALL_BOUNDS)
+        assert [r.name for r in reps] == [
+            f"uniformity[solution-bound-{b}[{name}]]" for b in ALL_BOUNDS]
+        for rep in reps:
             assert rep.passed
             assert rep.sup_ratio <= 4.0
 
     def test_one_call_per_name_gives_the_same_reports(self):
-        # several names share one reference solve per eps0 and must report
-        # exactly what a call per name reports
+        # several names share one reference solve and one layer integral of
+        # each kind per eps0, and must report exactly what a call per name
+        # reports
         fam = lambda eps0: get_scenario("eps-exp", eps0)
-        both = check_bound_uniformity(fam, ("U0", "U1"))
-        single = (check_bound_uniformity(fam, ("U0",))
-                  + check_bound_uniformity(fam, ("U1",)))
-        assert len(both) == 2
-        for got, want in zip(both, single):
+        together = check_bound_uniformity(fam, ALL_BOUNDS)
+        single = sum((check_bound_uniformity(fam, (b,)) for b in ALL_BOUNDS), ())
+        assert len(together) == len(ALL_BOUNDS)
+        for got, want in zip(together, single):
             assert dataclasses.asdict(got) == dataclasses.asdict(want)
-
-    def test_transformed_uniformity(self):
-        fam = lambda eps0: get_scenario("eps-linear", eps0)
-        (rep,) = check_bound_uniformity(fam, ("U0",), transformed=True)
-        assert rep.passed
 
     def test_negative_control_weakened_exponent_fails(self):
         # doubling beta in the bound demands decay the true layer does not
         # have; on the manufactured family (layer decays exactly like
         # exp(-beta e)) the ratio blows up as eps0 -> 0 and the check fails
+        # for u' and u'' (variation about 100), while U0 has no decay term
         fam = lambda eps0: get_scenario("manufactured", eps0)
-        (rep,) = check_bound_uniformity(fam, ("U1",), beta_factor=2.0)
-        assert not rep.passed
-        assert rep.sup_ratio > 4.0
+        u0, u1, u2 = check_bound_uniformity(fam, ("U0", "U1", "U2"),
+                                            beta_factor=2.0)
+        assert u0.passed
+        for rep in (u1, u2):
+            assert not rep.passed
+            assert rep.sup_ratio > 50.0
+
+    def test_unknown_name_rejected_before_any_solve(self, monkeypatch):
+        solves = []
+        monkeypatch.setattr(verify, "galerkin_solve",
+                            lambda *args: solves.append(args))
+        fam = lambda eps0: get_scenario("eps-exp", eps0)
+        with pytest.raises(ParameterError, match="unknown bound 'U3'"):
+            check_bound_uniformity(fam, ("U0", "U3"))
+        assert solves == []
