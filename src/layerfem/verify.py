@@ -19,6 +19,7 @@ from .mesh import build_mesh
 from .problem import BoundCheckReport
 
 _LEMMA_SAMPLES = 2001  # eps' samples on [a, x] in check_integral_lemma
+_LEMMA_PANELS_PER_DECADE = 199 / 14  # and its breakpoints' grading toward x
 _GAMMA_MAX = 3.0  # random lemma instances draw gamma from (1e-3, _GAMMA_MAX)
 _UNIFORMITY_EPS0 = (1e-3, 1e-5, 1e-7)  # check_bound_uniformity's eps0 sweep
 _MAX_VARIATION = 4.0  # and the largest max/min sup ratio it passes
@@ -33,7 +34,9 @@ def check_integral_lemma(coeffs, a: float, x: float, ell: int,
     s0 is the minimum of eps' over _LEMMA_SAMPLES points of [a, x] and must
     be nonnegative; the inequality requires g > -(l+1) s0.  For positive g
     both sides are rescaled by exp(-g e_a(x)) so that huge layer exponents
-    never overflow.  e is the layer integral of coeffs, kind "e".
+    never overflow.  e is the layer integral of coeffs, kind "e".  Panels
+    grow 10^(14/199)-fold away from x, the first a hundredth of the
+    integrand's layer width eps(x) / |g| clamped into [1e-14, 1] (x - a).
 
     Equality holds whenever eps' is constant on [a, x] (eps-const,
     eps-linear, manufactured): then d/dt[eps^(l+1) exp(g e_a)] equals
@@ -52,9 +55,13 @@ def check_integral_lemma(coeffs, a: float, x: float, ell: int,
         raise ParameterError("gamma must exceed -(ell + 1) * sigma0")
 
     eps = coeffs.eps
-    e_a, e_x = e(a), e(x)
+    e_a, e_x = e(np.array([a, x]))
     denom = gamma_param + (ell + 1) * sigma0
-    bp = x - np.geomspace((x - a) * 1e-14, x - a, 200)
+    bp = ()
+    if gamma_param != 0:
+        start = min(max(0.01 * eps(x) / abs(gamma_param), 1e-14 * (x - a)), x - a)
+        bp = x - np.geomspace(start, x - a, 1 + math.ceil(
+            _LEMMA_PANELS_PER_DECADE * math.log10((x - a) / start)))
 
     # exp(g (e(t) - shift)) <= 1 on [a, x]: no overflow for either sign of g
     shift = e_x if gamma_param > 0 else e_a

@@ -199,6 +199,19 @@ def test_e_matches_closed_form(name, log10_eps0, x):
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
 
+@pytest.mark.parametrize("name", sorted(_CLOSED_FORM_E))
+@pytest.mark.parametrize("eps0", [1e-2, 1e-4, 1e-7, 1e-12])
+def test_five_point_rule_gives_e_to_roundoff(name, eps0):
+    # every breakpoint panel spans 0.68 % of its distance from 0, so one
+    # 5-point Gauss panel resolves 1/eps of every built-in family
+    e = layer_integral(get_scenario(name, eps0).coeffs, "e")
+    bp = e.breakpoints
+    x = np.concatenate((bp, 0.5 * (bp[:-1] + bp[1:]),
+                        np.random.default_rng(3).uniform(0.0, 1.0, 40000)))
+    want = _CLOSED_FORM_E[name](x, eps0)
+    assert np.all(np.abs(e(x) - want) <= 1e-14 * np.abs(want))
+
+
 class TestInvertMonotone:
     def test_constant_eps(self):
         e = layer_integral(get_scenario("eps-const", 0.01).coeffs, "e")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from layerfem import verify
-from layerfem.calculus import layer_integral
+from layerfem.calculus import integrate, layer_integral
 from layerfem.errors import ConfigurationError, ParameterError
 from layerfem.fem import FemSolution
 from layerfem.mesh import build_mesh
@@ -97,6 +97,81 @@ class TestIntegralLemma:
         with pytest.raises(ParameterError):
             check_integral_lemma_random(sc, 0, np.random.default_rng(0),
                                         layer_integral(sc.coeffs, "e"))
+
+
+def fixed_grid_margin(coeffs, a, x, ell, gamma, e):
+    """check_integral_lemma's margin as computed before its breakpoints were
+    graded from the layer width: 200 breakpoints from 1e-14 (x - a) toward
+    x, whatever gamma."""
+    eps = coeffs.eps
+    sigma0 = float(np.min(eps.d(np.linspace(a, x, 2001))))
+    e_a, e_x = e(a), e(x)
+    shift = e_x if gamma > 0 else e_a
+    lhs = integrate(
+        lambda t: eps(t) ** ell * np.exp(gamma * (e(t) - shift)),
+        a, x, breakpoints=x - np.geomspace((x - a) * 1e-14, x - a, 200))
+    with np.errstate(under="ignore"):
+        rhs = (eps(x) ** (ell + 1) * math.exp(gamma * (e_x - shift))
+               - eps(a) ** (ell + 1) * math.exp(gamma * (e_a - shift))
+               ) / (gamma + (ell + 1) * sigma0)
+    return (rhs - lhs) / max(abs(rhs), 1e-300)
+
+
+class CountingE:
+    """A layer integral that counts the points it is evaluated at."""
+
+    def __init__(self, e):
+        self.e, self.points = e, 0
+
+    def __call__(self, x):
+        self.points += np.size(x)
+        return self.e(x)
+
+
+def random_instances(n, seed):
+    """(a, x, ell, gamma) drawn as check_integral_lemma_random draws them."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        a, x = np.sort(rng.uniform(0.0, 1.0, size=2))
+        if x - a < 1e-3:
+            x = min(1.0, a + 1e-3)
+        out.append((float(a), float(x), int(rng.integers(0, 2)),
+                    float(rng.uniform(1e-3, verify._GAMMA_MAX))))
+    return out
+
+
+class TestGradedLemmaGrid:
+    @pytest.mark.parametrize("eps0", [1e-2, 1e-4, 1e-6])
+    def test_margins_match_the_fixed_grid(self, eps0):
+        graded = fixed = 0
+        for sc in builtin_scenarios(eps0):
+            e = layer_integral(sc.coeffs, "e")
+            for a, x, ell, gamma in random_instances(16, 7):
+                counted = CountingE(e)
+                rep = check_integral_lemma(sc.coeffs, a, x, ell, gamma, counted)
+                graded += counted.points
+                counted = CountingE(e)
+                want = fixed_grid_margin(sc.coeffs, a, x, ell, gamma, counted)
+                fixed += counted.points
+                assert rep.passed
+                assert abs(rep.worst_margin - want) <= 1e-9
+        if eps0 == 1e-2:
+            # the layer is wide, so most of the fixed grid's panels are waste
+            assert 3 * graded <= fixed
+
+    @pytest.mark.parametrize("gamma_over_eps0", [0.0, -0.5])
+    def test_nonpositive_gamma_matches_the_fixed_grid(self, gamma_over_eps0):
+        # eps-exp has eps' = eps >= eps0 > 0, so gamma may be 0 or negative
+        for eps0 in (1e-2, 1e-4, 1e-6):
+            sc = get_scenario("eps-exp", eps0)
+            e = layer_integral(sc.coeffs, "e")
+            gamma = gamma_over_eps0 * eps0
+            for a, x, ell, _ in random_instances(16, 8):
+                rep = check_integral_lemma(sc.coeffs, a, x, ell, gamma, e)
+                want = fixed_grid_margin(sc.coeffs, a, x, ell, gamma, e)
+                assert rep.passed
+                assert abs(rep.worst_margin - want) <= 1e-9
 
 
 class TestBarrierOperator:
