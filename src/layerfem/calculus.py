@@ -124,13 +124,14 @@ def integrate(
     """Adaptive composite 5-point Gauss quadrature of f over [a, b].
 
     A panel's discrepancy is the gap between its whole-panel sum and the sum
-    of its two halves.  Each round bisects, in one batched evaluation, every
-    panel whose discrepancy is above its share _REL_TOL * |total| / n_panels
-    (_REL_TOL = 1e-10); a child's whole-panel sum is its parent's half sum,
-    so only quarters are new.  Rounds end once the discrepancies sum to at
-    most _REL_TOL times the running integral.  ConvergenceError is raised
-    past _MAX_DEPTH bisections of a panel or _MAX_PANELS live panels, so a
-    noisy integrand fails fast.
+    of its two halves.  The first round samples the initial panels and their
+    halves in one call of f.  Each later round bisects, in one batched
+    evaluation, every panel whose discrepancy is above its share
+    _REL_TOL * |total| / n_panels (_REL_TOL = 1e-10); a child's whole-panel
+    sum is its parent's half sum, so only quarters are new.  Rounds end, the
+    first included, once the discrepancies sum to at most _REL_TOL times the
+    running integral.  ConvergenceError is raised past _MAX_DEPTH bisections
+    of a panel or _MAX_PANELS live panels, so a noisy integrand fails fast.
     Breakpoints inside (a, b) seed the initial panelization, which is how
     callers with known layer locations keep the bisection shallow.
     """
@@ -146,10 +147,12 @@ def integrate(
     edges = np.unique(np.concatenate(([a], inner, [b])))
 
     lefts, rights = edges[:-1], edges[1:]
-    panels = _panel_rows(f, lefts, rights, _panel_sums(f, lefts, rights, _G5),
-                         np.zeros(len(lefts)))
+    mids = 0.5 * (lefts + rights)
+    wholes, left_halves, right_halves = _panel_sums(
+        f, np.concatenate((lefts, lefts, mids)),
+        np.concatenate((rights, mids, rights)), _G5).reshape(3, -1)
+    depths = np.zeros(len(lefts))
     while True:
-        lefts, rights, wholes, left_halves, right_halves, depths = panels.T
         fine = left_halves + right_halves
         total = float(fine.sum())
         err = np.abs(fine - wholes)
@@ -163,7 +166,7 @@ def integrate(
             raise ConvergenceError(
                 f"quadrature did not converge after {_MAX_DEPTH} bisections "
                 f"on [{lefts[k]}, {rights[k]}]")
-        if len(panels) + np.count_nonzero(split) > _MAX_PANELS:
+        if len(lefts) + np.count_nonzero(split) > _MAX_PANELS:
             raise ConvergenceError(
                 f"quadrature on [{a}, {b}] needs more than {_MAX_PANELS} panels")
         lo, hi = lefts[split], rights[split]
@@ -172,7 +175,10 @@ def integrate(
             f, np.concatenate((lo, mid)), np.concatenate((mid, hi)),
             np.concatenate((left_halves[split], right_halves[split])),
             np.tile(depths[split] + 1, 2))
-        panels = np.concatenate((panels[~split], children))
+        kept = np.column_stack(
+            (lefts, rights, wholes, left_halves, right_halves, depths))[~split]
+        lefts, rights, wholes, left_halves, right_halves, depths = (
+            np.concatenate((kept, children)).T)
 
 
 @dataclass(frozen=True)
@@ -199,14 +205,20 @@ class CumulativeIntegral:
         return cls(breakpoints=bp, partial_sums=sums, integrand=integrand)
 
     def __call__(self, x):
-        """Evaluate at x of any shape; a 0-d or scalar x returns a float."""
+        """Evaluate at x of any shape; a 0-d or scalar x returns a float.
+        x's min and max must lie in [-1e-12, 1 + 1e-12]; x is clipped to
+        [0, 1] only if one of them lies outside it."""
         xa = np.asarray(x, dtype=float)
         xq = xa.ravel()
-        if not np.all((xq >= -1e-12) & (xq <= 1.0 + 1e-12)):  # NaN fails too
-            raise ParameterError("cumulative integral is only defined on [0, 1]")
-        xq = np.clip(xq, 0.0, 1.0)
+        if xq.size:
+            lo, hi = xq.min(), xq.max()
+            if not (lo >= -1e-12 and hi <= 1.0 + 1e-12):  # NaN fails too
+                raise ParameterError("cumulative integral is only defined on [0, 1]")
+            if lo < 0.0 or hi > 1.0:
+                xq = np.clip(xq, 0.0, 1.0)
+        # breakpoints[0] == 0 <= xq, so only the last panel's index needs a bound
         idx = np.searchsorted(self.breakpoints, xq, side="right") - 1
-        idx = np.clip(idx, 0, len(self.breakpoints) - 2)
+        np.minimum(idx, len(self.breakpoints) - 2, out=idx)
         lefts = self.breakpoints[idx]
         local = _panel_sums(self.integrand, lefts, xq, _G5)
         out = self.partial_sums[idx] + local

@@ -9,6 +9,7 @@ eps0.  Every check takes the layer integral it needs as an argument.
 """
 
 import math
+import numbers
 
 import numpy as np
 
@@ -45,8 +46,10 @@ def check_integral_lemma(coeffs, a: float, x: float, ell: int,
     """
     if not (0.0 <= a < x <= 1.0):
         raise ParameterError("need 0 <= a < x <= 1")
-    if ell < 0:
+    if not isinstance(ell, numbers.Integral) or ell < 0:
         raise ParameterError("ell must be a nonnegative integer")
+    if not math.isfinite(gamma_param):
+        raise ParameterError("gamma must be finite")
     ts = np.linspace(a, x, _LEMMA_SAMPLES)
     sigma0 = float(np.min(coeffs.eps.d(ts)))
     if sigma0 < 0:
@@ -60,8 +63,11 @@ def check_integral_lemma(coeffs, a: float, x: float, ell: int,
     bp = ()
     if gamma_param != 0:
         start = min(max(0.01 * eps(x) / abs(gamma_param), 1e-14 * (x - a)), x - a)
-        bp = x - np.geomspace(start, x - a, 1 + math.ceil(
-            _LEMMA_PANELS_PER_DECADE * math.log10((x - a) / start)))
+        num = 1 + math.ceil(_LEMMA_PANELS_PER_DECADE * math.log10((x - a) / start))
+        # np.geomspace(start, x - a, num)'s own arithmetic, without its wrapper
+        grid = np.power(10.0, np.linspace(np.log10(start), np.log10(x - a), num))
+        grid[[0, -1]] = start, x - a
+        bp = x - grid
 
     # exp(g (e(t) - shift)) <= 1 on [a, x]: no overflow for either sign of g
     shift = e_x if gamma_param > 0 else e_a
@@ -110,27 +116,29 @@ def check_barrier_operator(coeffs, e: CumulativeIntegral,
                            sample_count: int = 10000,
                            label: str = "") -> BoundCheckReport:
     """Operator image of the layer barrier exp(-beta e(x)) at sample_count >= 2
-    equispaced points; a positive multiple changes neither verdict nor worst point.
+    equispaced points (an integer).
 
     The closed form is (beta (b - beta) / eps + c) * exp(-beta e); the eps'
     contributions cancel exactly.  Must be >= 0 everywhere for the
-    comparison argument to apply.
+    comparison argument to apply.  ``passed`` judges the bracket, whose min
+    must be >= -1e-12 max(max |bracket|, 1): the image hides negatives where
+    exp(-beta e) is small, and underflows to 0 once beta e passes about 745.
+    ``worst_margin`` and ``worst_point`` are the image's min and its place.
     """
-    if sample_count < 2:
-        raise ParameterError("sample_count must be at least 2")
+    if not isinstance(sample_count, numbers.Integral) or sample_count < 2:
+        raise ParameterError("sample_count must be an integer of at least 2")
     xs = np.linspace(0.0, 1.0, sample_count)
     beta = coeffs.beta
     with np.errstate(under="ignore"):
-        vals = (
-            beta * (coeffs.b(xs) - beta) / coeffs.eps(xs) + coeffs.c(xs)
-        ) * np.exp(-beta * e(xs))
+        bracket = beta * (coeffs.b(xs) - beta) / coeffs.eps(xs) + coeffs.c(xs)
+        vals = bracket * np.exp(-beta * e(xs))
     i = int(np.argmin(vals))
-    scale = max(float(np.abs(vals).max()), 1.0)
+    scale = max(float(np.abs(bracket).max()), 1.0)
     name = f"barrier-operator[{label}]" if label else "barrier-operator"
     return BoundCheckReport(
         name=name, sample_count=sample_count,
         worst_margin=float(vals[i]), worst_point=float(xs[i]),
-        passed=bool(vals[i] >= -1e-12 * scale))
+        passed=bool(np.min(bracket) >= -1e-12 * scale))
 
 
 def solution_bound_values(coeffs, xs, e_vals, k: int,

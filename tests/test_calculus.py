@@ -6,9 +6,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from layerfem import calculus
 from layerfem.calculus import (
+    _G5,
     CumulativeIntegral,
     _on_panel,
+    _panel_sums,
     gauss_legendre,
     integrate,
     invert_monotone,
@@ -99,6 +102,55 @@ class TestIntegrate:
             integrate(lambda t: 1 + 1e-6 * np.sin(1e9 * t), 0, 1)
 
 
+class CountingIntegrand:
+    """An integrand that records the shape of each batch it is called on."""
+
+    def __init__(self, f):
+        self.f, self.shapes = f, []
+
+    def __call__(self, t):
+        self.shapes.append(np.shape(t))
+        return self.f(t)
+
+
+def count_rounds(monkeypatch):
+    """Bisection rounds of integrate: one _panel_rows call each."""
+    rounds = []
+    real = calculus._panel_rows
+
+    def counted(*args):
+        rounds.append(len(args[1]))
+        return real(*args)
+
+    monkeypatch.setattr(calculus, "_panel_rows", counted)
+    return rounds
+
+
+class TestIntegrandCalls:
+    def test_one_call_when_the_first_round_converges(self, monkeypatch):
+        # 5-point Gauss is exact for degree 9: the first round converges
+        rounds = count_rounds(monkeypatch)
+        f = CountingIntegrand(lambda t: t ** 9)
+        assert integrate(f, 0.0, 1.0, breakpoints=(0.25, 0.5)) == pytest.approx(0.1)
+        # whole panels and both halves of the 3 initial panels, in one batch
+        assert f.shapes == [(5, 9)]
+        assert rounds == []
+
+    @pytest.mark.parametrize("f", [
+        lambda t: np.cos(50 * t), lambda t: np.abs(t - 1 / 3), np.sqrt,
+        lambda t: np.exp(-1e4 * t),
+    ], ids=["cos50", "kink", "sqrt", "layer"])
+    def test_k_plus_one_calls_after_k_rounds(self, monkeypatch, f):
+        rounds = count_rounds(monkeypatch)
+        counted = CountingIntegrand(f)
+        integrate(counted, 0.0, 1.0)
+        assert len(rounds) >= 1
+        assert len(counted.shapes) == len(rounds) + 1
+        assert counted.shapes[0] == (5, 3)
+        # each later round samples the halves of every new child
+        assert counted.shapes[1:] == [(5, 2 * n) for n in rounds]
+
+
 class TestLayerIntegral:
     def test_constant_eps_e(self):
         sc = get_scenario("eps-const", 0.01)
@@ -144,8 +196,11 @@ class TestLayerIntegral:
     def test_domain_guard(self):
         sc = get_scenario("eps-const", 0.01)
         e = layer_integral(sc.coeffs, "e")
-        with pytest.raises(ParameterError):
-            e(1.5)
+        # [-1e-12, 1 + 1e-12] is accepted, just past it is not
+        for bad in (1.5, 1.0 + 2e-12, -2e-12):
+            for x in (bad, np.array([0.5, bad, 0.25]), np.full((2, 3), bad)):
+                with pytest.raises(ParameterError):
+                    e(x)
 
     def test_nan_is_outside_the_domain(self):
         e = layer_integral(get_scenario("eps-const", 0.01).coeffs, "e")
@@ -164,6 +219,39 @@ class TestLayerIntegral:
             assert type(got) is float
         scalar = [e(float(t)) for t in x.ravel()]
         assert np.array_equal(np.ravel(got), scalar)
+
+
+def old_call(g, x):
+    """CumulativeIntegral.__call__ as it was before its range check read the
+    min and max and its clips were dropped where they cannot act."""
+    xa = np.asarray(x, dtype=float)
+    xq = xa.ravel()
+    if not np.all((xq >= -1e-12) & (xq <= 1.0 + 1e-12)):  # NaN fails too
+        raise ParameterError("cumulative integral is only defined on [0, 1]")
+    xq = np.clip(xq, 0.0, 1.0)
+    idx = np.searchsorted(g.breakpoints, xq, side="right") - 1
+    idx = np.clip(idx, 0, len(g.breakpoints) - 2)
+    out = g.partial_sums[idx] + _panel_sums(g.integrand, g.breakpoints[idx], xq, _G5)
+    return float(out[0]) if xa.ndim == 0 else out.reshape(xa.shape)
+
+
+_E_EXP = layer_integral(get_scenario("eps-exp", 1e-3).coeffs, "e")
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(x=hnp.arrays(
+    np.float64, st.sampled_from([(), (7,), (3, 7), (0,), (0, 3)]),
+    elements=st.one_of(
+        st.floats(-1e-12, 1.0 + 1e-12),
+        st.sampled_from([0.0, 1.0, -1e-12, 1.0 + 1e-12]),
+        st.integers(0, len(_E_EXP.breakpoints) - 1).map(
+            lambda k: float(_E_EXP.breakpoints[k])),
+    )))
+def test_e_matches_the_old_call_bit_for_bit(x):
+    got, want = _E_EXP(x), old_call(_E_EXP, x)
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want) == x.shape
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 # closed forms of e(x) = int_0^x dt / eps(t), written out independently of

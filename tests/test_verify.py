@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from layerfem import verify
 from layerfem.calculus import integrate, layer_integral
@@ -91,6 +93,19 @@ class TestIntegralLemma:
         assert rep.passed
         assert rep.worst_margin >= -1e-8
 
+    @pytest.mark.parametrize("ell, gamma", [
+        (0, math.nan), (0, math.inf), (0, -math.inf), (0.5, 1.0), (1.0, 1.0),
+        (-1, 1.0),
+    ])
+    def test_bad_parameters_raise_before_any_work(self, ell, gamma):
+        def untouchable(x):
+            raise AssertionError("evaluated before the parameters were checked")
+
+        coeffs = dataclasses.replace(
+            const_coeffs(), eps=ScalarFunction(untouchable, untouchable))
+        with pytest.raises(ParameterError):
+            check_integral_lemma(coeffs, 0.0, 1.0, ell, gamma, untouchable)
+
     def test_random_needs_a_tuple(self):
         # zero instances would report PASS with worst_margin = inf
         sc = get_scenario("eps-const", 0.01)
@@ -115,6 +130,35 @@ def fixed_grid_margin(coeffs, a, x, ell, gamma, e):
                - eps(a) ** (ell + 1) * math.exp(gamma * (e_a - shift))
                ) / (gamma + (ell + 1) * sigma0)
     return (rhs - lhs) / max(abs(rhs), 1e-300)
+
+
+def graded_breakpoints(monkeypatch, coeffs, a, x, gamma):
+    """The breakpoints check_integral_lemma hands integrate."""
+    seen = []
+
+    def capture(f, lo, hi, breakpoints=()):
+        seen.append(breakpoints)
+        return 0.0
+
+    monkeypatch.setattr(verify, "integrate", capture)
+    check_integral_lemma(coeffs, a, x, 0, gamma, lambda t: np.zeros(np.shape(t)))
+    return seen[0]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(a=st.floats(0.0, 1.0), length=st.floats(1e-3, 1.0),
+       log10_eps=st.floats(-12.0, 0.0), log10_gamma=st.floats(-3.0, 8.0))
+def test_graded_breakpoints_are_geomspace(a, length, log10_eps, log10_gamma):
+    x = min(1.0, a + length)
+    assume(a < x)
+    gamma = 10.0 ** log10_gamma
+    coeffs = const_coeffs(eps=10.0 ** log10_eps)
+    start = min(max(0.01 * coeffs.eps(x) / gamma, 1e-14 * (x - a)), x - a)
+    num = 1 + math.ceil(verify._LEMMA_PANELS_PER_DECADE
+                        * math.log10((x - a) / start))
+    with pytest.MonkeyPatch.context() as mp:
+        got = graded_breakpoints(mp, coeffs, a, x, gamma)
+    assert got.tobytes() == (x - np.geomspace(start, x - a, num)).tobytes()
 
 
 class CountingE:
@@ -213,6 +257,39 @@ class TestBarrierOperator:
         sc = get_scenario(name, 1e-5)
         e = layer_integral(sc.coeffs, "e")
         assert check_barrier_operator(sc.coeffs, e, label=name).passed
+
+    def test_negative_bracket_fails_where_exp_damps_it(self):
+        # b = 2 - 2.5x drops below beta = 1 at x = 0.4: the bracket
+        # beta (b - beta) / eps + c is negative there, down to -149 at x = 1,
+        # but exp(-beta e) shrinks the image to about -2.6e-18
+        sc = get_scenario("eps-const", 0.01)
+        coeffs = dataclasses.replace(sc.coeffs, b=ScalarFunction(
+            lambda x: 2.0 - 2.5 * np.asarray(x, dtype=float),
+            lambda x: np.full_like(np.asarray(x, dtype=float), -2.5)))
+        rep = check_barrier_operator(coeffs, layer_integral(coeffs, "e"))
+        assert not rep.passed
+        assert -1e-12 < rep.worst_margin < 0.0
+        assert 0.4 < rep.worst_point < 0.5
+
+    def test_all_builtins_pass_where_exp_underflows(self):
+        # at eps0 = 1e-12, exp(-beta e) is 0 at every sample but x = 0
+        for sc in builtin_scenarios(1e-12):
+            rep = check_barrier_operator(sc.coeffs, layer_integral(sc.coeffs, "e"))
+            assert rep.passed
+
+    @pytest.mark.parametrize("count", [10.5, 100.0, "100", None])
+    def test_sample_count_must_be_an_integer(self, count):
+        def untouchable(x):
+            raise AssertionError("evaluated before sample_count was checked")
+
+        with pytest.raises(ParameterError):
+            check_barrier_operator(const_coeffs(), untouchable, sample_count=count)
+
+    def test_numpy_integer_sample_count(self):
+        coeffs = const_coeffs(c=0.0)
+        rep = check_barrier_operator(coeffs, layer_integral(coeffs, "e"),
+                                     sample_count=np.int64(200))
+        assert rep.passed and rep.sample_count == 200
 
 
 class TestBoundValues:
