@@ -15,8 +15,10 @@ A finer solve is compared on its own nodes plus the coarse nodes it lacks,
 found by a binary search and inserted in place; it is interpolated only at
 those.  The eps integrals of its elements are the ones its assembly stored
 (FemSolution.eps_integrals), so eps is sampled again only on the two pieces
-of each reference element that an inserted node splits.  Every eps sample
-is checked: a non-finite one raises EvaluationError."""
+of each reference element that an inserted node splits.  The difference
+and both per-element norms are formed in place, and each norm is reduced by
+one sum.  Every eps sample is checked: a non-finite one raises
+EvaluationError."""
 
 import math
 
@@ -63,13 +65,21 @@ def _linear_norms(nodes, values, eps_int):
     """Per-element (integral of d^2, integral of eps * d'^2) of the
     piecewise-linear d with these nodal values: w/3 (d_l^2 + d_l d_r + d_r^2)
     exactly, and the slope squared times the element integrals eps_int of
-    eps."""
+    eps.  Each is formed in place in one buffer, with one more as scratch."""
     d = np.asarray(values, dtype=float)
     d_l, d_r = d[:-1], d[1:]
     w = np.diff(nodes)
-    slopes = (d_r - d_l) / w
-    return (w / 3.0 * (d_l * d_l + d_l * d_r + d_r * d_r),
-            slopes * slopes * eps_int)
+    wg = np.subtract(d_r, d_l)
+    wg /= w
+    wg *= wg
+    wg *= eps_int
+    l2 = np.multiply(d_l, d_l)
+    term = np.multiply(d_l, d_r)
+    l2 += term
+    l2 += np.multiply(d_r, d_r, out=term)
+    w /= 3.0
+    l2 *= w
+    return l2, wg
 
 
 @dataclass(frozen=True)
@@ -128,17 +138,17 @@ def error_report(sol: FemSolution, scenario,
         p = at + np.arange(len(extra))
         split = np.concatenate((p - 1, p))
         eps_int[split] = _panel_sums(eps_fn, merged[split], merged[split + 1], _G5)
-        l2, wg = _linear_norms(merged, ref_vals - sol(merged), eps_int)
+        ref_vals -= sol(merged)
+        l2, wg = _linear_norms(merged, ref_vals, eps_int)
         kind = "fine-mesh"
     else:
         raise ConfigurationError(
             "need a closed-form exact solution or a finer reference solve")
-    l2_err = math.sqrt(l2.sum())
-    wg_err = math.sqrt(wg.sum())
+    l2_sum, wg_sum = l2.sum(), wg.sum()
     return ErrorReport(
         h=sol.mesh.h, node_count=len(sol.mesh.nodes),
-        energy_error=math.sqrt(l2.sum() + wg.sum()),
-        l2_error=l2_err, weighted_grad_error=wg_err, reference_kind=kind)
+        energy_error=math.sqrt(l2_sum + wg_sum), l2_error=math.sqrt(l2_sum),
+        weighted_grad_error=math.sqrt(wg_sum), reference_kind=kind)
 
 
 @dataclass(frozen=True)

@@ -5,23 +5,27 @@ convection term keeps its minus sign and there is no stabilization -- the
 layer-adapted mesh does that job.  Each element integral is one weighted
 moment of a coefficient's Gauss samples, because the hat functions take the
 same values at the Gauss points of every element.  Samples are stored
-points-major, shape (points, elements), so the moments of all elements are
-one matrix product; a coefficient made by ScalarFunction.constant is not
-sampled at all, its moments are one closed-form column.  Only the element
-entries that the system keeps are formed.  The assembled system is
-tridiagonal over the interior nodes and is solved by calling LAPACK's
-pivoting tridiagonal solver dgtsv directly, in O(n) time and memory, with no
-fallback path.  dgtsv is the package's only use of scipy, and scipy.linalg
-is imported by the first solve_tridiagonal call that reaches it, so runs that
-never solve (meshes, interpolation errors, the lemma and barrier checks) skip
-its import of about 0.2 s and 28 MB.  Assembly keeps the element integrals of
-eps that the stiffness is made from (5-point Gauss, half-width times the
-weighted sum), and galerkin_solve hands them on as FemSolution.eps_integrals;
-they belong to the eps of the scenario that was solved, and fine-mesh error
-reports reuse them in place of sampling eps again.  An element whose width
-squared is below the smallest normal float raises AssemblyError before any
-division.
+points-major, shape (points, elements), and the moments of all elements are
+one matrix product over them; the Gauss points are mapped and sampled _BLOCK
+elements at a time, so no grid of them is held for the whole mesh.  A
+coefficient made by ScalarFunction.constant is not sampled at all, its
+moments are one closed-form column.  Only the element entries that the
+system keeps are formed, in place in a few full-length buffers.
+The assembled system is tridiagonal over the interior nodes and is solved by
+calling LAPACK's pivoting tridiagonal solver dgtsv directly, in O(n) time and
+memory, with no fallback path; its residual is formed in place.  dgtsv is the
+package's only use of scipy, and scipy.linalg is imported by the first
+solve_tridiagonal call that reaches it, so runs that never solve (meshes,
+interpolation errors, the lemma and barrier checks) skip its import of about
+0.2 s and 28 MB.  Assembly keeps the element integrals of eps that the
+stiffness is made from (5-point Gauss, half-width times the weighted sum),
+and galerkin_solve hands them on as FemSolution.eps_integrals; they belong
+to the eps of the scenario that was solved, and fine-mesh error reports reuse
+them in place of sampling eps again.  An element whose width squared is
+below the smallest normal float raises AssemblyError before any division.
 """
+
+import functools
 
 import numpy as np
 from dataclasses import dataclass, field
@@ -37,6 +41,10 @@ from .errors import (
 from .mesh import LayerMesh
 
 _QUAD = 5  # Gauss points per element in assembly and in bilinear_form
+# Elements whose Gauss points assembly maps and samples at once: a mesh of
+# h >= 1/512 (about 5,000 nodes) is one block, the h/16 references of a
+# convergence study at h <= 1/64 are several.
+_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -52,12 +60,6 @@ class TridiagonalSystem:
     @property
     def size(self) -> int:
         return len(self.diag)
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        y = self.diag * x
-        y[1:] += self.sub * x[:-1]
-        y[:-1] += self.sup * x[1:]
-        return y
 
 
 @dataclass(frozen=True)
@@ -88,54 +90,70 @@ def _on_elements(nodes, coefficients, x):
     return c[:-1] + slopes * (x - nodes[:-1]), slopes
 
 
-def _samples(label, fn, gx):
-    """fn at the points-major Gauss points gx; AssemblyError names the first
-    element with a non-finite sample."""
+@functools.lru_cache(maxsize=4)
+def _hat_moments(n):
+    """The n-point Gauss rule, and its weights times the values of the hats
+    phi_L = 1 - t, phi_R = t and their products at t = (1 + points)/2, the
+    same on every element: columns (L, R, LL, LR, RR), read-only."""
+    rule = gauss_legendre(n)
+    t = 0.5 * (1.0 + rule.points)
+    table = rule.weights[:, None] * np.column_stack(
+        (1.0 - t, t, (1.0 - t) ** 2, (1.0 - t) * t, t * t))
+    table.setflags(write=False)
+    return rule, table
+
+
+def _samples(label, fn, gx, first=0):
+    """fn at the points-major Gauss points gx of elements first, first + 1,
+    ...; AssemblyError names the first element with a non-finite sample."""
     y = _vec_eval(fn, gx)
     if not np.all(np.isfinite(y)):
-        el = int(np.argmin(np.all(np.isfinite(y), axis=0)))
+        el = first + int(np.argmin(np.all(np.isfinite(y), axis=0)))
         raise AssemblyError(f"non-finite {label} sample in element {el}")
     return y
 
 
-def _moments(label, fn, gx, weighted):
-    """Moments weighted.T @ fn(gx), shape (k, n_el), for the k columns of
-    weighted (Gauss weights times hat products); an element integral is its
-    half-width times the moment.  A constant coefficient gives the column
-    const * weighted.sum(axis=0), broadcast to (k, n_el) without a copy."""
+def _moments(label, fn, nodes, rule, weighted):
+    """Moments weighted.T @ fn(x), shape (k, n_el), for the k columns of
+    weighted (Gauss weights times hat products) and the Gauss points x of
+    rule on the elements of nodes, mapped and sampled _BLOCK elements at a
+    time; an element integral is its half-width times the moment.  A
+    constant coefficient gives the column const * weighted.sum(axis=0),
+    broadcast to (k, n_el) without a copy."""
+    n_el = len(nodes) - 1
     if fn.const is not None:
         if not np.isfinite(fn.const):
             raise AssemblyError(f"non-finite {label} sample in element 0")
         col = fn.const * weighted.sum(axis=0)
-        return np.broadcast_to(col[:, None], (len(col), gx.shape[1]))
-    return weighted.T @ _samples(label, fn, gx)
+        return np.broadcast_to(col[:, None], (len(col), n_el))
+    y = np.empty((len(rule.points), n_el))
+    for a in range(0, n_el, _BLOCK):
+        b = min(a + _BLOCK, n_el)
+        gx, _ = _gauss_map(nodes[a:b], nodes[a + 1:b + 1], rule)
+        y[:, a:b] = _samples(label, fn, gx, first=a)
+    return weighted.T @ y
 
 
 def assemble(scenario, mesh: LayerMesh) -> TridiagonalSystem:
     """Assemble the Galerkin tridiagonal system for the interior nodes."""
-    w = np.diff(mesh.nodes)
-    w2 = w * w
-    subnormal = w2 < np.finfo(float).tiny
-    if subnormal.any():
-        el = int(np.argmax(subnormal))
+    nodes = mesh.nodes
+    w = np.diff(nodes)
+    tiny = np.finfo(float).tiny
+    if (w * w < tiny).any():
+        el = int(np.argmax(w * w < tiny))
         raise AssemblyError(
             f"element {el} has width {float(w[el])!r}, whose square is "
             "below the smallest normal float")
-    rule = gauss_legendre(_QUAD)
-    gx, half = _gauss_map(mesh.nodes[:-1], mesh.nodes[1:], rule)
+    rule, hats = _hat_moments(_QUAD)
     co = scenario.coeffs
 
-    # The hats phi_L = 1 - t, phi_R = t have slopes -1/w, 1/w and take the
-    # same values at the Gauss points t = (1 + points)/2 of every element, so
-    # each element integral is half times one weighted moment of a
-    # coefficient's samples.
-    t = 0.5 * (1.0 + rule.points)
-    moments = rule.weights[:, None] * np.column_stack(
-        (1.0 - t, t, (1.0 - t) ** 2, (1.0 - t) * t, t * t))
-    m_eps = _moments("eps", co.eps, gx, rule.weights[:, None])
-    m_b = _moments("b", co.b, gx, moments[:, :2])
-    m_c = _moments("c", co.c, gx, moments[:, 2:])
-    m_f = _moments("f", co.f, gx, moments[:, :2])
+    # Each element integral is half times one weighted moment of a
+    # coefficient's samples (_hat_moments).
+    eps_int = _moments("eps", co.eps, nodes, rule, rule.weights[:, None])[0]
+    m_b = _moments("b", co.b, nodes, rule, hats[:, :2])
+    m_c = _moments("c", co.c, nodes, rule, hats[:, 2:])
+    m_f = _moments("f", co.f, nodes, rule, hats[:, :2])
+    half = 0.5 * w  # _gauss_map's half-widths
 
     # Element entries a(trial, test), row = test function, column = trial:
     #   e_ll = stiff + b_l/w + c_ll    e_lr = -stiff - b_l/w + c_lr
@@ -145,19 +163,37 @@ def assemble(scenario, mesh: LayerMesh) -> TridiagonalSystem:
     # Dirichlet conditions).  So only elements [1:] need L entries, [:-1] R
     # entries and [1:-1] off-diagonal ones.  Rounding is symmetric, so
     # -stiff - b_l/w is exactly -(stiff + b_l/w), and -stiff + b_r/w is
-    # -(stiff - b_r/w): the off-diagonals reuse the diagonal's sums.
-    eps_int = half * m_eps[0]
-    stiff = eps_int / w2
-    left = stiff[1:] + half[1:] * m_b[0, 1:] / w[1:]
-    right = stiff[:-1] - half[:-1] * m_b[1, :-1] / w[:-1]
-    c_lr = half[1:-1] * m_c[1, 1:-1]
-    return TridiagonalSystem(
-        sub=c_lr - right[1:],
-        diag=(right + half[:-1] * m_c[2, :-1]) + (left + half[1:] * m_c[0, 1:]),
-        sup=c_lr - left[:-1],
-        rhs=half[:-1] * m_f[1, :-1] + half[1:] * m_f[0, 1:],
-        eps_integrals=eps_int,
-    )
+    # -(stiff - b_r/w): the off-diagonals reuse the diagonal's sums.  The
+    # entries are formed in place, with the operands in the order of
+    # diag = (right + c_rr) + (left + c_ll); w * w and then w are scratch
+    # once they are used up.
+    eps_int = half * eps_int
+    stiff = w * w
+    np.divide(eps_int, stiff, out=stiff)
+    left = np.multiply(half[1:], m_b[0, 1:])
+    left /= w[1:]
+    left += stiff[1:]
+    right = np.multiply(half[:-1], m_b[1, :-1])
+    right /= w[:-1]
+    np.subtract(stiff[:-1], right, out=right)
+    c_lr = np.multiply(half[1:-1], m_c[1, 1:-1], out=stiff[1:-1])
+    sub = c_lr - right[1:]
+    sup = c_lr - left[:-1]
+    term = np.multiply(half[:-1], m_c[2, :-1], out=w[:-1])
+    right += term
+    left += np.multiply(half[1:], m_c[0, 1:], out=term)
+    diag = right
+    diag += left
+    rhs = np.multiply(half[:-1], m_f[1, :-1], out=left)
+    rhs += np.multiply(half[1:], m_f[0, 1:], out=term)
+    return TridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=rhs,
+                             eps_integrals=eps_int)
+
+
+def _max_abs(a):
+    """max |a_i| without a temporary array: NaN if a holds a NaN, inf if it
+    holds an infinity, 0 if it is empty."""
+    return max(a.max(), -a.min()) if a.size else 0.0
 
 
 def solve_tridiagonal(system: TridiagonalSystem) -> np.ndarray:
@@ -167,8 +203,10 @@ def solve_tridiagonal(system: TridiagonalSystem) -> np.ndarray:
     if n == 0:  # a mesh of one element has no interior node
         raise SizeError("input array too short")
     sub, diag, sup, rhs = system.sub, system.diag, system.sup, system.rhs
-    if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(sub))
-            and np.all(np.isfinite(sup)) and np.all(np.isfinite(rhs))):
+    # the max |entry| of each array scales the residual check, and it is not
+    # finite iff the array has a non-finite entry
+    top_sub, top_diag, top_sup, top_rhs = map(_max_abs, (sub, diag, sup, rhs))
+    if not all(map(np.isfinite, (top_sub, top_diag, top_sup, top_rhs))):
         raise SingularSystemError("system contains non-finite entries")
     if n == 1:
         # dgtsv rejects empty off-diagonals; a plain division gives inf or
@@ -177,15 +215,21 @@ def solve_tridiagonal(system: TridiagonalSystem) -> np.ndarray:
             x = rhs / diag
     else:
         from scipy.linalg import lapack  # here: runs that never solve skip it
-        _, _, _, x, info = lapack.dgtsv(sub, diag, sup, rhs)
+        x, info = lapack.dgtsv(sub, diag, sup, rhs)[3:]
         if info > 0:  # a zero pivot U(info, info)
             raise SingularSystemError("system is singular")
-    if not np.all(np.isfinite(x)):
+    top_x = _max_abs(x)
+    if not np.isfinite(top_x):
         raise SingularSystemError("system is singular to working precision")
-    norm_a = np.abs(diag).max() + (np.abs(sub).max() + np.abs(sup).max() if n > 1 else 0.0)
-    resid = np.abs(system.matvec(x) - rhs).max()
-    scale = norm_a * np.abs(x).max() + np.abs(rhs).max()
-    if resid > 1e-8 * max(scale, 1e-300):
+    # the residual A x - rhs, in place
+    r = diag * x
+    term = sub * x[:-1]
+    r[1:] += term
+    r[:-1] += np.multiply(sup, x[1:], out=term)
+    r -= rhs
+    with np.errstate(over="ignore"):  # finite entries near 1e308 may sum to inf
+        scale = (top_diag + (top_sub + top_sup)) * top_x + top_rhs
+    if _max_abs(r) > 1e-8 * max(scale, 1e-300):
         raise SingularSystemError("system is singular to working precision")
     return x
 

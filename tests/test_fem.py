@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +39,14 @@ def dense(system):
     """The O(n^2) matrix of a tridiagonal system, for comparisons in tests."""
     return (np.diag(system.diag) + np.diag(system.sub, -1)
             + np.diag(system.sup, 1))
+
+
+def matvec(system, x):
+    """A x for the tridiagonal system, from its three diagonals."""
+    y = system.diag * x
+    y[1:] += system.sub * x[:-1]
+    y[:-1] += system.sup * x[1:]
+    return y
 
 
 def uniform_mesh(n_nodes):
@@ -81,7 +90,9 @@ class TestAssembly:
         sys_ = assemble(sc, mesh)
         assert np.all(sys_.diag > 0)
 
-    def test_nan_coefficient_raises(self):
+    # 20,001 nodes put element 10,000 in the second block of fem._BLOCK
+    @pytest.mark.parametrize("n_nodes", [9, 20001])
+    def test_nan_coefficient_raises(self, n_nodes):
         sc = plain_scenario()
         bad = Scenario(
             name="bad",
@@ -90,9 +101,11 @@ class TestAssembly:
                 b=sc.coeffs.b, c=sc.coeffs.c, f=sc.coeffs.f,
                 beta=0.1, gamma=0.1, eps_lower=1.0, eps_upper=1.0, sigma=0.0),
             exact=None, smooth_exemplar=None, layer_exemplar=None)
-        # eps is NaN for x > 0.5: on 9 uniform nodes element 4 is the first bad one
-        with pytest.raises(AssemblyError, match="element 4"):
-            assemble(bad, uniform_mesh(9))
+        # eps is NaN for x > 0.5: on uniform nodes the first bad element is
+        # the one that starts at 0.5
+        el = (n_nodes - 1) // 2
+        with pytest.raises(AssemblyError, match=f"element {el}$"):
+            assemble(bad, uniform_mesh(n_nodes))
 
     def test_nan_constant_coefficient_raises(self):
         # a constant coefficient is integrated without samples; its value is
@@ -216,7 +229,8 @@ def assemble_by_element_entries(scenario, mesh):
     t = 0.5 * (1.0 + rule.points)
     hats = rule.weights[:, None] * np.column_stack(
         (1.0 - t, t, (1.0 - t) ** 2, (1.0 - t) * t, t * t))
-    stiff = moments("eps", co.eps, rule.weights[:, None])[0] / (w * w)
+    eps_int = moments("eps", co.eps, rule.weights[:, None])[0]
+    stiff = eps_int / (w * w)
     b_l, b_r = moments("b", co.b, hats[:, :2])
     c_ll, c_lr, c_rr = moments("c", co.c, hats[:, 2:])
     f_l, f_r = moments("f", co.f, hats[:, :2])
@@ -226,12 +240,14 @@ def assemble_by_element_entries(scenario, mesh):
     e_rr = stiff - b_r / w + c_rr
     return TridiagonalSystem(
         sub=e_rl[1:-1], diag=e_rr[:-1] + e_ll[1:], sup=e_lr[1:-1],
-        rhs=f_r[:-1] + f_l[1:])
+        rhs=f_r[:-1] + f_l[1:], eps_integrals=eps_int)
 
 
+# at h = 1/4096 every mesh has more than fem._BLOCK elements, so the Gauss
+# points are sampled in several blocks
 @pytest.mark.parametrize("name", SCENARIO_NAMES + ("variable-bcf",))
 @pytest.mark.parametrize("eps0", [1e-2, 1e-6, 1e-12])
-@pytest.mark.parametrize("h", [1.0 / 16, 1.0 / 256])
+@pytest.mark.parametrize("h", [1.0 / 16, 1.0 / 256, 1.0 / 4096])
 def test_assemble_matches_element_entries_exactly(name, eps0, h):
     if name == "variable-bcf":
         sc = get_scenario("eps-exp", eps0)
@@ -243,9 +259,29 @@ def test_assemble_matches_element_entries_exactly(name, eps0, h):
         mesh = build_mesh(sc.coeffs, layer_integral(sc.coeffs, "e"), h)
     except DegenerateRegimeError:
         pytest.skip("no layer-adapted mesh in this regime")
+    if h == 1.0 / 4096:
+        assert mesh.node_count - 1 > 2 * fem._BLOCK
     got, want = assemble(sc, mesh), assemble_by_element_entries(sc, mesh)
-    for part in ("sub", "diag", "sup", "rhs"):
+    for part in ("sub", "diag", "sup", "rhs", "eps_integrals"):
         assert np.array_equal(getattr(got, part), getattr(want, part)), part
+
+
+def test_assemble_memory_per_node():
+    # the Gauss points are never held for the whole mesh and the entries
+    # are formed in place: 40 B/node is the system itself, with its eps
+    # integrals, and the rest is the samples of one coefficient (40 B/node
+    # for eps) and a few full-length buffers
+    sc = get_scenario("eps-exp", 1e-6)
+    mesh = build_mesh(sc.coeffs, layer_integral(sc.coeffs, "e"), 1.0 / 4096)
+    assert mesh.node_count == 49690
+    assemble(sc, mesh)  # first-call caches stay out of the count
+    tracemalloc.start()
+    try:
+        assemble(sc, mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 90 * mesh.node_count
 
 
 class TestTridiagonalSolve:
@@ -315,11 +351,30 @@ class TestTridiagonalSolve:
         after = (sys_.sub, sys_.diag, sys_.sup, sys_.rhs)
         assert all(np.array_equal(a, b) for a, b in zip(before, after))
 
-    def test_nonfinite_entries(self):
-        sys_ = TridiagonalSystem(sub=np.array([np.nan]), diag=np.ones(2),
-                                 sup=np.array([0.0]), rhs=np.ones(2))
-        with pytest.raises(SingularSystemError):
+    @pytest.mark.parametrize("part", ["sub", "diag", "sup", "rhs"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_entries(self, part, bad):
+        sys_ = TridiagonalSystem(sub=np.full(3, -1.0), diag=np.full(4, 3.0),
+                                 sup=np.full(3, -1.0), rhs=np.ones(4))
+        getattr(sys_, part)[1] = bad
+        with pytest.raises(SingularSystemError,
+                           match="^system contains non-finite entries$"):
             solve_tridiagonal(sys_)
+
+    def test_entries_near_overflow_solve(self):
+        # every entry is finite, but the sum of the largest |entry| of the
+        # diagonals, 2e308, overflows: only a non-finite entry may be refused
+        n = 6
+        big = 1e308
+        sys_ = TridiagonalSystem(sub=np.full(n - 1, 0.25 * big),
+                                 diag=np.full(n, 1.5 * big),
+                                 sup=np.full(n - 1, 0.25 * big),
+                                 rhs=np.full(n, big))
+        x = solve_tridiagonal(sys_)
+        scaled = TridiagonalSystem(sub=sys_.sub / big, diag=sys_.diag / big,
+                                   sup=sys_.sup / big, rhs=sys_.rhs / big)
+        ref = np.linalg.solve(dense(scaled), scaled.rhs)
+        assert np.abs(x - ref).max() <= 1e-14
 
     def test_empty_system(self):
         empty = np.zeros(0)
@@ -410,7 +465,7 @@ class TestGalerkinSolve:
         mesh = build_mesh(sc.coeffs, e, 1.0 / 16)
         sys_ = assemble(sc, mesh)
         sol = galerkin_solve(sc, mesh)
-        resid = np.abs(sys_.matvec(sol.coefficients[1:-1]) - sys_.rhs).max()
+        resid = np.abs(matvec(sys_, sol.coefficients[1:-1]) - sys_.rhs).max()
         scale = np.abs(sys_.rhs).max() + np.abs(sys_.diag).max()
         assert resid <= 1e-10 * scale
 

@@ -204,6 +204,22 @@ class TestBuiltinScenarios:
         got = sc.coeffs.f(xs)
         assert got == pytest.approx(expected, rel=1e-9)
 
+    @pytest.mark.parametrize("eps0", [10.0 ** -k for k in range(2, 13)])
+    def test_manufactured_f_is_manufactured_rhs_bit_for_bit(self, eps0):
+        # get_scenario builds f from one cos, sin, log1p and exp per point;
+        # it must equal the generic formula on u exactly: on 1-D and 2-D
+        # arrays (assembly samples a (points, elements) block), on a scalar,
+        # and near x = 0, where the layer terms are largest
+        sc = get_scenario("manufactured", eps0)
+        want = manufactured_rhs(sc.exact, sc.coeffs)
+        rng = np.random.default_rng(5)
+        xs = np.concatenate(([0.0, 1.0], np.geomspace(1e-14, 1.0, 299),
+                             rng.uniform(0.0, 1.0, 299)))
+        for x in (xs, xs.reshape(5, -1), xs[7:12], xs[9]):
+            got = sc.coeffs.f(x)
+            assert got.shape == x.shape
+            assert np.array_equal(got, want(x))
+
     @pytest.mark.parametrize("eps0", [0.1, 0.01])
     @pytest.mark.parametrize("name", sorted(_SYMBOLIC_EPS))
     def test_family_against_sympy(self, name, eps0):
