@@ -1,14 +1,15 @@
 """Quadrature, cumulative layer integrals and monotone inversion.
 
 Everything downstream (meshing, assembly, error measurement, bound checks)
-is built on the routines in this module.  Adaptive quadrature bisects in
-batched rounds, and inversion takes bracketed Newton steps on a cumulative
-integral's own breakpoints and integrand; both use one 5-point Gauss
-rule.  Integrands must accept numpy arrays of any shape and are evaluated
-on whole batches of Gauss points at once, stored points-major (one row per
-Gauss point, one column per panel); a callable that fails on array input
-raises EvaluationError, there is no point-by-point fallback.  A constant
-return value is broadcast.
+is built on the routines in this module.  Quadrature takes one round on the
+panels its caller's breakpoints make and raises ConvergenceError when they
+do not resolve the integrand, and inversion takes bracketed Newton steps on
+a cumulative integral's own breakpoints and integrand; both use one 5-point
+Gauss rule.  Integrands must accept numpy arrays of any shape and are
+evaluated on whole batches of Gauss points at once, stored points-major (one
+row per Gauss point, one column per panel); a callable that fails on array
+input raises EvaluationError, there is no point-by-point fallback.  A
+constant return value is broadcast.
 """
 
 import functools
@@ -48,9 +49,6 @@ def gauss_legendre(n: int) -> QuadratureRule:
 _G5 = gauss_legendre(5)
 
 _REL_TOL = 1e-10  # integrate's relative tolerance
-_MAX_DEPTH = 24  # and its bisection limit per panel
-# Live-panel cap of integrate: panels double each round that bisects them all.
-_MAX_PANELS = 65536
 # CumulativeIntegral.build stores partial sums at 0 and geomspace(_X_MIN, 1).
 _N_BREAKPOINTS, _X_MIN = 4096, 1e-12
 _INVERT_TOL = 1e-12  # invert_monotone's residual bound, times max(1, |target|)
@@ -105,35 +103,21 @@ def _panel_sums(f, lefts, rights, rule: QuadratureRule) -> np.ndarray:
     return (rule.weights @ _finite_eval(f, x)) * half
 
 
-def _panel_rows(f, lefts, rights, wholes, depths):
-    """Rows (left, right, whole sum, left-half sum, right-half sum, depth)
-    for a batch of panels whose whole sums are known; one batched 5-point
-    Gauss call."""
-    mids = 0.5 * (lefts + rights)
-    halves = _panel_sums(f, np.concatenate((lefts, mids)),
-                         np.concatenate((mids, rights)), _G5).reshape(2, -1)
-    return np.column_stack((lefts, rights, wholes, halves[0], halves[1], depths))
-
-
 def integrate(
     f: Callable,
     a: float,
     b: float,
     breakpoints=(),
 ) -> float:
-    """Adaptive composite 5-point Gauss quadrature of f over [a, b].
+    """Composite 5-point Gauss quadrature of f over [a, b], in one round.
 
-    A panel's discrepancy is the gap between its whole-panel sum and the sum
-    of its two halves.  The first round samples the initial panels and their
-    halves in one call of f.  Each later round bisects, in one batched
-    evaluation, every panel whose discrepancy is above its share
-    _REL_TOL * |total| / n_panels (_REL_TOL = 1e-10); a child's whole-panel
-    sum is its parent's half sum, so only quarters are new.  Rounds end, the
-    first included, once the discrepancies sum to at most _REL_TOL times the
-    running integral.  ConvergenceError is raised past _MAX_DEPTH bisections
-    of a panel or _MAX_PANELS live panels, so a noisy integrand fails fast.
-    Breakpoints inside (a, b) seed the initial panelization, which is how
-    callers with known layer locations keep the bisection shallow.
+    The panels run between a, the breakpoints inside (a, b) and b.  Whole
+    panels and their two halves are sampled in one call of f; the result is
+    the sum over the halves.  A panel's discrepancy is the gap between its
+    whole-panel sum and the sum of its halves.  If the discrepancies sum to
+    more than _REL_TOL (1e-10) times |result|, ConvergenceError is raised:
+    there is no bisection, so a caller whose integrand has a layer, a kink
+    or a singular derivative passes breakpoints that resolve it.
     """
     if not (np.isfinite(a) and np.isfinite(b)):
         raise ParameterError("integration limits must be finite")
@@ -151,34 +135,13 @@ def integrate(
     wholes, left_halves, right_halves = _panel_sums(
         f, np.concatenate((lefts, lefts, mids)),
         np.concatenate((rights, mids, rights)), _G5).reshape(3, -1)
-    depths = np.zeros(len(lefts))
-    while True:
-        fine = left_halves + right_halves
-        total = float(fine.sum())
-        err = np.abs(fine - wholes)
-        tol = _REL_TOL * max(abs(total), 1e-300)
-        if float(err.sum()) <= tol:
-            return total
-        split = err > tol / len(err)
-        split[np.argmax(err)] = True
-        if depths[split].max() >= _MAX_DEPTH:
-            k = np.flatnonzero(split & (depths >= _MAX_DEPTH))[0]
-            raise ConvergenceError(
-                f"quadrature did not converge after {_MAX_DEPTH} bisections "
-                f"on [{lefts[k]}, {rights[k]}]")
-        if len(lefts) + np.count_nonzero(split) > _MAX_PANELS:
-            raise ConvergenceError(
-                f"quadrature on [{a}, {b}] needs more than {_MAX_PANELS} panels")
-        lo, hi = lefts[split], rights[split]
-        mid = 0.5 * (lo + hi)
-        children = _panel_rows(
-            f, np.concatenate((lo, mid)), np.concatenate((mid, hi)),
-            np.concatenate((left_halves[split], right_halves[split])),
-            np.tile(depths[split] + 1, 2))
-        kept = np.column_stack(
-            (lefts, rights, wholes, left_halves, right_halves, depths))[~split]
-        lefts, rights, wholes, left_halves, right_halves, depths = (
-            np.concatenate((kept, children)).T)
+    fine = left_halves + right_halves
+    total = float(fine.sum())
+    if float(np.abs(fine - wholes).sum()) > _REL_TOL * abs(total):
+        raise ConvergenceError(
+            f"quadrature on [{a}, {b}] did not converge on {len(lefts)} "
+            "panels; pass finer breakpoints")
+    return total
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,9 @@ moments are one closed-form column.  Only the element entries that the
 system keeps are formed, in place in a few full-length buffers.
 The assembled system is tridiagonal over the interior nodes and is solved by
 calling LAPACK's pivoting tridiagonal solver dgtsv directly, in O(n) time and
-memory, with no fallback path; its residual is formed in place.  dgtsv is the
+memory, with no fallback path; its residual is formed in place, and where
+entries near 1e308 overflow it or its scale, it is checked on copies
+scaled by powers of two.  dgtsv is the
 package's only use of scipy, and scipy.linalg is imported by the first
 solve_tridiagonal call that reaches it, so runs that never solve (meshes,
 interpolation errors, the lemma and barrier checks) skip its import of about
@@ -26,6 +28,7 @@ below the smallest normal float raises AssemblyError before any division.
 """
 
 import functools
+import math
 
 import numpy as np
 from dataclasses import dataclass, field
@@ -221,17 +224,32 @@ def solve_tridiagonal(system: TridiagonalSystem) -> np.ndarray:
     top_x = _max_abs(x)
     if not np.isfinite(top_x):
         raise SingularSystemError("system is singular to working precision")
-    # the residual A x - rhs, in place
+    tops = (top_sub, top_diag, top_sup, top_rhs, top_x)
+    with np.errstate(over="ignore", invalid="ignore"):  # entries near 1e308
+        resid, scale = _residual(sub, diag, sup, rhs, x, *tops)
+    if not (np.isfinite(resid) and np.isfinite(scale)):
+        # the same check on copies scaled by exact powers of two: A by 2^-p_A,
+        # rhs by 2^-k and x by 2^(p_A - k), k = max(p_A + p_x, p_rhs), with p
+        # the frexp exponent of the largest entry; so no entry reaches 1
+        p_a = int(np.frexp(max(tops[:3]))[1])
+        k = max(p_a + int(np.frexp(top_x)[1]), int(np.frexp(top_rhs)[1]))
+        shifts = (-p_a, -p_a, -p_a, -k, p_a - k)
+        resid, scale = _residual(
+            *(np.ldexp(v, n) for v, n in zip((sub, diag, sup, rhs, x), shifts)),
+            *(math.ldexp(t, n) for t, n in zip(tops, shifts)))
+    if resid > 1e-8 * max(scale, 1e-300):
+        raise SingularSystemError("system is singular to working precision")
+    return x
+
+
+def _residual(sub, diag, sup, rhs, x, top_sub, top_diag, top_sup, top_rhs, top_x):
+    """max |A x - rhs|, formed in place, and the scale it is checked against."""
     r = diag * x
     term = sub * x[:-1]
     r[1:] += term
     r[:-1] += np.multiply(sup, x[1:], out=term)
     r -= rhs
-    with np.errstate(over="ignore"):  # finite entries near 1e308 may sum to inf
-        scale = (top_diag + (top_sub + top_sup)) * top_x + top_rhs
-    if _max_abs(r) > 1e-8 * max(scale, 1e-300):
-        raise SingularSystemError("system is singular to working precision")
-    return x
+    return _max_abs(r), (top_diag + (top_sub + top_sup)) * top_x + top_rhs
 
 
 def galerkin_solve(scenario, mesh: LayerMesh) -> FemSolution:
@@ -246,7 +264,8 @@ def galerkin_solve(scenario, mesh: LayerMesh) -> FemSolution:
 
 def bilinear_form(v: FemSolution, w: FemSolution, scenario) -> float:
     """Quadrature value of a(v, w) for two FE functions on the same mesh,
-    from samples of every coefficient: the oracle that assembly is tested on."""
+    from samples of every coefficient.  Library API, and the tests' oracle
+    for assembly."""
     if v.mesh is not w.mesh and not np.array_equal(v.mesh.nodes, w.mesh.nodes):
         raise MeshMismatchError("bilinear_form requires a shared mesh")
     rule = gauss_legendre(_QUAD)

@@ -13,7 +13,8 @@ import numbers
 
 import numpy as np
 
-from .calculus import CumulativeIntegral, integrate, layer_integral
+from .calculus import (_G5, CumulativeIntegral, _panel_sums, integrate,
+                       layer_integral)
 from .errors import ConfigurationError, ParameterError
 from .fem import FemSolution, galerkin_solve
 from .mesh import build_mesh
@@ -33,11 +34,17 @@ def check_integral_lemma(coeffs, a: float, x: float, ell: int,
     """Verify  int_a^x eps^l exp(g e_a)  <=  (eps(x)^(l+1) exp(g e_a(x)) - eps(a)^(l+1)) / (g + (l+1) s0).
 
     s0 is the minimum of eps' over _LEMMA_SAMPLES points of [a, x] and must
-    be nonnegative; the inequality requires g > -(l+1) s0.  For positive g
-    both sides are rescaled by exp(-g e_a(x)) so that huge layer exponents
-    never overflow.  e is the layer integral of coeffs, kind "e".  Panels
-    grow 10^(14/199)-fold away from x, the first a hundredth of the
-    integrand's layer width eps(x) / |g| clamped into [1e-14, 1] (x - a).
+    be nonnegative; the inequality requires g > -(l+1) s0.  Both sides are
+    divided by exp(g e_a(x)) and taken in s = x - t, one formula for every g:
+    int_0^(x-a) eps(x - s)^l exp(-g d(s)) ds on the left and
+    (eps(x)^(l+1) - eps(a)^(l+1) exp(-g d(x - a))) / (g + (l+1) s0) on the
+    right, where d(s) = int_(x-s)^x 1/eps sums positive panel integrals of
+    e.integrand (e is the layer integral of coeffs, kind "e").  Nothing
+    cancels and no Gauss point x - s loses s to the rounding of x, so one
+    quadrature round converges down to eps0 = 1e-12.  Panels grow
+    10^(14/199)-fold away from s = 0, the first a hundredth of the
+    integrand's layer width eps(x) / |g| clamped into [1e-14, 1] (x - a);
+    for g = 0, [0, x - a] is one panel.
 
     Equality holds whenever eps' is constant on [a, x] (eps-const,
     eps-linear, manufactured): then d/dt[eps^(l+1) exp(g e_a)] equals
@@ -58,26 +65,25 @@ def check_integral_lemma(coeffs, a: float, x: float, ell: int,
         raise ParameterError("gamma must exceed -(ell + 1) * sigma0")
 
     eps = coeffs.eps
-    e_a, e_x = e(np.array([a, x]))
     denom = gamma_param + (ell + 1) * sigma0
-    bp = ()
+    grid = np.array([x - a])
     if gamma_param != 0:
         start = min(max(0.01 * eps(x) / abs(gamma_param), 1e-14 * (x - a)), x - a)
         num = 1 + math.ceil(_LEMMA_PANELS_PER_DECADE * math.log10((x - a) / start))
         # np.geomspace(start, x - a, num)'s own arithmetic, without its wrapper
         grid = np.power(10.0, np.linspace(np.log10(start), np.log10(x - a), num))
         grid[[0, -1]] = start, x - a
-        bp = x - grid
 
-    # exp(g (e(t) - shift)) <= 1 on [a, x]: no overflow for either sign of g
-    shift = e_x if gamma_param > 0 else e_a
-    lhs = integrate(
-        lambda t: eps(t) ** ell * np.exp(gamma_param * (e(t) - shift)),
-        a, x, breakpoints=bp)
-    with np.errstate(under="ignore"):
-        rhs = (eps(x) ** (ell + 1) * math.exp(gamma_param * (e_x - shift))
-               - eps(a) ** (ell + 1) * math.exp(gamma_param * (e_a - shift))
-               ) / denom
+    recip = lambda r: e.integrand(x - r)  # 1/eps(x - r)
+    edges = np.concatenate(([0.0], grid))
+    d = CumulativeIntegral(edges, np.concatenate(([0.0], np.cumsum(
+        _panel_sums(recip, edges[:-1], edges[1:], _G5)))), recip)
+    lhs = integrate(lambda s: eps(x - s) ** ell * np.exp(-gamma_param * d(s)),
+                    0.0, x - a, breakpoints=edges)
+    # expm1 keeps 1 - exp(-g d(x - a)) accurate when g d(x - a) is small
+    eps_a = eps(a) ** (ell + 1)
+    rhs = (eps(x) ** (ell + 1) - eps_a
+           - eps_a * math.expm1(-gamma_param * d.partial_sums[-1])) / denom
 
     margin = (rhs - lhs) / max(abs(rhs), 1e-300)
     passed = lhs <= rhs * (1.0 + 1e-8)

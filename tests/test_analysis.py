@@ -85,11 +85,14 @@ class TestEnergyNorm:
         v = FemSolution(mesh=uniform_mesh(9), coefficients=np.zeros(9))
         assert energy_norm(v, sc.coeffs) == 0.0
 
-    def test_layer_exemplar_closed_form(self):
+    @pytest.mark.parametrize("eps0", [1e-4, 1e-12, 1e-14])
+    def test_layer_exemplar_closed_form(self, eps0):
         # const eps: E = (exp(-beta x/eps) - q)/(1-q), and
         # int eps E'^2 = beta (1 - q^2) / (2 (1-q)^2),
-        # int E^2 = (eps/(2 beta) (1-q^2) - 2 q eps/beta (1-q) + q^2)/(1-q)^2
-        eps0, beta = 1e-4, 1.0
+        # int E^2 = (eps/(2 beta) (1-q^2) - 2 q eps/beta (1-q) + q^2)/(1-q)^2;
+        # the quadrature's panels are graded from eps_lower, so one round
+        # resolves the layer at every eps0
+        beta = 1.0
         sc = get_scenario("eps-const", eps0)
         q = math.exp(-beta / eps0)
         grad2 = beta * (1 - q ** 2) / (2 * (1 - q) ** 2)

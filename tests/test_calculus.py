@@ -6,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from layerfem import calculus
 from layerfem.calculus import (
     _G5,
     CumulativeIntegral,
@@ -56,11 +55,17 @@ class TestIntegrate:
         assert integrate(lambda t: np.ones_like(t), 0, 1) == pytest.approx(1.0)
 
     def test_reciprocal_linear(self):
-        got = integrate(lambda t: 1.0 / (0.01 * (1 + t)), 0, 1)
+        f = lambda t: 1.0 / (0.01 * (1 + t))
+        with pytest.raises(ConvergenceError):
+            integrate(f, 0, 1)
+        got = integrate(f, 0, 1, breakpoints=np.linspace(0, 1, 9))
         assert got == pytest.approx(100 * np.log(2), rel=1e-10)
 
     def test_fast_decay(self):
-        got = integrate(lambda t: np.exp(-100 * t), 0, 0.5)
+        f = lambda t: np.exp(-100 * t)
+        with pytest.raises(ConvergenceError):
+            integrate(f, 0, 0.5)
+        got = integrate(f, 0, 0.5, breakpoints=np.linspace(0, 0.5, 51))
         assert got == pytest.approx((1 - np.exp(-50)) / 100, rel=1e-10)
 
     def test_empty_interval(self):
@@ -83,21 +88,24 @@ class TestIntegrate:
     def test_constant_return_is_broadcast(self):
         assert integrate(lambda t: 2.0, 0, 1) == pytest.approx(2.0)
 
-    @pytest.mark.parametrize("f, exact", [
-        (lambda t: np.cos(50 * t), math.sin(50) / 50),
-        (lambda t: np.abs(t - 1 / 3), 5 / 18),
-        (lambda t: np.sqrt(t), 2 / 3),
+    @pytest.mark.parametrize("f, exact, breakpoints", [
+        (lambda t: np.cos(50 * t), math.sin(50) / 50, np.linspace(0, 1, 65)),
+        (lambda t: np.abs(t - 1 / 3), 5 / 18, [1 / 3]),
+        (lambda t: np.sqrt(t), 2 / 3, np.geomspace(1e-12, 1, 81)),
     ], ids=["cos50", "kink", "sqrt"])
-    def test_bisected_integrands_match_closed_form(self, f, exact):
-        assert abs(integrate(f, 0, 1) - exact) <= 1e-10 * abs(exact)
-
-    def test_max_depth_raises(self, monkeypatch):
-        monkeypatch.setattr("layerfem.calculus._MAX_DEPTH", 2)
-        with pytest.raises(ConvergenceError):
-            integrate(lambda t: np.exp(-1e4 * t), 0, 1)
+    def test_resolved_integrands_match_closed_form(self, f, exact, breakpoints):
+        # one round on panels that resolve the integrand; without them the
+        # single panel's halves disagree with it, and integrate raises
+        # after its one call of f
+        counted = CountingIntegrand(f)
+        with pytest.raises(ConvergenceError, match="pass finer breakpoints"):
+            integrate(counted, 0, 1)
+        assert counted.shapes == [(5, 3)]
+        got = integrate(f, 0, 1, breakpoints=breakpoints)
+        assert abs(got - exact) <= 1e-10 * abs(exact)
 
     def test_noise_above_tolerance_fails_fast(self):
-        # the wiggle never resolves, so the panel count hits its cap
+        # the wiggle is below any panel's resolution
         with pytest.raises(ConvergenceError):
             integrate(lambda t: 1 + 1e-6 * np.sin(1e9 * t), 0, 1)
 
@@ -113,42 +121,13 @@ class CountingIntegrand:
         return self.f(t)
 
 
-def count_rounds(monkeypatch):
-    """Bisection rounds of integrate: one _panel_rows call each."""
-    rounds = []
-    real = calculus._panel_rows
-
-    def counted(*args):
-        rounds.append(len(args[1]))
-        return real(*args)
-
-    monkeypatch.setattr(calculus, "_panel_rows", counted)
-    return rounds
-
-
 class TestIntegrandCalls:
-    def test_one_call_when_the_first_round_converges(self, monkeypatch):
-        # 5-point Gauss is exact for degree 9: the first round converges
-        rounds = count_rounds(monkeypatch)
+    def test_one_call_of_whole_panels_and_halves(self):
+        # 5-point Gauss is exact for degree 9: the round converges
         f = CountingIntegrand(lambda t: t ** 9)
         assert integrate(f, 0.0, 1.0, breakpoints=(0.25, 0.5)) == pytest.approx(0.1)
-        # whole panels and both halves of the 3 initial panels, in one batch
+        # whole panels and both halves of the 3 panels, in one batch
         assert f.shapes == [(5, 9)]
-        assert rounds == []
-
-    @pytest.mark.parametrize("f", [
-        lambda t: np.cos(50 * t), lambda t: np.abs(t - 1 / 3), np.sqrt,
-        lambda t: np.exp(-1e4 * t),
-    ], ids=["cos50", "kink", "sqrt", "layer"])
-    def test_k_plus_one_calls_after_k_rounds(self, monkeypatch, f):
-        rounds = count_rounds(monkeypatch)
-        counted = CountingIntegrand(f)
-        integrate(counted, 0.0, 1.0)
-        assert len(rounds) >= 1
-        assert len(counted.shapes) == len(rounds) + 1
-        assert counted.shapes[0] == (5, 3)
-        # each later round samples the halves of every new child
-        assert counted.shapes[1:] == [(5, 2 * n) for n in rounds]
 
 
 class TestLayerIntegral:

@@ -376,6 +376,38 @@ class TestTridiagonalSolve:
         ref = np.linalg.solve(dense(scaled), scaled.rhs)
         assert np.abs(x - ref).max() <= 1e-14
 
+    @pytest.mark.parametrize("big, rel", [(1e308, 1e-6), (1e308, -1e-7),
+                                          (1.0, 1e-6)])
+    def test_residual_check_sees_a_wrong_solution(self, monkeypatch, big, rel):
+        # the residual check's scale overflows to inf near 1e308; it is then
+        # made on copies scaled by powers of two, so a wrong x still fails
+        n = 6
+        sys_ = TridiagonalSystem(sub=np.full(n - 1, 0.25 * big),
+                                 diag=np.full(n, 1.5 * big),
+                                 sup=np.full(n - 1, 0.25 * big),
+                                 rhs=np.full(n, big))
+        real = scipy.linalg.lapack.dgtsv
+
+        def perturbed(*args):
+            *rest, x, info = real(*args)
+            x[2] *= 1.0 + rel
+            return (*rest, x, info)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", perturbed)
+        with pytest.raises(SingularSystemError,
+                           match="^system is singular to working precision$"):
+            solve_tridiagonal(sys_)
+
+    def test_overflow_inside_the_elimination_is_refused(self):
+        # x = (0.75, 0.75), but dgtsv's elimination overflows to inf and
+        # returns x = 0; the scale is then inf * 0 = nan, and only the check
+        # on scaled copies sees the residual of 1.5e308
+        sys_ = TridiagonalSystem(sub=np.array([1e308]), diag=np.array([1e308, 1e308]),
+                                 sup=np.array([-1e308]), rhs=np.array([0.0, 1.5e308]))
+        with pytest.raises(SingularSystemError,
+                           match="^system is singular to working precision$"):
+            solve_tridiagonal(sys_)
+
     def test_empty_system(self):
         empty = np.zeros(0)
         sys_ = TridiagonalSystem(sub=empty, diag=empty, sup=empty, rhs=empty)

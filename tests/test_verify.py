@@ -115,8 +115,9 @@ class TestIntegralLemma:
 
 
 def fixed_grid_margin(coeffs, a, x, ell, gamma, e):
-    """check_integral_lemma's margin as computed before its breakpoints were
-    graded from the layer width: 200 breakpoints from 1e-14 (x - a) toward
+    """check_integral_lemma's margin as computed before it was taken in the
+    reflected coordinate with graded breakpoints: in t, from the difference
+    e(t) - e(x) or e(t) - e(a), on 200 breakpoints from 1e-14 (x - a) toward
     x, whatever gamma."""
     eps = coeffs.eps
     sigma0 = float(np.min(eps.d(np.linspace(a, x, 2001))))
@@ -141,7 +142,7 @@ def graded_breakpoints(monkeypatch, coeffs, a, x, gamma):
         return 0.0
 
     monkeypatch.setattr(verify, "integrate", capture)
-    check_integral_lemma(coeffs, a, x, 0, gamma, lambda t: np.zeros(np.shape(t)))
+    check_integral_lemma(coeffs, a, x, 0, gamma, layer_integral(coeffs, "e"))
     return seen[0]
 
 
@@ -149,6 +150,7 @@ def graded_breakpoints(monkeypatch, coeffs, a, x, gamma):
 @given(a=st.floats(0.0, 1.0), length=st.floats(1e-3, 1.0),
        log10_eps=st.floats(-12.0, 0.0), log10_gamma=st.floats(-3.0, 8.0))
 def test_graded_breakpoints_are_geomspace(a, length, log10_eps, log10_gamma):
+    # in s = x - t: 0, then panels graded away from s = 0 up to x - a
     x = min(1.0, a + length)
     assume(a < x)
     gamma = 10.0 ** log10_gamma
@@ -158,18 +160,24 @@ def test_graded_breakpoints_are_geomspace(a, length, log10_eps, log10_gamma):
                         * math.log10((x - a) / start))
     with pytest.MonkeyPatch.context() as mp:
         got = graded_breakpoints(mp, coeffs, a, x, gamma)
-    assert got.tobytes() == (x - np.geomspace(start, x - a, num)).tobytes()
+    want = np.concatenate(([0.0], np.geomspace(start, x - a, num)))
+    assert got.tobytes() == want.tobytes()
 
 
-class CountingE:
-    """A layer integral that counts the points it is evaluated at."""
+class CountingIntegrand:
+    """An integrand that counts the points it is evaluated at."""
 
-    def __init__(self, e):
-        self.e, self.points = e, 0
+    def __init__(self, f):
+        self.f, self.points = f, 0
 
     def __call__(self, x):
         self.points += np.size(x)
-        return self.e(x)
+        return self.f(x)
+
+
+def counting(e):
+    """The layer integral e with an integrand that counts its points."""
+    return dataclasses.replace(e, integrand=CountingIntegrand(e.integrand))
 
 
 def random_instances(n, seed):
@@ -188,16 +196,17 @@ def random_instances(n, seed):
 class TestGradedLemmaGrid:
     @pytest.mark.parametrize("eps0", [1e-2, 1e-4, 1e-6])
     def test_margins_match_the_fixed_grid(self, eps0):
+        # both count the points that 1/eps is evaluated at
         graded = fixed = 0
         for sc in builtin_scenarios(eps0):
             e = layer_integral(sc.coeffs, "e")
             for a, x, ell, gamma in random_instances(16, 7):
-                counted = CountingE(e)
+                counted = counting(e)
                 rep = check_integral_lemma(sc.coeffs, a, x, ell, gamma, counted)
-                graded += counted.points
-                counted = CountingE(e)
+                graded += counted.integrand.points
+                counted = counting(e)
                 want = fixed_grid_margin(sc.coeffs, a, x, ell, gamma, counted)
-                fixed += counted.points
+                fixed += counted.integrand.points
                 assert rep.passed
                 assert abs(rep.worst_margin - want) <= 1e-9
         if eps0 == 1e-2:
@@ -216,6 +225,30 @@ class TestGradedLemmaGrid:
                 want = fixed_grid_margin(sc.coeffs, a, x, ell, gamma, e)
                 assert rep.passed
                 assert abs(rep.worst_margin - want) <= 1e-9
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(log10_eps0=st.floats(-12.0, -2.0), a=st.floats(0.0, 0.999),
+       length=st.floats(1e-3, 1.0), ell=st.integers(0, 1),
+       log10_gamma=st.floats(-3.0, math.log10(verify._GAMMA_MAX)))
+def test_lemma_across_the_eps0_range(log10_eps0, a, length, ell, log10_gamma):
+    # eps' is constant on eps-const, eps-linear and manufactured, so the
+    # lemma is an equality there; on eps-exp it is strict
+    x = min(1.0, a + length)
+    gamma = 10.0 ** log10_gamma
+    for sc in builtin_scenarios(10.0 ** log10_eps0):
+        rep = check_integral_lemma(sc.coeffs, a, x, ell, gamma,
+                                   layer_integral(sc.coeffs, "e"))
+        assert rep.passed
+        if sc.name == "eps-exp":
+            # strict by about (l + 1) (eps'(x) - eps'(a)) / gamma, with the
+            # weight near x; that nears roundoff on short intervals at the
+            # smallest eps0
+            eps_d = sc.coeffs.eps.d
+            strict = (ell + 1) * float(eps_d(x) - eps_d(a)) / gamma
+            assert rep.worst_margin > (0.0 if strict > 1e-14 else -1e-12)
+        else:
+            assert abs(rep.worst_margin) <= 1e-12
 
 
 class TestBarrierOperator:
