@@ -26,8 +26,8 @@ import numpy as np
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .calculus import (_finite_eval, _gauss_map, _panel_sums, gauss_legendre,
-                       integrate, layer_integral)
+from .calculus import (_finite_eval, _gauss_map, _graded, _panel_sums,
+                       gauss_legendre, integrate, layer_integral)
 from .errors import ConfigurationError, DegenerateRegimeError, ParameterError
 from .fem import _QUAD, FemSolution, _on_elements, galerkin_solve
 from .mesh import LayerMesh, build_mesh
@@ -107,9 +107,8 @@ def energy_norm(v, coeffs) -> float:
         l2, wg = _linear_norms(nodes, v.coefficients,
                                _panel_sums(coeffs.eps, nodes[:-1], nodes[1:], _G5))
         return math.sqrt(l2.sum() + wg.sum())
-    bp = np.concatenate(([0.0], np.geomspace(1e-2 * coeffs.eps_lower, 1.0, 257)))
-    val = integrate(lambda x: coeffs.eps(x) * v.d(x) ** 2 + v(x) ** 2,
-                    0.0, 1.0, breakpoints=bp)
+    val = integrate(lambda x: coeffs.eps(x) * v.d(x) ** 2 + v(x) ** 2, 0.0, 1.0,
+                    breakpoints=_graded(1e-2 * coeffs.eps_lower, 1.0, 257))
     return math.sqrt(val)
 
 

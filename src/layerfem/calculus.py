@@ -3,9 +3,10 @@
 Everything downstream (meshing, assembly, error measurement, bound checks)
 is built on the routines in this module.  Quadrature takes one round on the
 panels its caller's breakpoints make and raises ConvergenceError when they
-do not resolve the integrand, and inversion takes bracketed Newton steps on
-a cumulative integral's own breakpoints and integrand; both use one 5-point
-Gauss rule.  Integrands must accept numpy arrays of any shape and are
+do not resolve the integrand (_graded grades them), a cumulative integral
+lives on its own breakpoints [0, ..., top], and inversion takes bracketed
+Newton steps on them, reading the integral through its __call__; all use one
+5-point Gauss rule.  Integrands must accept numpy arrays of any shape and are
 evaluated on whole batches of Gauss points at once, stored points-major (one
 row per Gauss point, one column per panel); a callable that fails on array
 input raises EvaluationError, there is no point-by-point fallback.  A
@@ -49,9 +50,19 @@ def gauss_legendre(n: int) -> QuadratureRule:
 _G5 = gauss_legendre(5)
 
 _REL_TOL = 1e-10  # integrate's relative tolerance
-# CumulativeIntegral.build stores partial sums at 0 and geomspace(_X_MIN, 1).
+# layer_integral's breakpoints: 0, then graded from _X_MIN to 1
 _N_BREAKPOINTS, _X_MIN = 4096, 1e-12
 _INVERT_TOL = 1e-12  # invert_monotone's residual bound, times max(1, |target|)
+
+
+def _graded(start: float, stop: float, num: int) -> np.ndarray:
+    """Breakpoints 0, then num points from start to stop in geometric
+    progression: np.geomspace(start, stop, num)'s own arithmetic without its
+    wrapper, with both ends exact.  The last point is stop, so num = 1 gives
+    [0, stop]."""
+    grid = np.power(10.0, np.linspace(np.log10(start), np.log10(stop), num))
+    grid[[0, -1]] = start, stop
+    return np.concatenate(([0.0], grid))
 
 
 def _vec_eval(f, x: np.ndarray) -> np.ndarray:
@@ -146,13 +157,13 @@ def integrate(
 
 @dataclass(frozen=True)
 class CumulativeIntegral:
-    """x -> integral of a positive integrand from 0 to x, on [0, 1].
+    """x -> integral of a positive integrand from 0 to x, on [0, top], where
+    top = breakpoints[-1]; build stores a partial sum at each breakpoint.
 
-    Partial sums are precomputed at _N_BREAKPOINTS breakpoints clustered
-    geometrically near x = 0; point evaluation adds a single local Gauss
-    panel to the nearest stored sum, so repeated evaluation (meshing does
-    thousands) is cheap.  A panel spans 0.68 % of its distance from 0, where
-    1/eps of every built-in is near-polynomial: integrate's 5-point rule
+    Point evaluation adds a single local Gauss panel to the nearest stored
+    sum, so repeated evaluation (meshing does thousands) is cheap.  On
+    layer_integral's breakpoints a panel spans 0.68 % of its distance from
+    0, where 1/eps of every built-in is near-polynomial: the 5-point rule
     gives e within 1.9e-15 relative of the closed forms.
     """
 
@@ -161,24 +172,28 @@ class CumulativeIntegral:
     integrand: Callable
 
     @classmethod
-    def build(cls, integrand):
-        bp = np.concatenate(([0.0], np.geomspace(_X_MIN, 1.0, _N_BREAKPOINTS - 1)))
+    def build(cls, integrand, breakpoints):
+        """The integral of integrand on increasing breakpoints from 0."""
+        bp = np.asarray(breakpoints, dtype=float)
+        if bp.ndim != 1 or len(bp) < 2 or bp[0] != 0 or not (bp[1:] > bp[:-1]).all():
+            raise ParameterError("breakpoints must increase from 0")
         seg = _panel_sums(integrand, bp[:-1], bp[1:], _G5)
         sums = np.concatenate(([0.0], np.cumsum(seg)))
         return cls(breakpoints=bp, partial_sums=sums, integrand=integrand)
 
     def __call__(self, x):
         """Evaluate at x of any shape; a 0-d or scalar x returns a float.
-        x's min and max must lie in [-1e-12, 1 + 1e-12]; x is clipped to
-        [0, 1] only if one of them lies outside it."""
+        x's min and max must lie within 1e-12 top of [0, top]; x is clipped
+        to [0, top] only if one of them lies outside it."""
         xa = np.asarray(x, dtype=float)
         xq = xa.ravel()
+        top = self.breakpoints[-1]
         if xq.size:
-            lo, hi = xq.min(), xq.max()
-            if not (lo >= -1e-12 and hi <= 1.0 + 1e-12):  # NaN fails too
-                raise ParameterError("cumulative integral is only defined on [0, 1]")
-            if lo < 0.0 or hi > 1.0:
-                xq = np.clip(xq, 0.0, 1.0)
+            lo, hi, tol = xq.min(), xq.max(), 1e-12 * top
+            if not (lo >= -tol and hi <= top + tol):  # NaN fails too
+                raise ParameterError(f"cumulative integral is only defined on [0, {top}]")
+            if lo < 0.0 or hi > top:
+                xq = np.clip(xq, 0.0, top)
         # breakpoints[0] == 0 <= xq, so only the last panel's index needs a bound
         idx = np.searchsorted(self.breakpoints, xq, side="right") - 1
         np.minimum(idx, len(self.breakpoints) - 2, out=idx)
@@ -202,32 +217,22 @@ def layer_integral(coeffs, kind: str) -> CumulativeIntegral:
         integrand = lambda t: 1.0 / np.sqrt(eu * eps(t))
     else:
         raise ParameterError(f"unknown layer integral kind {kind!r}")
-    return CumulativeIntegral.build(integrand)
-
-
-def _on_panel(g: CumulativeIntegral, k: int, x: float) -> float:
-    """g(x) for x in [breakpoints[k], breakpoints[k+1]], bit for bit: the
-    stored sum at panel k plus the local 5-point Gauss panel g adds,
-    without g's range check and search.  At x == breakpoints[k+1] g reads
-    panel k+1 (unless k is the last panel), and so does this."""
-    if x == g.breakpoints[k + 1] and k + 2 < len(g.breakpoints):
-        k += 1
-    return float(g.partial_sums[k]
-                 + _panel_sums(g.integrand, [g.breakpoints[k]], [x], _G5)[0])
+    return CumulativeIntegral.build(
+        integrand, _graded(_X_MIN, 1.0, _N_BREAKPOINTS - 1))
 
 
 def invert_monotone(g: CumulativeIntegral, target: float) -> float:
-    """Solve g(x) = target on [0, 1] for strictly increasing g.
+    """Solve g(x) = target on [0, g.breakpoints[-1]] for strictly increasing g.
 
     The breakpoint panel that brackets target (searchsorted on partial_sums)
     gives the first iterate by linear interpolation.  Newton steps with
     g' = g.integrand follow; each shrinks the bracket, and a step that would
-    leave it bisects instead.  Every iterate stays in that panel, so g is
-    evaluated there directly (_on_panel: one 5-point panel, exact to
-    roundoff on panels this narrow).  Iteration stops once the residual is
-    within 4 ulps of target or the bracket is one ulp wide.
+    leave it bisects instead.  Every iterate stays in that panel, where g(x)
+    adds one 5-point panel to a stored sum, exact to roundoff on panels this
+    narrow.  Iteration stops once the residual is within 4 ulps of target or
+    the bracket is one ulp wide.
     """
-    # g(0.0) and g(1.0) are the first and last stored partial sums
+    # g(0) and g(top) are the first and last stored partial sums
     lo, hi = float(g.partial_sums[0]), float(g.partial_sums[-1])
     if not lo <= target <= hi:  # NaN fails too
         raise OutOfRangeError(
@@ -236,13 +241,13 @@ def invert_monotone(g: CumulativeIntegral, target: float) -> float:
     if target == lo:
         return 0.0
     if target == hi:
-        return 1.0
+        return float(g.breakpoints[-1])
     k = min(int(np.searchsorted(g.partial_sums, target, side="right")) - 1,
             len(g.breakpoints) - 2)
     a, b = g.breakpoints[k], g.breakpoints[k + 1]
     g_a, g_b = g.partial_sums[k], g.partial_sums[k + 1]
     x = min(b, a + (b - a) * (target - g_a) / (g_b - g_a))
-    r = _on_panel(g, k, x) - target
+    r = g(x) - target
     while abs(r) > 4 * np.finfo(float).eps * abs(target):
         a, b = (a, x) if r > 0 else (x, b)
         slope = float(g.integrand(x))
@@ -252,7 +257,7 @@ def invert_monotone(g: CumulativeIntegral, target: float) -> float:
             if not a < step < b:
                 break
         x = step
-        r = _on_panel(g, k, x) - target
+        r = g(x) - target
     if abs(r) > _INVERT_TOL * max(1.0, abs(target)):
         raise ConvergenceError("monotone inversion residual above tolerance")
     return float(x)

@@ -25,6 +25,7 @@ from .fem import galerkin_solve
 from .mesh import build_mesh
 from .problem import SCENARIO_NAMES, builtin_scenarios, get_scenario
 from .verify import (
+    _UNIFORMITY_EPS0,
     check_barrier_operator,
     check_bound_uniformity,
     check_integral_lemma_random,
@@ -221,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     vp = subcommand("verify", cmd_verify, "run a verification suite",
                     eps0_help="diffusion scale eps0 of the lemma and barrier "
                               "suites; the bounds suite ignores it and sweeps "
-                              "1e-3, 1e-5, 1e-7")
+                              + ", ".join(f"{z:g}" for z in _UNIFORMITY_EPS0))
     vp.add_argument("--suite", default="all",
                     choices=("lemmas", "barriers", "bounds", "all"))
     vp.add_argument("--seed", type=int, default=12345,

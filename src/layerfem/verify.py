@@ -4,8 +4,9 @@ Covered: the exponential-weight integral inequality, positivity of the
 barrier-function operator image, and bounded-ratio checks of the pointwise
 derivative bounds, U0-U2 through e(x) and T0, T1 through etilde(x), named in
 one table (_BOUNDS).  "The constant is eps-uniform" is operationalized as:
-the sup of |w^(k)| / bound varies by at most 4x across three decades of
-eps0.  Every check takes the layer integral it needs as an argument.
+the sup of |w^(k)| / bound varies by at most 4x across the eps0 of
+_UNIFORMITY_EPS0, which span four decades.  Every check takes the layer
+integral it needs as an argument.
 """
 
 import math
@@ -13,8 +14,7 @@ import numbers
 
 import numpy as np
 
-from .calculus import (_G5, CumulativeIntegral, _panel_sums, integrate,
-                       layer_integral)
+from .calculus import CumulativeIntegral, _graded, integrate, layer_integral
 from .errors import ConfigurationError, ParameterError
 from .fem import FemSolution, galerkin_solve
 from .mesh import build_mesh
@@ -66,20 +66,14 @@ def check_integral_lemma(coeffs, a: float, x: float, ell: int,
 
     eps = coeffs.eps
     denom = gamma_param + (ell + 1) * sigma0
-    grid = np.array([x - a])
-    if gamma_param != 0:
-        start = min(max(0.01 * eps(x) / abs(gamma_param), 1e-14 * (x - a)), x - a)
-        num = 1 + math.ceil(_LEMMA_PANELS_PER_DECADE * math.log10((x - a) / start))
-        # np.geomspace(start, x - a, num)'s own arithmetic, without its wrapper
-        grid = np.power(10.0, np.linspace(np.log10(start), np.log10(x - a), num))
-        grid[[0, -1]] = start, x - a
-
-    recip = lambda r: e.integrand(x - r)  # 1/eps(x - r)
-    edges = np.concatenate(([0.0], grid))
-    d = CumulativeIntegral(edges, np.concatenate(([0.0], np.cumsum(
-        _panel_sums(recip, edges[:-1], edges[1:], _G5)))), recip)
+    # g = 0 has no layer width eps(x) / |g|: start = x - a, one panel
+    width = 0.01 * eps(x) / abs(gamma_param) if gamma_param else math.inf
+    start = min(max(width, 1e-14 * (x - a)), x - a)
+    num = 1 + math.ceil(_LEMMA_PANELS_PER_DECADE * math.log10((x - a) / start))
+    d = CumulativeIntegral.build(lambda r: e.integrand(x - r),  # 1/eps(x - r)
+                                 _graded(start, x - a, num))
     lhs = integrate(lambda s: eps(x - s) ** ell * np.exp(-gamma_param * d(s)),
-                    0.0, x - a, breakpoints=edges)
+                    0.0, x - a, breakpoints=d.breakpoints)
     # expm1 keeps 1 - exp(-g d(x - a)) accurate when g d(x - a) is small
     eps_a = eps(a) ** (ell + 1)
     rhs = (eps(x) ** (ell + 1) - eps_a
@@ -96,8 +90,8 @@ def check_integral_lemma(coeffs, a: float, x: float, ell: int,
 def check_integral_lemma_random(scenario, n_tuples: int, rng,
                                 e: CumulativeIntegral) -> BoundCheckReport:
     """Aggregate of n_tuples >= 1 randomized integral-lemma instances on e."""
-    if n_tuples < 1:
-        raise ParameterError("n_tuples must be at least 1")
+    if not isinstance(n_tuples, numbers.Integral) or n_tuples < 1:
+        raise ParameterError("n_tuples must be an integer of at least 1")
     worst = math.inf
     worst_pt = math.nan
     passed = True

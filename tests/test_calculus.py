@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 from layerfem.calculus import (
     _G5,
     CumulativeIntegral,
-    _on_panel,
+    _graded,
     _panel_sums,
     gauss_legendre,
     integrate,
@@ -142,6 +142,11 @@ class TestLayerIntegral:
         e = layer_integral(sc.coeffs, "e")
         assert e(1.0) == pytest.approx(100 * np.log(2), rel=1e-10)
 
+    def test_breakpoints_are_the_graded_grid(self):
+        e = layer_integral(get_scenario("eps-exp", 1e-6).coeffs, "e")
+        want = np.concatenate(([0.0], np.geomspace(1e-12, 1.0, 4095)))
+        assert e.breakpoints.tobytes() == want.tobytes()
+
     def test_unknown_kind(self):
         sc = get_scenario("eps-const", 0.01)
         with pytest.raises(ParameterError):
@@ -198,6 +203,56 @@ class TestLayerIntegral:
             assert type(got) is float
         scalar = [e(float(t)) for t in x.ravel()]
         assert np.array_equal(np.ravel(got), scalar)
+
+
+class TestOwnDomain:
+    """An integral built on [0, 0.5] is defined there, not on [0, 1]."""
+
+    g = CumulativeIntegral.build(lambda t: 1.0 + t, np.linspace(0.0, 0.5, 9))
+
+    def test_call_past_the_top_raises(self):
+        assert self.g(0.5) == pytest.approx(0.625, rel=1e-15)
+        assert self.g(0.5 + 0.5e-12) == self.g(0.5)
+        for x in (0.75, 0.5 + 1e-12, np.array([0.25, 0.75])):
+            with pytest.raises(ParameterError, match=r"\[0, 0\.5\]"):
+                self.g(x)
+
+    def test_tolerance_scales_with_the_domain(self):
+        g = CumulativeIntegral.build(lambda t: 1.0 + 0.0 * t,
+                                     np.linspace(0.0, 1e-13, 3))
+        # 1e-12 of the domain's width, not 1e-12 absolute, past either end
+        assert g(1e-13 + 1e-25) == g(1e-13)
+        assert g(-1e-25) == 0.0
+        for x in (5e-13, -5e-13, 1e-13 + 2e-25, -2e-25):
+            with pytest.raises(ParameterError):
+                g(x)
+
+    def test_total_inverts_to_the_top(self):
+        assert invert_monotone(self.g, self.g.partial_sums[-1]) == 0.5
+        assert invert_monotone(self.g, 0.28125) == pytest.approx(0.25, rel=1e-15)
+
+    @pytest.mark.parametrize("breakpoints", [
+        [0.1, 0.5], [0.0, 0.5, 0.5], [0.0, 0.5, 0.25], [0.0], [0.0, np.nan],
+        [[0.0, 0.5]],
+    ])
+    def test_breakpoints_must_increase_from_zero(self, breakpoints):
+        with pytest.raises(ParameterError):
+            CumulativeIntegral.build(lambda t: 1.0 + t, breakpoints)
+
+
+_positive = st.floats(1e-300, 1e300)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(ends=st.tuples(_positive, _positive).map(sorted),
+       num=st.one_of(st.just(1), st.integers(1, 5000)))
+def test_graded_is_zero_then_geomspace(ends, num):
+    # num = 1 is only ever asked for with start = stop, the one-panel grid
+    start, stop = ends
+    if num == 1:
+        start = stop
+    want = np.concatenate(([0.0], np.geomspace(start, stop, num)))
+    assert _graded(start, stop, num).tobytes() == want.tobytes()
 
 
 def old_call(g, x):
@@ -310,8 +365,9 @@ class TestInvertMonotone:
 
 
 def newton_invert(g, target):
-    """invert_monotone as it was written before it evaluated g on its
-    bracketing panel directly: every iterate through g's own __call__."""
+    """invert_monotone's bracketed Newton iteration without its range checks
+    and end cases, written out again: every iterate through g's own
+    __call__."""
     k = min(int(np.searchsorted(g.partial_sums, target, side="right")) - 1,
             len(g.breakpoints) - 2)
     a, b = g.breakpoints[k], g.breakpoints[k + 1]
@@ -340,15 +396,6 @@ class TestInversionOnItsPanel:
         e = layer_integral(coeffs, "e")
         target = -2.0 * math.log(h) / coeffs.beta
         assert compute_tau_star(coeffs, e, h) == newton_invert(e, target)
-
-    @pytest.mark.parametrize("name", ["eps-const", "eps-linear", "eps-exp"])
-    def test_panel_value_is_e_at_both_ends(self, name):
-        # at a right end e reads the next panel, except on the last one
-        e = layer_integral(get_scenario(name, 1e-6).coeffs, "e")
-        bp = e.breakpoints
-        for k in (0, 1, 2000, len(bp) - 3, len(bp) - 2):
-            for x in (bp[k], 0.5 * (bp[k] + bp[k + 1]), bp[k + 1]):
-                assert _on_panel(e, k, x) == e(x)
 
 
 # closed-form inverses of e, x = e^{-1}(T)

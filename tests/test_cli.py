@@ -10,6 +10,7 @@ from layerfem.errors import ParameterError
 from layerfem.fem import galerkin_solve
 from layerfem.mesh import build_mesh
 from layerfem.problem import get_scenario
+from layerfem.verify import _UNIFORMITY_EPS0
 
 
 def run_cli(argv, capsys):
@@ -312,6 +313,12 @@ class TestVerify:
             return json.loads(out)["rows"]
 
         assert rows("all") == rows("lemmas") + rows("barriers") + rows("bounds")
+
+    def test_help_lists_the_bounds_sweep(self, capsys):
+        code, out, _ = run_cli(["verify", "--help"], capsys)
+        text = " ".join(out.split())  # argparse wraps the help text
+        assert code == 0
+        assert "sweeps " + ", ".join(f"{z:g}" for z in _UNIFORMITY_EPS0) in text
 
     def test_verify_deterministic(self, capsys):
         argv = ["verify", "--suite", "barriers", "--eps0", "0.01"]

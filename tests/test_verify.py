@@ -106,11 +106,13 @@ class TestIntegralLemma:
         with pytest.raises(ParameterError):
             check_integral_lemma(coeffs, 0.0, 1.0, ell, gamma, untouchable)
 
-    def test_random_needs_a_tuple(self):
-        # zero instances would report PASS with worst_margin = inf
+    @pytest.mark.parametrize("n_tuples", [0, 2.5, 1.0, "3", None])
+    def test_random_needs_an_integer_count(self, n_tuples):
+        # zero instances would report PASS with worst_margin = inf, and a
+        # float count would end in a bare TypeError from range
         sc = get_scenario("eps-const", 0.01)
         with pytest.raises(ParameterError):
-            check_integral_lemma_random(sc, 0, np.random.default_rng(0),
+            check_integral_lemma_random(sc, n_tuples, np.random.default_rng(0),
                                         layer_integral(sc.coeffs, "e"))
 
 
