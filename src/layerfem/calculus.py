@@ -171,15 +171,20 @@ class CumulativeIntegral:
     partial_sums: np.ndarray
     integrand: Callable
 
+    def __post_init__(self):
+        bp = self.breakpoints
+        if bp.ndim != 1 or len(bp) < 2 or bp[0] != 0 or not (bp[1:] > bp[:-1]).all():
+            raise ParameterError("breakpoints must increase from 0")
+
     @classmethod
     def build(cls, integrand, breakpoints):
         """The integral of integrand on increasing breakpoints from 0."""
         bp = np.asarray(breakpoints, dtype=float)
-        if bp.ndim != 1 or len(bp) < 2 or bp[0] != 0 or not (bp[1:] > bp[:-1]).all():
-            raise ParameterError("breakpoints must increase from 0")
-        seg = _panel_sums(integrand, bp[:-1], bp[1:], _G5)
-        sums = np.concatenate(([0.0], np.cumsum(seg)))
-        return cls(breakpoints=bp, partial_sums=sums, integrand=integrand)
+        sums = np.zeros(bp.shape)
+        # the constructor checks bp before any panel of it is integrated
+        g = cls(breakpoints=bp, partial_sums=sums, integrand=integrand)
+        np.cumsum(_panel_sums(integrand, bp[:-1], bp[1:], _G5), out=sums[1:])
+        return g
 
     def __call__(self, x):
         """Evaluate at x of any shape; a 0-d or scalar x returns a float.

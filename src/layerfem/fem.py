@@ -12,23 +12,30 @@ coefficient made by ScalarFunction.constant is not sampled at all, its
 moments are one closed-form column.  Only the element entries that the
 system keeps are formed, in place in a few full-length buffers.
 The assembled system is tridiagonal over the interior nodes and is solved by
-calling LAPACK's pivoting tridiagonal solver dgtsv directly, in O(n) time and
-memory, with no fallback path; its residual is formed in place, and where
-entries near 1e308 overflow it or its scale, it is checked on copies
-scaled by powers of two.  dgtsv is the
-package's only use of scipy, and scipy.linalg is imported by the first
-solve_tridiagonal call that reaches it, so runs that never solve (meshes,
-interpolation errors, the lemma and barrier checks) skip its import of about
-0.2 s and 28 MB.  Assembly keeps the element integrals of eps that the
-stiffness is made from (5-point Gauss, half-width times the weighted sum),
-and galerkin_solve hands them on as FemSolution.eps_integrals; they belong
-to the eps of the scenario that was solved, and fine-mesh error reports reuse
-them in place of sampling eps again.  An element whose width squared is
-below the smallest normal float raises AssemblyError before any division.
+calling LAPACK's pivoting tridiagonal solver dgtsv directly, in O(n) time
+and memory, with no fallback path; its residual is formed in place, and
+where entries near 1e308 overflow it or its scale, it is checked on copies
+scaled by powers of two.  dgtsv is the package's only use of scipy.  The
+first solve_tridiagonal call that reaches it imports the top-level scipy
+package and loads scipy.linalg._flapack, the one extension module that holds
+dgtsv, on its own, never scipy.linalg: a fresh solve at h = 1/64 adds 24
+modules and peaks at 35 MB; importing scipy.linalg there made it 316
+modules, 58 MB and about 0.2 s more.  Runs that never solve (meshes,
+interpolation errors, the lemma and barrier checks) load no scipy at all.
+Assembly keeps the element integrals of eps that the stiffness is made from
+(5-point Gauss, half-width times the weighted sum), and galerkin_solve hands
+them on as FemSolution.eps_integrals; they belong to the eps of the scenario
+that was solved, and fine-mesh error reports reuse them in place of sampling
+eps again.  An element whose width squared is below the smallest normal
+float raises AssemblyError before any division.
 """
 
 import functools
+import importlib.util
 import math
+import os
+import sys
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
 from dataclasses import dataclass, field
@@ -193,6 +200,27 @@ def assemble(scenario, mesh: LayerMesh) -> TridiagonalSystem:
                              eps_integrals=eps_int)
 
 
+def _flapack():
+    """scipy.linalg._flapack, the f2py wrapper of LAPACK that
+    scipy.linalg.lapack re-exports, loaded from scipy's linalg directory
+    without running scipy.linalg's __init__.  It is registered in
+    sys.modules under its own name, so a later import of scipy.linalg finds
+    this very module, and one that scipy.linalg loaded first is reused."""
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is None:
+        import scipy  # its __init__ sets up the shared-library path on some platforms
+        where = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+        finder = FileFinder(where, (ExtensionFileLoader, EXTENSION_SUFFIXES))
+        spec = finder.find_spec(name)
+        if spec is None:
+            raise ImportError(f"no LAPACK extension module _flapack in {where}")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return module
+
+
 def _max_abs(a):
     """max |a_i| without a temporary array: NaN if a holds a NaN, inf if it
     holds an infinity, 0 if it is empty."""
@@ -217,8 +245,7 @@ def solve_tridiagonal(system: TridiagonalSystem) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             x = rhs / diag
     else:
-        from scipy.linalg import lapack  # here: runs that never solve skip it
-        x, info = lapack.dgtsv(sub, diag, sup, rhs)[3:]
+        x, info = _flapack().dgtsv(sub, diag, sup, rhs)[3:]
         if info > 0:  # a zero pivot U(info, info)
             raise SingularSystemError("system is singular")
     top_x = _max_abs(x)

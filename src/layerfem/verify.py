@@ -223,7 +223,9 @@ def check_solution_bounds(scenario, reference: FemSolution, which: str,
     """
     _, k, bound_values = _bound(which)
     if reference.mesh.h > _H_REF + 1e-12:
-        raise ConfigurationError("reference solve too coarse (need h <= 1/512)")
+        raise ConfigurationError(
+            f"reference solve at h = 1/{1 / reference.mesh.h:.6g} is too "
+            f"coarse (need h <= 1/{1 / _H_REF:.6g})")
     xs, dk = _derivative_samples(reference, k)
     bound = bound_values(scenario.coeffs, xs, integral(xs), k, beta_factor)
     ratios = np.abs(dk) / bound

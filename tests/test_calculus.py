@@ -239,6 +239,13 @@ class TestOwnDomain:
         with pytest.raises(ParameterError):
             CumulativeIntegral.build(lambda t: 1.0 + t, breakpoints)
 
+    def test_constructor_checks_the_breakpoints(self):
+        # breakpoints from 0.25 once gave g(0.1) = -0.15, the last panel
+        # integrated backwards
+        with pytest.raises(ParameterError, match="increase from 0"):
+            CumulativeIntegral(np.array([0.25, 0.5, 1.0]), np.array([0.0, 0.25, 0.75]),
+                               lambda t: 1.0 + 0.0 * t)
+
 
 _positive = st.floats(1e-300, 1e300)
 

@@ -1,4 +1,6 @@
 import dataclasses
+import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -328,16 +330,28 @@ class TestTridiagonalSolve:
             scipy.linalg.lapack.dgtsv(np.zeros(0), np.ones(1), np.zeros(0), np.ones(1))
 
         def no_lapack(*args):
-            raise AssertionError("dgtsv called for one unknown")
+            raise AssertionError("dgtsv called")
 
-        # fem imports lapack at call time, so the patch reaches solve_tridiagonal
-        monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", no_lapack)
+        monkeypatch.setattr(fem._flapack(), "dgtsv", no_lapack)
         empty = np.zeros(0)
         sys_ = TridiagonalSystem(sub=empty, diag=np.array([4.0]), sup=empty,
                                  rhs=np.array([3.0]))
         assert solve_tridiagonal(sys_).tolist() == [0.75]
         with pytest.raises(SingularSystemError):
             solve_tridiagonal(dataclasses.replace(sys_, diag=np.zeros(1)))
+        # two unknowns do reach the patched dgtsv, so the patch is the one
+        # that solve_tridiagonal calls
+        two = TridiagonalSystem(sub=np.ones(1), diag=np.full(2, 4.0),
+                                sup=np.ones(1), rhs=np.ones(2))
+        with pytest.raises(AssertionError, match="^dgtsv called$"):
+            solve_tridiagonal(two)
+
+    def test_missing_lapack_module_names_the_directory(self, monkeypatch, tmp_path):
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
+        where = str(tmp_path / "linalg")
+        with pytest.raises(ImportError, match=re.escape(where)):
+            fem._flapack()
 
     def test_system_is_left_unchanged(self):
         # a zero first pivot makes dgtsv swap rows in its working copies
@@ -386,14 +400,14 @@ class TestTridiagonalSolve:
                                  diag=np.full(n, 1.5 * big),
                                  sup=np.full(n - 1, 0.25 * big),
                                  rhs=np.full(n, big))
-        real = scipy.linalg.lapack.dgtsv
+        real = fem._flapack().dgtsv
 
         def perturbed(*args):
             *rest, x, info = real(*args)
             x[2] *= 1.0 + rel
             return (*rest, x, info)
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", perturbed)
+        monkeypatch.setattr(fem._flapack(), "dgtsv", perturbed)
         with pytest.raises(SingularSystemError,
                            match="^system is singular to working precision$"):
             solve_tridiagonal(sys_)

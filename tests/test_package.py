@@ -52,15 +52,20 @@ def test_cli_import_leaves_out_scipy_optimize():
     assert out.stdout.strip() == "False"
 
 
-def _scipy_modules_after(code):
-    """The scipy modules that a fresh interpreter holds after running code."""
+def _run(code):
+    """The last stdout line of code run in a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(layerfem.__file__)))
-    code += ("\nimport json, sys; print(json.dumps(sorted("
-             "m for m in sys.modules if m.split('.')[0] == 'scipy')))")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    return json.loads(out.stdout.strip().splitlines()[-1])
+    return out.stdout.strip().splitlines()[-1]
+
+
+def _scipy_modules_after(code):
+    """The scipy modules that a fresh interpreter holds after running code."""
+    return json.loads(_run(code + (
+        "\nimport json, sys; print(json.dumps(sorted("
+        "m for m in sys.modules if m.split('.')[0] == 'scipy')))")))
 
 
 def test_cli_import_loads_no_scipy():
@@ -75,9 +80,42 @@ def test_commands_that_never_solve_load_no_scipy(argv):
     assert _scipy_modules_after(code) == []
 
 
-def test_solve_loads_scipy_linalg_only():
-    # scipy is imported by the first tridiagonal solve, for dgtsv alone
+def test_solve_loads_lapack_without_scipy_linalg():
+    # the first tridiagonal solve loads the one extension module that holds
+    # dgtsv, not the scipy.linalg package around it
     code = "from layerfem import cli; assert cli.main(['solve', '--h', '1/64']) == 0"
     loaded = _scipy_modules_after(code)
-    assert "scipy.linalg" in loaded
+    assert "scipy.linalg._flapack" in loaded
+    assert "scipy.linalg" not in loaded
     assert "scipy.optimize" not in loaded
+
+
+_SOLVE = """
+import numpy as np
+from layerfem import fem
+system = fem.TridiagonalSystem(sub=np.full(7, -1.0), diag=np.full(8, 2.5),
+                               sup=np.full(7, -0.5), rhs=np.arange(8.0))
+"""
+
+
+def test_scipy_linalg_imported_after_a_solve_shares_its_dgtsv():
+    code = _SOLVE + """
+first = fem.solve_tridiagonal(system)
+import scipy.linalg
+second = fem.solve_tridiagonal(system)
+print(scipy.linalg.lapack.dgtsv is fem._flapack().dgtsv,
+      first.tobytes() == second.tobytes())
+"""
+    assert _run(code) == "True True"
+
+
+def test_solve_after_scipy_linalg_reuses_its_lapack_module():
+    code = _SOLVE + """
+import sys
+import scipy.linalg
+before = set(sys.modules)
+fem.solve_tridiagonal(system)
+print(fem._flapack() is scipy.linalg.lapack._flapack,
+      sorted(set(sys.modules) - before))
+"""
+    assert _run(code) == "True []"

@@ -368,7 +368,12 @@ class TestSolutionBounds:
         with monkeypatch.context() as m:
             m.setattr("layerfem.verify._H_REF", 1.0 / 64)
             ref = reference_solution(sc, e)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError,
+                           match=r"at h = 1/64 is too coarse \(need h <= 1/512\)$"):
+            check_solution_bounds(sc, ref, "U0", e)
+        # the message reads the reference h that the check holds to
+        monkeypatch.setattr("layerfem.verify._H_REF", 1.0 / 256)
+        with pytest.raises(ConfigurationError, match=r"need h <= 1/256\)$"):
             check_solution_bounds(sc, ref, "U0", e)
 
     def test_bad_which(self):
