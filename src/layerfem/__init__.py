@@ -15,8 +15,7 @@ from .problem import (BoundCheckReport, CoefficientSet, ScalarFunction,
                       manufactured_rhs, validate_coefficients)
 from .verify import (check_barrier_operator, check_bound_uniformity,
                      check_integral_lemma, check_integral_lemma_random,
-                     check_solution_bounds, reference_solution,
-                     solution_bound_values, transformed_bound_values)
+                     check_solution_bounds, reference_solution)
 
 # the public names, without the submodules that importing them binds here
 __all__ = [
@@ -32,5 +31,4 @@ __all__ = [
     "BoundCheckReport", "check_barrier_operator", "check_bound_uniformity",
     "check_integral_lemma", "check_integral_lemma_random",
     "check_solution_bounds", "reference_solution",
-    "solution_bound_values", "transformed_bound_values",
 ]

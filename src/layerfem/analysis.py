@@ -31,7 +31,6 @@ from .calculus import (_finite_eval, _gauss_map, _graded, _panel_sums,
 from .errors import ConfigurationError, DegenerateRegimeError, ParameterError
 from .fem import _QUAD, FemSolution, _on_elements, galerkin_solve
 from .mesh import LayerMesh, build_mesh
-from .problem import ScalarFunction
 
 _ERR_QUAD = 7
 _G5 = gauss_legendre(_QUAD)  # assembly's rule, which made FemSolution.eps_integrals
@@ -40,26 +39,20 @@ _REFERENCE_REFINE = 16  # h / reference h when there is no closed form
 
 def interpolate(f, mesh: LayerMesh) -> FemSolution:
     """Nodal interpolant of f; boundary values are f(0), f(1), not forced to
-    0.  Library API, and the tests' oracle for interpolation errors."""
+    0.  interpolation_study measures the exemplars' interpolants from it."""
     values = np.asarray(f(mesh.nodes), dtype=float)
     return FemSolution(mesh=mesh, coefficients=values)
 
 
-def _error_on_elements(nodes, coefficients, exact):
-    """(gx, half, weights, d, dd): d = exact - v_h and dd = d' at the Gauss
-    points gx of every element, shape (points, elements), whose integral of g
-    is half * (weights @ g); v_h is the piecewise-linear function with these
-    nodal values."""
+def _error_on_elements(v: FemSolution, exact):
+    """(gx, half, weights, d, dd): d = exact - v and dd = d' at the Gauss
+    points gx of every element of v's mesh, shape (points, elements), whose
+    integral of g is half * (weights @ g)."""
     rule = gauss_legendre(_ERR_QUAD)
+    nodes = v.mesh.nodes
     gx, half = _gauss_map(nodes[:-1], nodes[1:], rule)
-    vals, slopes = _on_elements(nodes, coefficients, gx)
+    vals, slopes = _on_elements(nodes, v.coefficients, gx)
     return gx, half, rule.weights, exact(gx) - vals, exact.d(gx) - slopes
-
-
-def _norms_on_elements(nodes, coefficients, eps_fn, exact):
-    """Per-element (integral of d^2, integral of eps * d'^2), d as above."""
-    gx, half, wq, d, dd = _error_on_elements(nodes, coefficients, exact)
-    return half * (wq @ (d * d)), half * (wq @ (_finite_eval(eps_fn, gx) * dd * dd))
 
 
 def _linear_norms(nodes, values, eps_int):
@@ -117,8 +110,9 @@ def error_report(sol: FemSolution, scenario,
     """Energy/L2 errors of sol against the exact solution or a finer solve."""
     eps_fn = scenario.coeffs.eps
     if scenario.exact is not None and reference is None:
-        l2, wg = _norms_on_elements(sol.mesh.nodes, sol.coefficients, eps_fn,
-                                    scenario.exact)
+        gx, half, wq, d, dd = _error_on_elements(sol, scenario.exact)
+        l2 = half * (wq @ (d * d))
+        wg = half * (wq @ (_finite_eval(eps_fn, gx) * dd * dd))
         kind = "closed-form"
     elif reference is not None:
         if len(reference.mesh.nodes) < 8 * len(sol.mesh.nodes):
@@ -245,17 +239,16 @@ def interpolation_study(scenario, h_list, delta: float = 1.0):
     lay = scenario.layer_exemplar
     coeffs = scenario.coeffs
     e = layer_integral(coeffs, "e")
-    one = ScalarFunction.constant(1.0)
 
     rows = []
     for h in sorted(h_list, reverse=True):
         msh = build_mesh(coeffs, e, h, delta)
         k = msh.tau_index
-        # the interpolants are given by their nodal values
-        s_l2, s_h1 = _norms_on_elements(msh.nodes, s(msh.nodes), one, s)
+        _, half, wq, d, dd = _error_on_elements(interpolate(s, msh), s)
+        s_l2, s_h1 = half * (wq @ (d * d)), half * (wq @ (dd * dd))
 
         # the layer norms share one Gauss grid and one evaluation of E - E^I
-        gx, half, wq, d, dd = _error_on_elements(msh.nodes, lay(msh.nodes), lay)
+        gx, half, wq, d, dd = _error_on_elements(interpolate(lay, msh), lay)
         eps_g = _finite_eval(coeffs.eps, gx)
         e_l2 = half * (wq @ (d * d))
         e_wh1 = half * (wq @ (eps_g * dd * dd))

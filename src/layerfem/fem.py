@@ -229,11 +229,18 @@ def _max_abs(a):
 
 def solve_tridiagonal(system: TridiagonalSystem) -> np.ndarray:
     """LAPACK dgtsv (Gaussian elimination with partial pivoting) on copies of
-    the diagonals, then a residual check; the system is left unchanged."""
-    n = system.size
-    if n == 0:  # a mesh of one element has no interior node
-        raise SizeError("input array too short")
+    the diagonals, then a residual check; the system is left unchanged.
+    SizeError unless diag is 1-D with n >= 1 entries, sub and sup have n - 1
+    and rhs has shape (n,)."""
     sub, diag, sup, rhs = system.sub, system.diag, system.sup, system.rhs
+    shapes = tuple(np.shape(a) for a in (sub, diag, sup, rhs))
+    n = shapes[1][0] if len(shapes[1]) == 1 else 0
+    # n = 0: a mesh of one element has no interior node
+    if n == 0 or shapes != ((n - 1,), (n,), (n - 1,), (n,)):
+        raise SizeError(
+            "need a 1-D diag of n >= 1 entries, sub and sup of n - 1 and rhs "
+            f"of shape (n,); got shapes sub {shapes[0]}, diag {shapes[1]}, "
+            f"sup {shapes[2]}, rhs {shapes[3]}")
     # the max |entry| of each array scales the residual check, and it is not
     # finite iff the array has a non-finite entry
     top_sub, top_diag, top_sup, top_rhs = map(_max_abs, (sub, diag, sup, rhs))

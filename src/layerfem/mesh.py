@@ -74,13 +74,16 @@ def build_mesh(coeffs, e: CumulativeIntegral, h: float,
     tau_star = compute_tau_star(coeffs, e, h)
 
     x1 = h * delta * coeffs.eps_lower
+    if not x1 > 0.0:  # the recurrence from x_1 <= 0 never reaches tau*
+        raise ParameterError(
+            f"first graded node x_1 = h * delta * eps_lower = {x1!r} is not "
+            "positive (it underflows when delta * eps_lower is tiny)")
     # x_{k+1} = x_k (1 + h) up to the first node >= tau*; cumprod multiplies
     # in sequence, so it rounds as the recurrence does.  The log estimate only
     # sizes the batches (rounding may leave it short), capped at _MAX_NODES.
-    # An x_1 <= 0 never reaches tau*, so the recurrence would hit the cap.
     graded = np.array([0.0, x1])
     while graded[-1] < tau_star:
-        if len(graded) >= _MAX_NODES or graded[-1] <= 0.0:
+        if len(graded) >= _MAX_NODES:
             raise ResourceError(f"graded node count exceeded cap {_MAX_NODES}")
         est = math.log(tau_star / graded[-1]) / math.log1p(h)
         steps = int(min(est + 2.0, _MAX_NODES - len(graded)))

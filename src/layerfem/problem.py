@@ -3,7 +3,10 @@
 The model problem is  -(eps(x) u')' - b(x) u' + c(x) u = f(x)  on (0,1) with
 homogeneous Dirichlet data, small variable diffusion eps and a boundary layer
 at x = 0.  Assumption checks are sample-based on a dense grid so they work
-for arbitrary user-supplied coefficient functions.
+for arbitrary user-supplied coefficient functions.  The right-hand side of a
+manufactured solution u is manufactured_rhs(u, coeffs), pointwise from u,
+u', u'', eps, eps', b and c, constant or not; the built-in manufactured
+scenario takes its f from it.
 """
 
 import numpy as np
@@ -204,34 +207,6 @@ def _layer_exemplar(beta, e_fn, eps_fn, epsp_fn) -> ScalarFunction:
     return ScalarFunction(value=val, deriv=d1, deriv2=d2)
 
 
-def _manufactured_f(coeffs, e_fn, eps_fn, epsp_fn) -> ScalarFunction:
-    """manufactured_rhs(u, coeffs) for u = smooth - layer exemplar and
-    constant b and c, bit for bit, from one cos, one sin, one log1p (inside
-    e_fn) and one exp(-beta e) per point: each term keeps manufactured_rhs's
-    order of operations, and only the shared transcendentals are evaluated
-    once."""
-    beta, b, c = coeffs.beta, coeffs.b.const, coeffs.c.const
-    with np.errstate(under="ignore"):
-        q = float(np.exp(-beta * e_fn(1.0)))
-    denom = 1.0 - q
-
-    def f(x):
-        x = np.asarray(x, dtype=float)
-        arg = 0.5 * np.pi * x
-        cos = np.cos(arg)
-        eps, epsp = eps_fn(x), epsp_fn(x)
-        with np.errstate(under="ignore"):
-            ex = np.exp(-beta * e_fn(x))
-            # u'', u' and u: smooth minus layer exemplar term by term
-            d2u = (-((0.5 * np.pi) ** 2) * cos
-                   - (beta * (beta + epsp) / eps ** 2 * ex / denom))
-            du = -0.5 * np.pi * np.sin(arg) - (-(beta / eps) * ex / denom)
-            u = cos - (ex - q) / denom
-        return -eps * d2u - (b + epsp) * du + c * u
-
-    return ScalarFunction(value=f)
-
-
 # name -> (eps_upper / eps0, sigma / eps0, eps, eps', e = int_0^x 1/eps in
 # closed form); eps_lower is eps0 in every family
 _FAMILIES = {
@@ -255,9 +230,10 @@ SCENARIO_NAMES = ("eps-const", "eps-linear", "eps-exp", "manufactured")
 def get_scenario(name: str, eps0: float) -> Scenario:
     """Built-in scenario `name` at diffusion scale eps0 (0 < eps0 <= 0.1).
 
-    b = 2, c = 1, f = 1; manufactured is eps-linear with the f of its exact
-    solution u = cos(pi x / 2) - E(x), E the layer exemplar.  A subnormal
-    eps0 is refused: 1/eps0 overflows.
+    b = 2, c = 1, f = 1; manufactured is eps-linear with
+    f = manufactured_rhs(u, coeffs) of its exact solution
+    u = cos(pi x / 2) - E(x), E the layer exemplar.  A subnormal eps0 is
+    refused: 1/eps0 overflows.
     """
     if not (np.finfo(float).tiny <= eps0 <= 0.1):
         raise ParameterError("eps0 must lie in (0, 0.1] and not be subnormal")
@@ -280,8 +256,7 @@ def get_scenario(name: str, eps0: float) -> Scenario:
             deriv=lambda x: smooth.d(x) - layer.d(x),
             deriv2=lambda x: smooth.d2(x) - layer.d2(x),
         )
-        coeffs = replace(coeffs, f=_manufactured_f(
-            coeffs, partial(e_fn, eps0=eps0), eps.value, eps.deriv))
+        coeffs = replace(coeffs, f=manufactured_rhs(exact, coeffs))
     return Scenario(name=name, coeffs=coeffs, exact=exact,
                     smooth_exemplar=smooth, layer_exemplar=layer)
 

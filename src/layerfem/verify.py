@@ -2,11 +2,12 @@
 
 Covered: the exponential-weight integral inequality, positivity of the
 barrier-function operator image, and bounded-ratio checks of the pointwise
-derivative bounds, U0-U2 through e(x) and T0, T1 through etilde(x), named in
-one table (_BOUNDS).  "The constant is eps-uniform" is operationalized as:
-the sup of |w^(k)| / bound varies by at most 4x across the eps0 of
-_UNIFORMITY_EPS0, which span four decades.  Every check takes the layer
-integral it needs as an argument.
+derivative bounds, U0-U2 through e(x) and T0, T1 through etilde(x).  One
+table (_BOUNDS) holds each bound's layer-integral kind, derivative order and
+right-hand side; no other code states a bound's formula.  "The constant is
+eps-uniform" is operationalized as: the sup of |w^(k)| / bound varies by at
+most 4x across the eps0 of _UNIFORMITY_EPS0, which span four decades.
+Every check takes the layer integral it needs as an argument.
 """
 
 import math
@@ -141,47 +142,28 @@ def check_barrier_operator(coeffs, e: CumulativeIntegral,
         passed=bool(np.min(bracket) >= -1e-12 * scale))
 
 
-def solution_bound_values(coeffs, xs, e_vals, k: int,
-                          beta_factor: float = 1.0) -> np.ndarray:
-    """Right-hand sides of the pointwise derivative bounds with C = 1."""
-    beta = beta_factor * coeffs.beta
-    eps_v = np.asarray(coeffs.eps(xs), dtype=float)
+def _decay(rate, integral_xs):
+    """exp(-rate * integral_xs), which may underflow to 0 far from the layer."""
     with np.errstate(under="ignore"):
-        decay = np.exp(-beta * np.asarray(e_vals, dtype=float))
-    if k == 0:
-        return np.ones_like(eps_v)
-    if k == 1:
-        return 1.0 + decay / eps_v
-    if k == 2:
-        epsp = np.asarray(coeffs.eps.d(xs), dtype=float)
-        return (1.0 + epsp) / eps_v * (1.0 + decay / eps_v)
-    raise ParameterError("k must be 0, 1 or 2")
+        return np.exp(-rate * integral_xs)
 
 
-def transformed_bound_values(coeffs, xs, etilde_vals, k: int,
-                             beta_factor: float = 1.0) -> np.ndarray:
-    """Bounds in terms of etilde; for constant eps they reduce to the
-    classical 1 + eps^-k exp(-beta x / eps) form."""
-    beta = beta_factor * coeffs.beta
-    kappa = 0.5 * (coeffs.sigma + 2.0 * beta)
-    eps_v = np.asarray(coeffs.eps(xs), dtype=float)
-    with np.errstate(under="ignore"):
-        decay = np.exp(-kappa * np.asarray(etilde_vals, dtype=float))
-    if k == 0:
-        return 1.0 + decay
-    if k == 1:
-        return np.sqrt(coeffs.eps_upper / eps_v) * (
-            1.0 + decay / coeffs.eps_lower)
-    raise ParameterError("k must be 0 or 1 for the transformed bounds")
-
-
-# bound name -> (layer integral kind, derivative order k, right-hand side)
+# bound name -> (layer integral kind, derivative order k, right-hand side with
+# C = 1 as a function of (coeffs, xs, eps(xs), integral(xs), beta)).  U0-U2
+# decay at rate beta in e; T0 and T1 decay at kappa = (sigma + 2 beta) / 2 in
+# etilde, and for constant eps they reduce to the classical
+# 1 + eps^-k exp(-beta x / eps).
 _BOUNDS = {
-    "U0": ("e", 0, solution_bound_values),
-    "U1": ("e", 1, solution_bound_values),
-    "U2": ("e", 2, solution_bound_values),
-    "T0": ("etilde", 0, transformed_bound_values),
-    "T1": ("etilde", 1, transformed_bound_values),
+    "U0": ("e", 0, lambda co, xs, eps, e, beta: np.ones_like(eps)),
+    "U1": ("e", 1, lambda co, xs, eps, e, beta: 1.0 + _decay(beta, e) / eps),
+    "U2": ("e", 2, lambda co, xs, eps, e, beta: (
+        (1.0 + np.asarray(co.eps.d(xs), dtype=float)) / eps
+        * (1.0 + _decay(beta, e) / eps))),
+    "T0": ("etilde", 0, lambda co, xs, eps, et, beta: (
+        1.0 + _decay(0.5 * (co.sigma + 2.0 * beta), et))),
+    "T1": ("etilde", 1, lambda co, xs, eps, et, beta: (
+        np.sqrt(co.eps_upper / eps)
+        * (1.0 + _decay(0.5 * (co.sigma + 2.0 * beta), et) / co.eps_lower))),
 }
 
 
@@ -221,13 +203,15 @@ def check_solution_bounds(scenario, reference: FemSolution, which: str,
     hidden constant is the content of the bound and is judged across eps0
     by check_bound_uniformity.
     """
-    _, k, bound_values = _bound(which)
+    _, k, rhs = _bound(which)
     if reference.mesh.h > _H_REF + 1e-12:
         raise ConfigurationError(
             f"reference solve at h = 1/{1 / reference.mesh.h:.6g} is too "
             f"coarse (need h <= 1/{1 / _H_REF:.6g})")
     xs, dk = _derivative_samples(reference, k)
-    bound = bound_values(scenario.coeffs, xs, integral(xs), k, beta_factor)
+    co = scenario.coeffs
+    bound = rhs(co, xs, np.asarray(co.eps(xs), dtype=float), integral(xs),
+                beta_factor * co.beta)
     ratios = np.abs(dk) / bound
     i = int(np.argmax(ratios))
     sup = float(ratios[i])
@@ -248,13 +232,16 @@ def check_bound_uniformity(scenario_family, which: tuple,
     """Cross-eps0 uniformity of the sup ratio over _UNIFORMITY_EPS0, on
     reference solves at h = 1/512: max/min must stay <= 4.
 
-    which is a tuple of bound names of check_solution_bounds; an unknown
-    name raises ParameterError before any solve.  One report is returned
-    per name, in order, all judged on the same reference solve per eps0,
-    and each layer integral the names need is built once per eps0.  A
-    family is a callable eps0 -> Scenario.  This is the falsifiable content
+    which is a tuple of bound names of check_solution_bounds; a bare string
+    or an unknown name raises ParameterError before any solve.  One report
+    is returned per name, in order, all judged on the same reference solve
+    per eps0, and each layer integral the names need is built once per
+    eps0.  A family is a callable eps0 -> Scenario.  This is the falsifiable content
     of "the constant C does not depend on eps".
     """
+    if isinstance(which, str):
+        raise ParameterError(
+            f"which must be a tuple of bound names, not the string {which!r}")
     kinds = [_bound(name)[0] for name in which]
     rows = []  # one row per eps0, one report per name
     for eps0 in _UNIFORMITY_EPS0:

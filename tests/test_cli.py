@@ -58,6 +58,13 @@ class TestMesh:
         assert code == 3
         assert "degenerate" in err
 
+    def test_underflowing_first_node_is_usage_error(self, capsys):
+        # x_1 = h * delta * eps_lower rounds to 0
+        code, out, err = run_cli(
+            ["mesh", "--delta", "1e-320", "--h", "1/16", "--eps0", "1e-3"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("usage error: first graded node x_1")
+
     def test_bad_h_exit_code(self, capsys):
         code, _, err = run_cli(
             ["mesh", "--scenario", "eps-const", "--h", "1.5"], capsys)

@@ -428,6 +428,20 @@ class TestTridiagonalSolve:
         with pytest.raises(SizeError):
             solve_tridiagonal(sys_)
 
+    @pytest.mark.parametrize("sub, diag, rhs, shapes", [
+        # f2py refused this sub, with its own message
+        (np.ones(3), np.full(3, 4.0), np.ones(3), "sub (3,), diag (3,)"),
+        # this rhs failed to broadcast in the residual
+        (np.ones(2), np.full(3, 4.0), np.ones((3, 1)), "rhs (3, 1)"),
+        # one unknown with a one-entry sub gave [1.] without complaint
+        (np.ones(1), np.full(1, 4.0), np.full(1, 4.0), "sub (1,), diag (1,)"),
+        (np.ones(1), np.full((2, 2), 4.0), np.ones(2), "diag (2, 2)"),
+    ], ids=["long-sub", "2-D-rhs", "one-unknown-with-sub", "2-D-diag"])
+    def test_inconsistent_lengths(self, sub, diag, rhs, shapes):
+        sys_ = TridiagonalSystem(sub=sub, diag=diag, sup=sub.copy(), rhs=rhs)
+        with pytest.raises(SizeError, match=re.escape(shapes)):
+            solve_tridiagonal(sys_)
+
     def test_zero_first_pivot_without_dense_matrix(self, monkeypatch):
         # [[0, 1], [1, 1]] x = (1, 2) has x = (1, 1); elimination without
         # pivoting fails at the first pivot, and no dense solve may step in

@@ -114,14 +114,16 @@ class TestBuildMesh:
         with pytest.raises(ResourceError):
             build_mesh(sc.coeffs, e, 1.0 / 64)
 
-    @pytest.mark.parametrize("eps_lower", [0.0, -1e-6])
-    def test_nonpositive_first_node_hits_cap(self, eps_lower, monkeypatch):
-        # x_1 = h delta eps_lower <= 0 never grows to tau*
-        monkeypatch.setattr(mesh_module, "_MAX_NODES", 50)
-        sc, e = scenario_e("eps-const", 1e-5)
+    @pytest.mark.parametrize("eps_lower, delta, x1", [
+        (0.0, 1.0, "0.0"), (-1e-6, 1.0, "-6.25e-08"), (1e-3, 1e-320, "0.0")])
+    def test_nonpositive_first_node_is_refused(self, eps_lower, delta, x1):
+        # x_1 = h delta eps_lower <= 0 never grows to tau*; a tiny delta
+        # underflows it to 0, and no node cap is reached
+        sc, e = scenario_e("eps-const", 1e-3)
         coeffs = dataclasses.replace(sc.coeffs, eps_lower=eps_lower)
-        with pytest.raises(ResourceError, match="graded node count"):
-            build_mesh(coeffs, e, 1.0 / 64)
+        with pytest.raises(ParameterError,
+                           match=rf"x_1 = h \* delta \* eps_lower = {x1} is not positive"):
+            build_mesh(coeffs, e, 1.0 / 16, delta)
 
     def test_graded_count_nearly_eps_independent(self):
         # the multiplicative grading absorbs eps: the graded step count

@@ -29,8 +29,7 @@ def test_public_names_are_pinned():
         "energy_norm", "error_report", "galerkin_solve", "gauss_legendre",
         "get_scenario", "integrate", "interpolate", "interpolation_study",
         "invert_monotone", "layer_integral", "manufactured_rhs",
-        "predict_cardinality", "reference_solution", "solution_bound_values",
-        "solve_tridiagonal", "transformed_bound_values",
+        "predict_cardinality", "reference_solution", "solve_tridiagonal",
         "validate_coefficients",
     ]
 
@@ -40,16 +39,6 @@ def test_one_check_report_type():
     from layerfem import problem, verify
     assert layerfem.BoundCheckReport is problem.BoundCheckReport
     assert verify.BoundCheckReport is problem.BoundCheckReport
-
-
-def test_cli_import_leaves_out_scipy_optimize():
-    # scipy.optimize alone costs a third of a second to import
-    src = os.path.dirname(os.path.dirname(os.path.abspath(layerfem.__file__)))
-    code = "import sys, layerfem.cli; print('scipy.optimize' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
 
 
 def _run(code):

@@ -206,10 +206,10 @@ class TestBuiltinScenarios:
 
     @pytest.mark.parametrize("eps0", [10.0 ** -k for k in range(2, 13)])
     def test_manufactured_f_is_manufactured_rhs_bit_for_bit(self, eps0):
-        # get_scenario builds f from one cos, sin, log1p and exp per point;
-        # it must equal the generic formula on u exactly: on 1-D and 2-D
-        # arrays (assembly samples a (points, elements) block), on a scalar,
-        # and near x = 0, where the layer terms are largest
+        # get_scenario's f is the generic formula on its exact solution u,
+        # bit for bit: on 1-D and 2-D arrays (assembly samples a
+        # (points, elements) block), on a scalar, and near x = 0, where the
+        # layer terms are largest
         sc = get_scenario("manufactured", eps0)
         want = manufactured_rhs(sc.exact, sc.coeffs)
         rng = np.random.default_rng(5)

@@ -25,8 +25,6 @@ from layerfem.verify import (
     check_integral_lemma_random,
     check_solution_bounds,
     reference_solution,
-    solution_bound_values,
-    transformed_bound_values,
 )
 
 
@@ -327,6 +325,12 @@ class TestBarrierOperator:
         assert rep.passed and rep.sample_count == 200
 
 
+def bound_rhs(name, coeffs, xs, integral):
+    """The right-hand side of bound `name` in its verify._BOUNDS row, at xs."""
+    rhs = verify._BOUNDS[name][2]
+    return rhs(coeffs, xs, coeffs.eps(xs), integral(xs), coeffs.beta)
+
+
 class TestBoundValues:
     def test_classical_reduction_constant_eps(self):
         # for constant eps both bound families reduce to
@@ -337,28 +341,18 @@ class TestBoundValues:
         e = layer_integral(coeffs, "e")
         et = layer_integral(coeffs, "etilde")
         classical = 1.0 + np.exp(-xs / eps0) / eps0
-        got_e = solution_bound_values(coeffs, xs, e(xs), 1)
-        got_t = transformed_bound_values(coeffs, xs, et(xs), 1)
-        assert got_e == pytest.approx(classical, rel=1e-10)
-        assert got_t == pytest.approx(classical, rel=1e-10)
-        assert solution_bound_values(coeffs, xs, e(xs), 0) == pytest.approx(
-            np.ones_like(xs))
+        assert bound_rhs("U1", coeffs, xs, e) == pytest.approx(classical, rel=1e-10)
+        assert bound_rhs("T1", coeffs, xs, et) == pytest.approx(classical, rel=1e-10)
+        assert bound_rhs("U0", coeffs, xs, e) == pytest.approx(np.ones_like(xs))
 
     def test_k2_contains_eps_prime(self):
         sc = get_scenario("eps-linear", 0.01)
         xs = np.array([0.5])
         e = layer_integral(sc.coeffs, "e")
-        got = solution_bound_values(sc.coeffs, xs, e(xs), 2)
+        got = bound_rhs("U2", sc.coeffs, xs, e)
         eps_v = sc.coeffs.eps(0.5)
         expect = (1 + 0.01) / eps_v * (1 + math.exp(-e(0.5)) / eps_v)
         assert got[0] == pytest.approx(expect, rel=1e-10)
-
-    def test_bad_k(self):
-        coeffs = const_coeffs()
-        with pytest.raises(ParameterError):
-            solution_bound_values(coeffs, np.array([0.5]), np.array([50.0]), 3)
-        with pytest.raises(ParameterError):
-            transformed_bound_values(coeffs, np.array([0.5]), np.array([5.0]), 2)
 
 
 class TestSolutionBounds:
@@ -407,7 +401,7 @@ class TestSolutionBounds:
     def test_quadratic_first_derivative(self):
         sc, e, ref = self.quadratic_reference()
         xs = ref.mesh.nodes[1:-1]
-        want = np.max(2 * xs / solution_bound_values(sc.coeffs, xs, e(xs), 1))
+        want = np.max(2 * xs / bound_rhs("U1", sc.coeffs, xs, e))
         rep = check_solution_bounds(sc, ref, "U1", e)
         assert rep.sample_count == len(xs)
         assert rep.sup_ratio == pytest.approx(want, rel=1e-12)
@@ -415,7 +409,7 @@ class TestSolutionBounds:
     def test_quadratic_second_derivative(self):
         sc, e, ref = self.quadratic_reference()
         xs = ref.mesh.nodes[2:-2]
-        want = np.max(2 / solution_bound_values(sc.coeffs, xs, e(xs), 2))
+        want = np.max(2 / bound_rhs("U2", sc.coeffs, xs, e))
         rep = check_solution_bounds(sc, ref, "U2", e)
         assert rep.sample_count == len(xs)
         assert rep.sup_ratio == pytest.approx(want, rel=1e-10)
@@ -467,4 +461,8 @@ class TestUniformity:
         fam = lambda eps0: get_scenario("eps-exp", eps0)
         with pytest.raises(ParameterError, match="unknown bound 'U3'"):
             check_bound_uniformity(fam, ("U0", "U3"))
+        # a bare string would be read one character at a time
+        with pytest.raises(ParameterError,
+                           match="tuple of bound names, not the string 'U1'"):
+            check_bound_uniformity(fam, "U1")
         assert solves == []
