@@ -17,8 +17,8 @@ those.  The eps integrals of its elements are the ones its assembly stored
 (FemSolution.eps_integrals), so eps is sampled again only on the two pieces
 of each reference element that an inserted node splits.  The difference
 and both per-element norms are formed in place, and each norm is reduced by
-one sum.  Every eps sample is checked: a non-finite one raises
-EvaluationError."""
+one sum.  Every sample of eps and of an exact solution or its derivative is
+checked: a non-finite one raises EvaluationError."""
 
 import math
 
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .calculus import (_finite_eval, _gauss_map, _graded, _panel_sums,
-                       gauss_legendre, integrate, layer_integral)
+                       _vec_eval, gauss_legendre, integrate, layer_integral)
 from .errors import ConfigurationError, DegenerateRegimeError, ParameterError
 from .fem import _QUAD, FemSolution, _on_elements, galerkin_solve
 from .mesh import LayerMesh, build_mesh
@@ -39,20 +39,23 @@ _REFERENCE_REFINE = 16  # h / reference h when there is no closed form
 
 def interpolate(f, mesh: LayerMesh) -> FemSolution:
     """Nodal interpolant of f; boundary values are f(0), f(1), not forced to
-    0.  interpolation_study measures the exemplars' interpolants from it."""
-    values = np.asarray(f(mesh.nodes), dtype=float)
-    return FemSolution(mesh=mesh, coefficients=values)
+    0.  interpolation_study measures the exemplars' interpolants from it.
+    f is called once on the nodes; a constant return gives one value per
+    node."""
+    return FemSolution(mesh=mesh, coefficients=_vec_eval(f, mesh.nodes))
 
 
 def _error_on_elements(v: FemSolution, exact):
     """(gx, half, weights, d, dd): d = exact - v and dd = d' at the Gauss
     points gx of every element of v's mesh, shape (points, elements), whose
-    integral of g is half * (weights @ g)."""
+    integral of g is half * (weights @ g).  A non-finite sample of exact or
+    exact.d raises EvaluationError naming its x."""
     rule = gauss_legendre(_ERR_QUAD)
     nodes = v.mesh.nodes
     gx, half = _gauss_map(nodes[:-1], nodes[1:], rule)
     vals, slopes = _on_elements(nodes, v.coefficients, gx)
-    return gx, half, rule.weights, exact(gx) - vals, exact.d(gx) - slopes
+    return (gx, half, rule.weights, _finite_eval(exact, gx) - vals,
+            _finite_eval(exact.d, gx) - slopes)
 
 
 def _linear_norms(nodes, values, eps_int):
@@ -164,7 +167,7 @@ def observed_rate(err_coarse, err_fine, h_coarse, h_fine) -> float:
 
 
 def convergence_study(scenario_family: Callable[[float], "object"],
-                      h_list, eps0_list, delta: float = 1.0) -> tuple:
+                      h_list, eps0_list) -> tuple:
     """Cartesian (h, eps0) sweep of solve + error measurement, returned as a
     tuple of ConvergenceRow, eps0 ascending and h descending within each.
 
@@ -184,7 +187,7 @@ def convergence_study(scenario_family: Callable[[float], "object"],
         scenario = scenario_family(eps0)
         e = layer_integral(scenario.coeffs, "e")
         solve = lambda h: galerkin_solve(
-            scenario, build_mesh(scenario.coeffs, e, h, delta))
+            scenario, build_mesh(scenario.coeffs, e, h))
         # a reference solve whose mesh parameter is a finer h of h_list, kept
         # until that h comes; the same h (exact float equality) builds the
         # same mesh
@@ -229,7 +232,7 @@ class InterpolationRow:
     layer_wh1_fine: float     # || eps^(1/2) (E - E^I)' ||_0 on [0,tau]
 
 
-def interpolation_study(scenario, h_list, delta: float = 1.0):
+def interpolation_study(scenario, h_list):
     """Interpolation-error table for the smooth and layer exemplars (distinct h)."""
     if len(np.unique(h_list)) < len(h_list):
         raise ParameterError("h values must be distinct")
@@ -242,7 +245,7 @@ def interpolation_study(scenario, h_list, delta: float = 1.0):
 
     rows = []
     for h in sorted(h_list, reverse=True):
-        msh = build_mesh(coeffs, e, h, delta)
+        msh = build_mesh(coeffs, e, h)
         k = msh.tau_index
         _, half, wq, d, dd = _error_on_elements(interpolate(s, msh), s)
         s_l2, s_h1 = half * (wq @ (d * d)), half * (wq @ (dd * dd))

@@ -102,7 +102,7 @@ def _emit(rows, header, fmt, meta, out):
 
 def _meta(args):
     meta = {"version": __version__, "subcommand": args.command}
-    for key in ("scenario", "eps0", "h", "delta", "format", "seed", "suite"):
+    for key in ("scenario", "eps0", "h", "format", "seed", "suite"):
         if hasattr(args, key):
             meta[key] = getattr(args, key)
     return meta
@@ -111,7 +111,7 @@ def _meta(args):
 def cmd_mesh(args):
     scenario = get_scenario(args.scenario, _parse_float(args.eps0))
     e = layer_integral(scenario.coeffs, "e")
-    msh = build_mesh(scenario.coeffs, e, parse_h(args.h), args.delta)
+    msh = build_mesh(scenario.coeffs, e, parse_h(args.h))
     rows = list(zip(range(msh.node_count), msh.nodes.tolist(),
                     msh.regions().tolist()))
     return rows, ["index", "x", "region"], 0
@@ -120,7 +120,7 @@ def cmd_mesh(args):
 def cmd_solve(args):
     scenario = get_scenario(args.scenario, _parse_float(args.eps0))
     e = layer_integral(scenario.coeffs, "e")
-    msh = build_mesh(scenario.coeffs, e, parse_h(args.h), args.delta)
+    msh = build_mesh(scenario.coeffs, e, parse_h(args.h))
     sol = galerkin_solve(scenario, msh)
     header = ["x", "u_h"]
     columns = [msh.nodes, sol.coefficients]
@@ -138,7 +138,7 @@ def cmd_converge(args):
     eps0_list = _parse_list(args.eps0)
     h_list = _parse_list(args.h, parse_h)
     family = lambda eps0: get_scenario(args.scenario, eps0)
-    study = convergence_study(family, h_list, eps0_list, args.delta)
+    study = convergence_study(family, h_list, eps0_list)
     rows = [
         (r.eps0, r.h, r.node_count, r.energy_error, r.l2_error, r.rate)
         for r in study if r.skipped_reason is None
@@ -152,7 +152,7 @@ def cmd_converge(args):
 def cmd_interp(args):
     scenario = get_scenario(args.scenario, _parse_float(args.eps0))
     h_list = _parse_list(args.h, parse_h)
-    rows_raw = interpolation_study(scenario, h_list, args.delta)
+    rows_raw = interpolation_study(scenario, h_list)
     rows = [
         (r.h, r.node_count, r.smooth_l2, r.smooth_h1, r.layer_l2_coarse,
          r.layer_max_coarse, r.layer_wl2_fine, r.layer_wh1_fine)
@@ -205,8 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
                             choices=SCENARIO_NAMES)
             sp.add_argument("--h", default=h_default,
                             help="mesh parameter(s); decimals or fractions like 1/64")
-            sp.add_argument("--delta", type=float, default=1.0,
-                            help="scale of the first graded node")
         sp.add_argument("--eps0", default="0.01", help=eps0_help)
         sp.add_argument("--format", default="csv",
                         choices=("csv", "json", "pretty"))

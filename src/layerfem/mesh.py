@@ -2,7 +2,7 @@
 
 The transition point tau* solves e(tau*) = -(2/beta) ln h in the stretched
 coordinate e(x) = int_0^x 1/eps.  Inside the layer the nodes grow
-geometrically, x_{i+1} = x_i (1 + h) starting from x_1 = h * delta * eps_lower,
+geometrically, x_{i+1} = x_i (1 + h) starting from x_1 = h * eps_lower,
 computed as a cumulative product that rounds exactly as that recurrence;
 past the first graded node >= tau* the mesh is equidistant with spacing <= h.
 """
@@ -22,7 +22,6 @@ _MAX_NODES = 10**7  # build_mesh raises ResourceError past this node count
 class LayerMesh:
     nodes: np.ndarray
     h: float
-    delta: float
     tau_index: int   # index of the first node >= tau_star
     tau_star: float
 
@@ -66,18 +65,15 @@ def compute_tau_star(coeffs, e: CumulativeIntegral, h: float) -> float:
     return tau_star
 
 
-def build_mesh(coeffs, e: CumulativeIntegral, h: float,
-               delta: float = 1.0) -> LayerMesh:
+def build_mesh(coeffs, e: CumulativeIntegral, h: float) -> LayerMesh:
     """Build the graded + equidistant mesh for mesh parameter h."""
-    if not (0.0 < delta < math.inf):
-        raise ParameterError(f"delta must be positive and finite, got {delta!r}")
     tau_star = compute_tau_star(coeffs, e, h)
 
-    x1 = h * delta * coeffs.eps_lower
+    x1 = h * coeffs.eps_lower
     if not x1 > 0.0:  # the recurrence from x_1 <= 0 never reaches tau*
         raise ParameterError(
-            f"first graded node x_1 = h * delta * eps_lower = {x1!r} is not "
-            "positive (it underflows when delta * eps_lower is tiny)")
+            f"first graded node x_1 = h * eps_lower = {x1!r} is not "
+            "positive (it underflows when h * eps_lower is tiny)")
     # x_{k+1} = x_k (1 + h) up to the first node >= tau*; cumprod multiplies
     # in sequence, so it rounds as the recurrence does.  The log estimate only
     # sizes the batches (rounding may leave it short), capped at _MAX_NODES.
@@ -101,8 +97,7 @@ def build_mesh(coeffs, e: CumulativeIntegral, h: float,
     nodes = np.concatenate((graded, coarse))
     if len(nodes) > _MAX_NODES:
         raise ResourceError(f"node count exceeded cap {_MAX_NODES}")
-    return LayerMesh(nodes=nodes, h=h, delta=delta, tau_index=tau_index,
-                     tau_star=tau_star)
+    return LayerMesh(nodes=nodes, h=h, tau_index=tau_index, tau_star=tau_star)
 
 
 def predict_cardinality(coeffs, h: float) -> float:

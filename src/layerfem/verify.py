@@ -232,8 +232,9 @@ def check_bound_uniformity(scenario_family, which: tuple,
     """Cross-eps0 uniformity of the sup ratio over _UNIFORMITY_EPS0, on
     reference solves at h = 1/512: max/min must stay <= 4.
 
-    which is a tuple of bound names of check_solution_bounds; a bare string
-    or an unknown name raises ParameterError before any solve.  One report
+    which is a nonempty tuple of bound names of check_solution_bounds; a
+    bare string, an empty tuple or an unknown name raises ParameterError
+    before any solve.  One report
     is returned per name, in order, all judged on the same reference solve
     per eps0, and each layer integral the names need is built once per
     eps0.  A family is a callable eps0 -> Scenario.  This is the falsifiable content
@@ -242,6 +243,8 @@ def check_bound_uniformity(scenario_family, which: tuple,
     if isinstance(which, str):
         raise ParameterError(
             f"which must be a tuple of bound names, not the string {which!r}")
+    if not which:
+        raise ParameterError("which names no bound")
     kinds = [_bound(name)[0] for name in which]
     rows = []  # one row per eps0, one report per name
     for eps0 in _UNIFORMITY_EPS0:

@@ -24,8 +24,8 @@ from layerfem.problem import SCENARIO_NAMES, ScalarFunction, Scenario, get_scena
 
 def uniform_mesh(n_nodes):
     nodes = np.linspace(0.0, 1.0, n_nodes)
-    return LayerMesh(nodes=nodes, h=1.0 / (n_nodes - 1), delta=1.0,
-                     tau_index=1, tau_star=float(nodes[1]))
+    return LayerMesh(nodes=nodes, h=1.0 / (n_nodes - 1), tau_index=1,
+                     tau_star=float(nodes[1]))
 
 
 def ds_mesh(scenario, h):
@@ -69,6 +69,20 @@ class TestInterpolate:
         xs = np.linspace(mesh.tau, 1.0, 500)
         err = np.abs(sc.layer_exemplar(xs) - li(xs)).max()
         assert err <= 2 * (1.0 / 64) ** 2
+
+    def test_constant_return_gives_one_value_per_node(self):
+        # a scalar-returning f once gave 0-d coefficients, on which
+        # energy_norm failed with an IndexError
+        sc = get_scenario("manufactured", 1e-3)
+        mesh = ds_mesh(sc, 1.0 / 16)
+        one = interpolate(lambda x: 1.0, mesh)
+        assert one.coefficients.shape == mesh.nodes.shape
+        assert np.all(one.coefficients == 1.0)
+        assert energy_norm(one, sc.coeffs) == pytest.approx(1.0, rel=1e-14)
+
+    def test_callable_failing_on_arrays_raises(self):
+        with pytest.raises(EvaluationError, match="callable failed on array"):
+            interpolate(math.exp, uniform_mesh(5))
 
 
 class TestEnergyNorm:
@@ -158,7 +172,7 @@ class TestErrorReport:
         sol = galerkin_solve(sc, uniform_mesh(9))
         nodes = np.concatenate((np.linspace(0.0, 0.3, 60),
                                 np.linspace(0.52, 1.0, 100)))
-        ref = galerkin_solve(sc, LayerMesh(nodes=nodes, h=0.3 / 59, delta=1.0,
+        ref = galerkin_solve(sc, LayerMesh(nodes=nodes, h=0.3 / 59,
                                            tau_index=1, tau_star=nodes[1]))
         merged = np.union1d(sol.mesh.nodes, ref.mesh.nodes)
         assert np.count_nonzero((merged > 0.3) & (merged < 0.52)) == 2
@@ -442,6 +456,21 @@ def test_nonfinite_eps_raises(entry):
     with pytest.raises(EvaluationError,
                        match=r"^non-finite integrand sample at x=0\.7\d*$"):
         calls[entry]()
+
+
+@pytest.mark.parametrize("field", ["value", "deriv"])
+def test_nonfinite_exact_raises(field):
+    # a NaN exact solution (or derivative) for x > 0.5 once gave
+    # energy_error = nan without an error
+    sc = get_scenario("manufactured", 1e-4)
+    sol = galerkin_solve(sc, ds_mesh(sc, 1.0 / 16))
+    good = getattr(sc.exact, field)
+    bad = lambda x: np.where(np.asarray(x) > 0.5, np.nan, good(x))
+    poisoned = dataclasses.replace(
+        sc, exact=dataclasses.replace(sc.exact, **{field: bad}))
+    with pytest.raises(EvaluationError,
+                       match=r"^non-finite integrand sample at x=0\.5\d*$"):
+        error_report(sol, poisoned)
 
 
 def test_observed_rate_identity():

@@ -47,7 +47,7 @@ class TestMesh:
         first = lines[1].split(",")
         second = lines[2].split(",")
         assert first == ["0", "0", "graded"]
-        # x_1 = h * delta * eps_lower = 0.001
+        # x_1 = h * eps_lower = 0.001
         assert float(second[1]) == 0.001
         assert lines[-1].split(",")[1] == "1"
 
@@ -59,9 +59,9 @@ class TestMesh:
         assert "degenerate" in err
 
     def test_underflowing_first_node_is_usage_error(self, capsys):
-        # x_1 = h * delta * eps_lower rounds to 0
+        # x_1 = h * eps_lower rounds to 0
         code, out, err = run_cli(
-            ["mesh", "--delta", "1e-320", "--h", "1/16", "--eps0", "1e-3"], capsys)
+            ["mesh", "--h", "1e-300", "--eps0", "1e-300"], capsys)
         assert code == 2 and out == ""
         assert err.startswith("usage error: first graded node x_1")
 
@@ -233,7 +233,7 @@ class TestConverge:
 
 class TestErrorContract:
     @pytest.mark.parametrize("bad", [["--eps0", "abc"], ["--eps0", ","],
-                                     ["--h", "1/0"], ["--delta", "nan"]])
+                                     ["--h", "1/0"]])
     def test_bad_input_is_usage_error(self, capsys, bad):
         code, _, err = run_cli(["mesh", "--scenario", "eps-const"] + bad, capsys)
         assert code == 2
@@ -339,6 +339,10 @@ class TestOptionContract:
         ["verify", "--h", "1/3"],
         ["verify", "--scenario", "eps-exp"],
         ["verify", "--delta", "2"],
+        ["mesh", "--delta", "2"],
+        ["solve", "--delta", "2"],
+        ["converge", "--delta", "2"],
+        ["interp", "--delta", "2"],
         ["mesh", "--seed", "1"],
         ["solve", "--seed", "1"],
         ["converge", "--seed", "1"],
@@ -357,10 +361,10 @@ class TestOptionContract:
         assert err == "usage error: not a number: '1e-3,1e-5'\n"
 
     @pytest.mark.parametrize("argv,keys", [
-        (["mesh", "--h", "1/16"], {"scenario", "eps0", "h", "delta"}),
-        (["solve", "--h", "1/16"], {"scenario", "eps0", "h", "delta"}),
-        (["converge", "--h", "1/8,1/16"], {"scenario", "eps0", "h", "delta"}),
-        (["interp", "--h", "1/16"], {"scenario", "eps0", "h", "delta"}),
+        (["mesh", "--h", "1/16"], {"scenario", "eps0", "h"}),
+        (["solve", "--h", "1/16"], {"scenario", "eps0", "h"}),
+        (["converge", "--h", "1/8,1/16"], {"scenario", "eps0", "h"}),
+        (["interp", "--h", "1/16"], {"scenario", "eps0", "h"}),
         (["verify", "--suite", "barriers"], {"eps0", "seed", "suite"}),
     ])
     def test_meta_keys_are_read_options(self, capsys, argv, keys):

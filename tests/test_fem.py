@@ -53,8 +53,8 @@ def matvec(system, x):
 
 def uniform_mesh(n_nodes):
     nodes = np.linspace(0.0, 1.0, n_nodes)
-    return LayerMesh(nodes=nodes, h=1.0 / (n_nodes - 1), delta=1.0,
-                     tau_index=1, tau_star=float(nodes[1]))
+    return LayerMesh(nodes=nodes, h=1.0 / (n_nodes - 1), tau_index=1,
+                     tau_star=float(nodes[1]))
 
 
 def plain_scenario(eps=1.0, b=0.0, c=0.0, f=0.0):
@@ -127,7 +127,7 @@ class TestAssembly:
     def test_subnormal_width_squared_raises(self, nodes, el):
         # w * w underflows, so the stiffness would divide by zero or by a
         # subnormal with few significant bits; assembly refuses first
-        mesh = LayerMesh(nodes=np.array(nodes), h=0.25, delta=1.0,
+        mesh = LayerMesh(nodes=np.array(nodes), h=0.25,
                          tau_index=1, tau_star=nodes[1])
         with pytest.raises(AssemblyError, match=f"element {el} has width"):
             assemble(plain_scenario(eps=1.0, f=1.0), mesh)
@@ -135,7 +135,7 @@ class TestAssembly:
     def test_smallest_normal_width_squared_assembles(self):
         w = 2.0 ** -511  # w * w = 2**-1022, the smallest normal float
         mesh = LayerMesh(nodes=np.array([0.0, w, 2 * w, 0.5, 1.0]), h=0.25,
-                         delta=1.0, tau_index=1, tau_star=w)
+                         tau_index=1, tau_star=w)
         assert np.all(np.isfinite(assemble(plain_scenario(eps=1.0), mesh).diag))
 
 

@@ -78,8 +78,8 @@ class TestBuildMesh:
         nodes = mesh.nodes
         assert nodes[0] == 0.0 and nodes[-1] == 1.0
         assert np.all(np.diff(nodes) > 0)
-        # first graded node is exactly h * delta * eps_lower
-        assert nodes[1] == h * mesh.delta * sc.coeffs.eps_lower
+        # first graded node is exactly h * eps_lower
+        assert nodes[1] == h * sc.coeffs.eps_lower
         # graded region has exact ratio 1 + h
         graded = nodes[1:mesh.tau_index + 1]
         ratios = graded[1:] / graded[:-1]
@@ -114,16 +114,16 @@ class TestBuildMesh:
         with pytest.raises(ResourceError):
             build_mesh(sc.coeffs, e, 1.0 / 64)
 
-    @pytest.mark.parametrize("eps_lower, delta, x1", [
-        (0.0, 1.0, "0.0"), (-1e-6, 1.0, "-6.25e-08"), (1e-3, 1e-320, "0.0")])
-    def test_nonpositive_first_node_is_refused(self, eps_lower, delta, x1):
-        # x_1 = h delta eps_lower <= 0 never grows to tau*; a tiny delta
+    @pytest.mark.parametrize("eps_lower, x1", [
+        (0.0, "0.0"), (-1e-6, "-6.25e-08"), (5e-324, "0.0")])
+    def test_nonpositive_first_node_is_refused(self, eps_lower, x1):
+        # x_1 = h eps_lower <= 0 never grows to tau*; a subnormal eps_lower
         # underflows it to 0, and no node cap is reached
         sc, e = scenario_e("eps-const", 1e-3)
         coeffs = dataclasses.replace(sc.coeffs, eps_lower=eps_lower)
         with pytest.raises(ParameterError,
-                           match=rf"x_1 = h \* delta \* eps_lower = {x1} is not positive"):
-            build_mesh(coeffs, e, 1.0 / 16, delta)
+                           match=rf"x_1 = h \* eps_lower = {x1} is not positive"):
+            build_mesh(coeffs, e, 1.0 / 16)
 
     def test_graded_count_nearly_eps_independent(self):
         # the multiplicative grading absorbs eps: the graded step count
@@ -167,19 +167,19 @@ class TestPredictCardinality:
 
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(name=st.sampled_from(SCENARIO_NAMES), log10_eps0=st.floats(-12.0, -2.0),
-       k=st.integers(4, 12), delta=st.floats(0.25, 4.0))
-@example(name="eps-const", log10_eps0=-12.0, k=12, delta=0.25)
-@example(name="eps-exp", log10_eps0=-2.0, k=4, delta=4.0)
-def test_mesh_properties(name, log10_eps0, k, delta):
+       k=st.integers(4, 12))
+@example(name="eps-const", log10_eps0=-12.0, k=12)
+@example(name="eps-exp", log10_eps0=-2.0, k=4)
+def test_mesh_properties(name, log10_eps0, k):
     sc, e = scenario_e(name, 10.0 ** log10_eps0)
     h = 2.0 ** -k
     try:
-        mesh = build_mesh(sc.coeffs, e, h, delta)
+        mesh = build_mesh(sc.coeffs, e, h)
     except DegenerateRegimeError:
         assume(False)
     nodes, ti = mesh.nodes, mesh.tau_index
     # the graded nodes are the recurrence x_{k+1} = x_k (1 + h), bit for bit
-    graded = [0.0, h * delta * sc.coeffs.eps_lower]
+    graded = [0.0, h * sc.coeffs.eps_lower]
     while graded[-1] < mesh.tau_star:
         graded.append(graded[-1] * (1.0 + h))
     assert np.array_equal(nodes[:ti + 1], graded)
@@ -191,9 +191,9 @@ def test_mesh_properties(name, log10_eps0, k, delta):
     # nothing is raised (mock.patch: hypothesis reruns this body per example)
     with mock.patch.object(mesh_module, "_MAX_NODES", ti):
         with pytest.raises(ResourceError, match="graded node count"):
-            build_mesh(sc.coeffs, e, h, delta)
+            build_mesh(sc.coeffs, e, h)
     with mock.patch.object(mesh_module, "_MAX_NODES", mesh.node_count - 1):
         with pytest.raises(ResourceError, match="^node count"):
-            build_mesh(sc.coeffs, e, h, delta)
+            build_mesh(sc.coeffs, e, h)
     with mock.patch.object(mesh_module, "_MAX_NODES", mesh.node_count):
-        assert np.array_equal(build_mesh(sc.coeffs, e, h, delta).nodes, nodes)
+        assert np.array_equal(build_mesh(sc.coeffs, e, h).nodes, nodes)

@@ -465,4 +465,7 @@ class TestUniformity:
         with pytest.raises(ParameterError,
                            match="tuple of bound names, not the string 'U1'"):
             check_bound_uniformity(fam, "U1")
+        # an empty tuple once ran three reference solves and returned ()
+        with pytest.raises(ParameterError, match="names no bound"):
+            check_bound_uniformity(fam, ())
         assert solves == []
