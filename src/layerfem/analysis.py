@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .calculus import (_finite_eval, _gauss_map, _graded, _panel_sums,
-                       _vec_eval, gauss_legendre, integrate, layer_integral)
+                       gauss_legendre, integrate, layer_integral)
 from .errors import ConfigurationError, DegenerateRegimeError, ParameterError
 from .fem import _QUAD, FemSolution, _on_elements, galerkin_solve
 from .mesh import LayerMesh, build_mesh
@@ -40,9 +40,9 @@ _REFERENCE_REFINE = 16  # h / reference h when there is no closed form
 def interpolate(f, mesh: LayerMesh) -> FemSolution:
     """Nodal interpolant of f; boundary values are f(0), f(1), not forced to
     0.  interpolation_study measures the exemplars' interpolants from it.
-    f is called once on the nodes; a constant return gives one value per
-    node."""
-    return FemSolution(mesh=mesh, coefficients=_vec_eval(f, mesh.nodes))
+    f is sampled on the nodes by _finite_eval: a constant return gives one
+    value per node, a non-finite one raises EvaluationError."""
+    return FemSolution(mesh=mesh, coefficients=_finite_eval(f, mesh.nodes))
 
 
 def _error_on_elements(v: FemSolution, exact):

@@ -10,7 +10,9 @@ Newton steps on them, reading the integral through its __call__; all use one
 evaluated on whole batches of Gauss points at once, stored points-major (one
 row per Gauss point, one column per panel); a callable that fails on array
 input raises EvaluationError, there is no point-by-point fallback.  A
-constant return value is broadcast.
+constant return value is broadcast.  Every module samples callables through
+_finite_eval, where a non-finite sample raises EvaluationError naming its x
+(validate_coefficients, which reports it, alone uses _vec_eval).
 """
 
 import functools
@@ -39,8 +41,8 @@ class QuadratureRule:
 def gauss_legendre(n: int) -> QuadratureRule:
     """The n-point rule, built once per n; its arrays are read-only because
     every caller shares them."""
-    if n < 1:
-        raise ParameterError("need at least one quadrature point")
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ParameterError(f"need an integer n >= 1 of quadrature points, got {n!r}")
     pts, wts = np.polynomial.legendre.leggauss(n)
     pts.setflags(write=False)
     wts.setflags(write=False)
@@ -98,8 +100,8 @@ def _gauss_map(lefts, rights, rule: QuadratureRule):
 
 
 def _finite_eval(f, x: np.ndarray) -> np.ndarray:
-    """_vec_eval(f, x) for points-major Gauss points x; a non-finite sample
-    raises EvaluationError naming the first such x, panel by panel."""
+    """_vec_eval(f, x) on any array x; a non-finite sample raises EvaluationError
+    naming the first such x in x.T's order (panel by panel if points-major)."""
     y = _vec_eval(f, x)
     if not np.all(np.isfinite(y)):
         bad = x.T[~np.isfinite(y.T)]
@@ -173,8 +175,9 @@ class CumulativeIntegral:
 
     def __post_init__(self):
         bp = self.breakpoints
-        if bp.ndim != 1 or len(bp) < 2 or bp[0] != 0 or not (bp[1:] > bp[:-1]).all():
-            raise ParameterError("breakpoints must increase from 0")
+        if (bp.ndim != 1 or len(bp) < 2 or bp[0] != 0
+                or not (bp[1:] > bp[:-1]).all() or not np.isfinite(bp[-1])):
+            raise ParameterError("breakpoints must be finite and increase from 0")
 
     @classmethod
     def build(cls, integrand, breakpoints):

@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 failed verification or other LayerFemError, 2 usage
 error (a ParameterError, including unparsable numbers and an --output file
 that cannot be opened), 3 degenerate mesh regime.  Any other exception is a bug and propagates with its traceback.
-Each command returns its rows, and --output is opened only after it
+Each command returns its rows (mesh and solve a lazy zip, consumed once by
+_emit; formatting cannot raise), and --output is opened only after it
 returns, so a command that fails leaves an existing file as it was.
 CSV output uses ',' separators, '.' decimal points, LF line endings and a
 mandatory header; numbers carry 17 significant digits.
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import convergence_study, interpolation_study
-from .calculus import layer_integral
+from .calculus import _finite_eval, layer_integral
 from .errors import DegenerateRegimeError, LayerFemError, ParameterError
 from .fem import galerkin_solve
 from .mesh import build_mesh
@@ -112,8 +113,7 @@ def cmd_mesh(args):
     scenario = get_scenario(args.scenario, _parse_float(args.eps0))
     e = layer_integral(scenario.coeffs, "e")
     msh = build_mesh(scenario.coeffs, e, parse_h(args.h))
-    rows = list(zip(range(msh.node_count), msh.nodes.tolist(),
-                    msh.regions().tolist()))
+    rows = zip(range(msh.node_count), msh.nodes.tolist(), msh.regions().tolist())
     return rows, ["index", "x", "region"], 0
 
 
@@ -129,8 +129,8 @@ def cmd_solve(args):
             raise ParameterError(
                 f"scenario {scenario.name!r} has no closed-form solution")
         header.append("exact")
-        columns.append(scenario.exact(msh.nodes))
-    rows = list(zip(*(np.asarray(c, dtype=float).tolist() for c in columns)))
+        columns.append(_finite_eval(scenario.exact, msh.nodes))
+    rows = zip(*(c.tolist() for c in columns))
     return rows, header, 0
 
 

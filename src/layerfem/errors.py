@@ -38,7 +38,7 @@ class SizeError(LayerFemError):
 
 
 class AssemblyError(LayerFemError):
-    """Non-finite data encountered while assembling an element."""
+    """A mesh element's width squared is below the smallest normal float."""
 
 
 class SingularSystemError(LayerFemError):

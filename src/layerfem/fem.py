@@ -26,8 +26,9 @@ Assembly keeps the element integrals of eps that the stiffness is made from
 (5-point Gauss, half-width times the weighted sum), and galerkin_solve hands
 them on as FemSolution.eps_integrals; they belong to the eps of the scenario
 that was solved, and fine-mesh error reports reuse them in place of sampling
-eps again.  An element whose width squared is below the smallest normal
-float raises AssemblyError before any division.
+eps again.  A non-finite coefficient sample (calculus._finite_eval) or const
+raises EvaluationError; an element whose width squared is below the smallest
+normal float raises AssemblyError before any division.
 """
 
 import functools
@@ -41,9 +42,10 @@ import numpy as np
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .calculus import _gauss_map, _vec_eval, gauss_legendre
+from .calculus import _finite_eval, _gauss_map, gauss_legendre
 from .errors import (
     AssemblyError,
+    EvaluationError,
     MeshMismatchError,
     SingularSystemError,
     SizeError,
@@ -113,34 +115,24 @@ def _hat_moments(n):
     return rule, table
 
 
-def _samples(label, fn, gx, first=0):
-    """fn at the points-major Gauss points gx of elements first, first + 1,
-    ...; AssemblyError names the first element with a non-finite sample."""
-    y = _vec_eval(fn, gx)
-    if not np.all(np.isfinite(y)):
-        el = first + int(np.argmin(np.all(np.isfinite(y), axis=0)))
-        raise AssemblyError(f"non-finite {label} sample in element {el}")
-    return y
-
-
-def _moments(label, fn, nodes, rule, weighted):
+def _moments(fn, nodes, rule, weighted):
     """Moments weighted.T @ fn(x), shape (k, n_el), for the k columns of
     weighted (Gauss weights times hat products) and the Gauss points x of
-    rule on the elements of nodes, mapped and sampled _BLOCK elements at a
-    time; an element integral is its half-width times the moment.  A
-    constant coefficient gives the column const * weighted.sum(axis=0),
-    broadcast to (k, n_el) without a copy."""
+    rule on the elements of nodes, mapped and sampled (by _finite_eval)
+    _BLOCK elements at a time; an element integral is its half-width times the
+    moment.  A constant coefficient with a finite const gives the column
+    const * weighted.sum(axis=0), broadcast to (k, n_el) without a copy."""
     n_el = len(nodes) - 1
     if fn.const is not None:
         if not np.isfinite(fn.const):
-            raise AssemblyError(f"non-finite {label} sample in element 0")
+            raise EvaluationError(f"non-finite constant coefficient {fn.const!r}")
         col = fn.const * weighted.sum(axis=0)
         return np.broadcast_to(col[:, None], (len(col), n_el))
     y = np.empty((len(rule.points), n_el))
     for a in range(0, n_el, _BLOCK):
         b = min(a + _BLOCK, n_el)
         gx, _ = _gauss_map(nodes[a:b], nodes[a + 1:b + 1], rule)
-        y[:, a:b] = _samples(label, fn, gx, first=a)
+        y[:, a:b] = _finite_eval(fn, gx)
     return weighted.T @ y
 
 
@@ -159,10 +151,10 @@ def assemble(scenario, mesh: LayerMesh) -> TridiagonalSystem:
 
     # Each element integral is half times one weighted moment of a
     # coefficient's samples (_hat_moments).
-    eps_int = _moments("eps", co.eps, nodes, rule, rule.weights[:, None])[0]
-    m_b = _moments("b", co.b, nodes, rule, hats[:, :2])
-    m_c = _moments("c", co.c, nodes, rule, hats[:, 2:])
-    m_f = _moments("f", co.f, nodes, rule, hats[:, :2])
+    eps_int = _moments(co.eps, nodes, rule, rule.weights[:, None])[0]
+    m_b = _moments(co.b, nodes, rule, hats[:, :2])
+    m_c = _moments(co.c, nodes, rule, hats[:, 2:])
+    m_f = _moments(co.f, nodes, rule, hats[:, :2])
     half = 0.5 * w  # _gauss_map's half-widths
 
     # Element entries a(trial, test), row = test function, column = trial:
@@ -308,7 +300,7 @@ def bilinear_form(v: FemSolution, w: FemSolution, scenario) -> float:
     co = scenario.coeffs
     v_vals, v_slope = _on_elements(nodes, v.coefficients, gx)
     w_vals, w_slope = _on_elements(nodes, w.coefficients, gx)
-    integrand = (_samples("eps", co.eps, gx) * v_slope * w_slope
-                 - _samples("b", co.b, gx) * v_slope * w_vals
-                 + _samples("c", co.c, gx) * v_vals * w_vals)
+    integrand = (_finite_eval(co.eps, gx) * v_slope * w_slope
+                 - _finite_eval(co.b, gx) * v_slope * w_vals
+                 + _finite_eval(co.c, gx) * v_vals * w_vals)
     return float(half @ (rule.weights @ integrand))

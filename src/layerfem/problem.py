@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Optional
 
+from .calculus import _vec_eval
 from .errors import ConfigurationError, ParameterError
 
 
@@ -101,19 +102,20 @@ def _margin_check(name, values, xs):
 
 
 def validate_coefficients(coeffs: CoefficientSet) -> tuple:
-    """Check the standing assumptions at _SAMPLES equispaced points.
+    """Check the standing assumptions at _SAMPLES equispaced points, sampling
+    each function by calculus._vec_eval (a constant return is broadcast).
 
     Returns one BoundCheckReport per assumption; a failed "finite values"
     check is returned alone.  Checks of a constant carry sample_count 1.
     """
     xs = np.linspace(0.0, 1.0, _SAMPLES)
     samples = {
-        "eps": np.asarray(coeffs.eps(xs), dtype=float),
-        "b": np.asarray(coeffs.b(xs), dtype=float),
-        "c": np.asarray(coeffs.c(xs), dtype=float),
-        "f": np.asarray(coeffs.f(xs), dtype=float),
-        "eps'": np.asarray(coeffs.eps.d(xs), dtype=float),
-        "b'": np.asarray(coeffs.b.d(xs), dtype=float),
+        "eps": _vec_eval(coeffs.eps, xs),
+        "b": _vec_eval(coeffs.b, xs),
+        "c": _vec_eval(coeffs.c, xs),
+        "f": _vec_eval(coeffs.f, xs),
+        "eps'": _vec_eval(coeffs.eps.d, xs),
+        "b'": _vec_eval(coeffs.b.d, xs),
     }
     finite = np.logical_and.reduce([np.isfinite(v) for v in samples.values()])
     if not np.all(finite):

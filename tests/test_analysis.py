@@ -17,9 +17,15 @@ from layerfem.analysis import (
 )
 from layerfem.calculus import gauss_legendre, layer_integral
 from layerfem.errors import ConfigurationError, EvaluationError, ParameterError
-from layerfem.fem import FemSolution, galerkin_solve
+from layerfem.fem import FemSolution, assemble, bilinear_form, galerkin_solve
 from layerfem.mesh import LayerMesh, build_mesh
 from layerfem.problem import SCENARIO_NAMES, ScalarFunction, Scenario, get_scenario
+from layerfem.verify import (
+    check_barrier_operator,
+    check_integral_lemma,
+    check_solution_bounds,
+    reference_solution,
+)
 
 
 def uniform_mesh(n_nodes):
@@ -435,13 +441,18 @@ def _poisoned_eps(sc):
         sc.coeffs, eps=dataclasses.replace(eps, value=bad, const=None)))
 
 
-@pytest.mark.parametrize("entry", ["energy_norm", "closed-form report",
-                                   "hand-built reference", "interpolation"])
+@pytest.mark.parametrize("entry", [
+    "energy_norm", "closed-form report", "hand-built reference", "interpolation",
+    "assemble", "bilinear_form", "interpolate", "barrier", "solution bounds",
+    "integral lemma"])
 def test_nonfinite_eps_raises(entry):
     # the first three once returned energy_error = nan without an error;
-    # every entry point names the first bad x as a plain float
+    # assemble raised AssemblyError naming an element, the barrier and bound
+    # checks returned a nan margin or ratio, and the lemma raised numpy's
+    # ValueError; every entry point names the first bad x as a plain float
     sc = get_scenario("manufactured", 1e-4)
     bad = _poisoned_eps(sc)
+    e = layer_integral(sc.coeffs, "e")
     h = 1.0 / 16
     sol = galerkin_solve(sc, ds_mesh(sc, h))
     ref = galerkin_solve(sc, ds_mesh(sc, h / 16))
@@ -452,6 +463,15 @@ def test_nonfinite_eps_raises(entry):
         "hand-built reference": lambda: error_report(
             sol, bad, reference=FemSolution(ref.mesh, ref.coefficients)),
         "interpolation": lambda: interpolation_study(bad, [h]),
+        "assemble": lambda: assemble(bad, sol.mesh),
+        "bilinear_form": lambda: bilinear_form(sol, sol, bad),
+        "interpolate": lambda: interpolate(bad.coeffs.eps, sol.mesh),
+        "barrier": lambda: check_barrier_operator(bad.coeffs, e),
+        "solution bounds": lambda: check_solution_bounds(
+            bad, reference_solution(sc, e), "U1", e),
+        # eps(x) at x = 0.75 is sampled before any quadrature
+        "integral lemma": lambda: check_integral_lemma(
+            bad.coeffs, 0.1, 0.75, 0, 1.0, e),
     }
     with pytest.raises(EvaluationError,
                        match=r"^non-finite integrand sample at x=0\.7\d*$"):

@@ -40,6 +40,12 @@ class TestQuadratureRule:
             got = (rule.weights * rule.points ** k).sum()
             assert abs(got - exact) <= 1e-12
 
+    @pytest.mark.parametrize("n", [0, 2.5])
+    def test_needs_a_positive_integer(self, n):
+        # 2.5 once reached numpy's leggauss and raised its TypeError
+        with pytest.raises(ParameterError, match="integer n >= 1"):
+            gauss_legendre(n)
+
     def test_rule_is_shared_and_read_only(self):
         # every caller gets the same rule, so none may change it for the rest
         rule = gauss_legendre(7)
@@ -234,6 +240,9 @@ class TestOwnDomain:
     @pytest.mark.parametrize("breakpoints", [
         [0.1, 0.5], [0.0, 0.5, 0.5], [0.0, 0.5, 0.25], [0.0], [0.0, np.nan],
         [[0.0, 0.5]],
+        # an infinite one once gave numpy RuntimeWarnings, then an
+        # EvaluationError at x=nan
+        [0.0, 1.0, np.inf],
     ])
     def test_breakpoints_must_increase_from_zero(self, breakpoints):
         with pytest.raises(ParameterError):

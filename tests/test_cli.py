@@ -1,7 +1,9 @@
 import csv
+import dataclasses
 import io
 import json
 
+import numpy as np
 import pytest
 
 from layerfem.calculus import layer_integral
@@ -139,6 +141,20 @@ def test_mesh_and_solve_csv_match_per_cell_format(capsys, name):
 
 
 class TestSolve:
+    def test_nonfinite_exact_is_an_error(self, capsys, monkeypatch, tmp_path):
+        # a NaN exact solution for x > 0.5 once wrote nan cells and exited 0
+        sc = get_scenario("manufactured", 1e-3)
+        bad = dataclasses.replace(sc, exact=dataclasses.replace(
+            sc.exact, value=lambda x: np.where(x > 0.5, np.nan, 0.0)))
+        monkeypatch.setattr("layerfem.cli.get_scenario", lambda name, eps0: bad)
+        target = tmp_path / "out.csv"
+        target.write_bytes(b"keep\n")
+        code, out, err = run_cli(["solve", "--exact", "--h", "1/16",
+                                  "--output", str(target)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: non-finite integrand sample at x=0.5")
+        assert target.read_bytes() == b"keep\n"
+
     def test_exact_column(self, capsys):
         code, out, _ = run_cli(
             ["solve", "--scenario", "manufactured", "--eps0", "0.001",

@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 
 from layerfem import fem
 from layerfem.analysis import energy_norm, error_report, interpolate
-from layerfem.calculus import gauss_legendre, layer_integral
+from layerfem.calculus import _finite_eval, gauss_legendre, layer_integral
 from layerfem.errors import (
     AssemblyError,
     DegenerateRegimeError,
+    EvaluationError,
     MeshMismatchError,
     SingularSystemError,
     SizeError,
@@ -104,10 +105,14 @@ class TestAssembly:
                 beta=0.1, gamma=0.1, eps_lower=1.0, eps_upper=1.0, sigma=0.0),
             exact=None, smooth_exemplar=None, layer_exemplar=None)
         # eps is NaN for x > 0.5: on uniform nodes the first bad element is
-        # the one that starts at 0.5
+        # the one that starts at 0.5, and the first bad sample lies in it
+        mesh = uniform_mesh(n_nodes)
         el = (n_nodes - 1) // 2
-        with pytest.raises(AssemblyError, match=f"element {el}$"):
-            assemble(bad, uniform_mesh(n_nodes))
+        with pytest.raises(EvaluationError,
+                           match=r"^non-finite integrand sample at x=") as info:
+            assemble(bad, mesh)
+        x = float(str(info.value).rpartition("=")[2])
+        assert mesh.nodes[el] < x < mesh.nodes[el + 1]
 
     def test_nan_constant_coefficient_raises(self):
         # a constant coefficient is integrated without samples; its value is
@@ -115,7 +120,7 @@ class TestAssembly:
         sc = plain_scenario()
         bad = dataclasses.replace(sc, coeffs=dataclasses.replace(
             sc.coeffs, b=ScalarFunction.constant(np.nan)))
-        with pytest.raises(AssemblyError, match="non-finite b"):
+        with pytest.raises(EvaluationError, match="non-finite constant"):
             assemble(bad, uniform_mesh(9))
 
 
@@ -223,19 +228,19 @@ def assemble_by_element_entries(scenario, mesh):
     w = np.diff(mesh.nodes)
     co = scenario.coeffs
 
-    def moments(label, fn, weighted):
+    def moments(fn, weighted):
         if fn.const is not None:
             return np.multiply.outer(fn.const * weighted.sum(axis=0), half)
-        return half * (weighted.T @ fem._samples(label, fn, gx))
+        return half * (weighted.T @ _finite_eval(fn, gx))
 
     t = 0.5 * (1.0 + rule.points)
     hats = rule.weights[:, None] * np.column_stack(
         (1.0 - t, t, (1.0 - t) ** 2, (1.0 - t) * t, t * t))
-    eps_int = moments("eps", co.eps, rule.weights[:, None])[0]
+    eps_int = moments(co.eps, rule.weights[:, None])[0]
     stiff = eps_int / (w * w)
-    b_l, b_r = moments("b", co.b, hats[:, :2])
-    c_ll, c_lr, c_rr = moments("c", co.c, hats[:, 2:])
-    f_l, f_r = moments("f", co.f, hats[:, :2])
+    b_l, b_r = moments(co.b, hats[:, :2])
+    c_ll, c_lr, c_rr = moments(co.c, hats[:, 2:])
+    f_l, f_r = moments(co.f, hats[:, :2])
     e_ll = stiff + b_l / w + c_ll
     e_lr = -stiff - b_l / w + c_lr
     e_rl = -stiff + b_r / w + c_lr

@@ -1,0 +1,56 @@
+"""CLI tables pinned against tests/golden.json (written by record_golden.py).
+
+Names, node counts, exit codes and PASS/FAIL must match exactly.  Floats
+match at the tolerances of the benchmark's gates: interpolation norms to
+1e-12 relative, the lemma aggregates' margins to 1e-8 absolute (the lemma's
+own slack), barrier margins to 1e-6 relative and uniformity ratios to 1e-8
+relative.  Barrier and uniformity worst points are grid nodes and match
+exactly; a lemma aggregate's worst point is not pinned, because in the
+equality cases its margins are roundoff of either sign and the worst of
+them is any draw.
+"""
+
+import json
+
+import pytest
+
+from layerfem.verify import _MAX_VARIATION
+from record_golden import GOLDEN_PATH, run
+
+with open(GOLDEN_PATH) as fh:
+    GOLDEN = json.load(fh)
+
+
+def _check_verify_row(got, ref):
+    assert (got["name"], got["status"]) == (ref["name"], ref["status"])
+    kind = ref["name"].partition("[")[0]
+    if kind == "integral-lemma-random":
+        assert got["worst_margin"] == pytest.approx(ref["worst_margin"], rel=0, abs=1e-8)
+    elif kind == "barrier-operator":
+        assert got["worst_point"] == ref["worst_point"]
+        assert got["worst_margin"] == pytest.approx(ref["worst_margin"], rel=1e-6, abs=0)
+    elif kind == "uniformity":
+        # worst_margin is _MAX_VARIATION minus the ratio max/min of the sups
+        assert got["worst_point"] == ref["worst_point"]
+        assert _MAX_VARIATION - got["worst_margin"] == pytest.approx(
+            _MAX_VARIATION - ref["worst_margin"], rel=1e-8, abs=0)
+    else:
+        raise AssertionError(f"no tolerance for the row {ref['name']!r}")
+
+
+def _check_interp_row(got, ref):
+    assert (got["h"], got["nodes"]) == (ref["h"], ref["nodes"])
+    for key in ref.keys() - {"h", "nodes"}:
+        assert got[key] == pytest.approx(ref[key], rel=1e-12, abs=0), key
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_cli_table_matches_golden(name):
+    want = GOLDEN[name]
+    code, rows = run(want["argv"])
+    assert code == want["code"]
+    assert len(rows) == len(want["rows"])
+    check = _check_verify_row if want["argv"][0] == "verify" else _check_interp_row
+    for got, ref in zip(rows, want["rows"]):
+        assert got.keys() == ref.keys()
+        check(got, ref)

@@ -15,7 +15,7 @@ from layerfem.errors import (
     ResourceError,
 )
 from layerfem.mesh import build_mesh, compute_tau_star, predict_cardinality
-from layerfem.problem import SCENARIO_NAMES, get_scenario
+from layerfem.problem import SCENARIO_NAMES, ScalarFunction, get_scenario
 
 
 def scenario_e(name, eps0):
@@ -124,6 +124,16 @@ class TestBuildMesh:
         with pytest.raises(ParameterError,
                            match=rf"x_1 = h \* eps_lower = {x1} is not positive"):
             build_mesh(coeffs, e, 1.0 / 16)
+
+    def test_first_node_past_one_is_degenerate(self):
+        # eps = 2 and h = 0.9 give tau* = 0.42 <= 1/2, but x_1 = h eps_lower
+        # = 1.8 is already past tau* and past 1, where the mesh would end
+        sc = get_scenario("eps-const", 0.1)
+        coeffs = dataclasses.replace(sc.coeffs, eps=ScalarFunction.constant(2.0),
+                                     eps_lower=2.0, eps_upper=2.0)
+        e = layer_integral(coeffs, "e")
+        with pytest.raises(DegenerateRegimeError, match="already reaches 1.8 >= 1$"):
+            build_mesh(coeffs, e, 0.9)
 
     def test_graded_count_nearly_eps_independent(self):
         # the multiplicative grading absorbs eps: the graded step count

@@ -72,6 +72,13 @@ class TestValidateCoefficients:
         assert not all(chk.passed for chk in rep)
         assert not check_by_name(rep, "finite values").passed
 
+    def test_scalar_returning_coefficient_is_broadcast(self):
+        # a c that returns a float, not an array, once raised numpy's
+        # ValueError for an inhomogeneous shape
+        c = ScalarFunction(lambda x: 1.0, deriv=lambda x: 0.0)
+        assert (validate_coefficients(make_coeffs(c=c))
+                == validate_coefficients(make_coeffs(c=ScalarFunction.constant(1.0))))
+
     def test_sigma_mismatch_flagged(self):
         rep = validate_coefficients(make_coeffs(sigma=0.1))
         assert not check_by_name(rep, "sigma matches min eps'").passed
