@@ -1,16 +1,21 @@
 """Write tests/golden.json, the CLI tables that tests/test_golden.py pins.
 
 Each entry holds a command's arguments, its exit code and the rows of its
-JSON output.  Re-record after a change that moves these outputs on purpose,
-and list the moved cells from the diff of the file:
+JSON output.  The solve at h = 1/4096 has 49,294 rows, so its entry holds
+their count, a sha256 of the x column and only every stride-th row.
+Re-record after a change that moves these outputs on purpose, and list the
+moved cells from the diff of the file:
 
     PYTHONPATH=src python tests/record_golden.py
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
+
+import numpy as np
 
 from layerfem import cli
 from layerfem.problem import SCENARIO_NAMES
@@ -23,7 +28,15 @@ COMMANDS = {
     **{f"interp-{name}@1e-6": ["interp", "--scenario", name, "--eps0", "1e-6",
                                "--format", "json"]
        for name in SCENARIO_NAMES},
+    **{f"converge-{name}": ["converge", "--scenario", name,
+                            "--eps0", "1e-2,1e-7,1e-12",
+                            "--h", "1/16,1/32,1/64,1/128,1/256", "--format", "json"]
+       for name in SCENARIO_NAMES},
+    "mesh-eps-linear@1e-4": ["mesh", "--scenario", "eps-linear", "--eps0", "1e-4",
+                             "--h", "1/32", "--format", "json"],
+    "solve@1/4096": ["solve", "--h", "1/4096", "--exact", "--format", "json"],
 }
+STRIDES = {"solve@1/4096": 64}  # entries that keep every stride-th row
 
 
 def run(argv):
@@ -34,11 +47,21 @@ def run(argv):
     return code, json.loads(out.getvalue())["rows"]
 
 
+def x_sha256(rows) -> str:
+    """sha256 of the rows' x values as float64 bytes."""
+    return hashlib.sha256(np.array([r["x"] for r in rows]).tobytes()).hexdigest()
+
+
 def record():
     golden = {}
     for name, argv in COMMANDS.items():
         code, rows = run(argv)
-        golden[name] = {"argv": argv, "code": code, "rows": rows}
+        entry = golden[name] = {"argv": argv, "code": code}
+        if name in STRIDES:
+            entry.update(row_count=len(rows), x_sha256=x_sha256(rows),
+                         stride=STRIDES[name])
+            rows = rows[::STRIDES[name]]
+        entry["rows"] = rows
     return golden
 
 

@@ -1,7 +1,6 @@
 import dataclasses
 import json
 import math
-import os
 
 import numpy as np
 import pytest
@@ -26,6 +25,7 @@ from layerfem.verify import (
     check_solution_bounds,
     reference_solution,
 )
+from record_golden import GOLDEN_PATH
 
 
 def uniform_mesh(n_nodes):
@@ -276,19 +276,14 @@ class TestMatchesPointwiseOracle:
                           lambda x: slope_at(ref, x) - slope_at(sol, x), sc.coeffs.eps))
 
 
-_REFERENCE_JSON = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
-                               "reference.json")
-
-
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
 def test_convergence_matches_recorded_rows(name):
-    # rows recorded by the benchmark: exact node counts, and energy errors
-    # within its 1e-8 gate (the solve at small eps is ill-conditioned, so
+    # the converge rows of tests/golden.json: exact node counts, and energy
+    # errors within 1e-8 (the solve at small eps is ill-conditioned, so
     # roundoff-level changes to the assembly move them by up to ~2.4e-9)
-    with open(_REFERENCE_JSON) as fh:
+    with open(GOLDEN_PATH) as fh:
         recorded = {(r["eps0"], r["h"]): r
-                    for r in json.load(fh)["sweep"]["converge"]
-                    if r["scenario"] == name}
+                    for r in json.load(fh)[f"converge-{name}"]["rows"]}
     hs = [1.0 / 16, 1.0 / 32, 1.0 / 64, 1.0 / 128, 1.0 / 256]
     rows = convergence_study(lambda eps0: get_scenario(name, eps0), hs,
                              [1e-12, 1e-07, 0.01])

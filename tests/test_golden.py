@@ -1,13 +1,17 @@
 """CLI tables pinned against tests/golden.json (written by record_golden.py).
 
-Names, node counts, exit codes and PASS/FAIL must match exactly.  Floats
-match at the tolerances of the benchmark's gates: interpolation norms to
-1e-12 relative, the lemma aggregates' margins to 1e-8 absolute (the lemma's
-own slack), barrier margins to 1e-6 relative and uniformity ratios to 1e-8
-relative.  Barrier and uniformity worst points are grid nodes and match
-exactly; a lemma aggregate's worst point is not pinned, because in the
-equality cases its margins are roundoff of either sign and the worst of
-them is any draw.
+Names, node counts, exit codes and PASS/FAIL must match exactly, and so do
+mesh nodes, which come from cumprod and linspace alone, and the solve's x
+column (by its sha256).  Floats match at the tolerances of the benchmark's
+gates: interpolation norms to 1e-12 relative, convergence errors to 1e-8
+relative (the solve at small eps is ill-conditioned, so roundoff-level
+changes to the assembly move them by up to ~2.4e-9) and their rates to 1e-7
+absolute, nodal values to 1e-10 absolute, the lemma aggregates' margins to
+1e-8 absolute (the lemma's own slack), barrier margins to 1e-6 relative and
+uniformity ratios to 1e-8 relative.  Barrier and uniformity worst points
+are grid nodes and match exactly; a lemma aggregate's worst point is not
+pinned, because in the equality cases its margins are roundoff of either
+sign and the worst of them is any draw.
 """
 
 import json
@@ -15,7 +19,7 @@ import json
 import pytest
 
 from layerfem.verify import _MAX_VARIATION
-from record_golden import GOLDEN_PATH, run
+from record_golden import GOLDEN_PATH, run, x_sha256
 
 with open(GOLDEN_PATH) as fh:
     GOLDEN = json.load(fh)
@@ -44,13 +48,42 @@ def _check_interp_row(got, ref):
         assert got[key] == pytest.approx(ref[key], rel=1e-12, abs=0), key
 
 
+def _check_converge_row(got, ref):
+    assert (got["eps0"], got["h"], got["nodes"]) == (ref["eps0"], ref["h"], ref["nodes"])
+    for key in ("energy_err", "l2_err"):
+        assert got[key] == pytest.approx(ref[key], rel=1e-8, abs=0), key
+    if ref["rate"] is None:
+        assert got["rate"] is None
+    else:
+        assert got["rate"] == pytest.approx(ref["rate"], rel=0, abs=1e-7)
+
+
+def _check_mesh_row(got, ref):
+    assert got == ref
+
+
+def _check_solve_row(got, ref):
+    assert got["x"] == ref["x"]
+    for key in ("u_h", "exact"):
+        assert got[key] == pytest.approx(ref[key], rel=0, abs=1e-10), key
+
+
+_CHECKS = {"verify": _check_verify_row, "interp": _check_interp_row,
+           "converge": _check_converge_row, "mesh": _check_mesh_row,
+           "solve": _check_solve_row}
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_cli_table_matches_golden(name):
     want = GOLDEN[name]
     code, rows = run(want["argv"])
     assert code == want["code"]
+    if "stride" in want:
+        assert len(rows) == want["row_count"]
+        assert x_sha256(rows) == want["x_sha256"]
+        rows = rows[::want["stride"]]
     assert len(rows) == len(want["rows"])
-    check = _check_verify_row if want["argv"][0] == "verify" else _check_interp_row
+    check = _CHECKS[want["argv"][0]]
     for got, ref in zip(rows, want["rows"]):
         assert got.keys() == ref.keys()
         check(got, ref)
