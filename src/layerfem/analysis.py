@@ -1,24 +1,25 @@
 """Interpolation, energy norms, error reports and convergence studies.
 
 Error measurement against closed-form solutions uses 7-point Gauss per
-element (assembly uses 5).  That under-resolves element tau_index, the first
-coarse element: the layer tail there, of size about h^2, decays on the scale
-eps inside a width of about h, and 5, 7 or 10 points all miss it.  On
-manufactured the energy error reads 3.2 % low at eps0 = 1e-4, h = 1/16, and
-1.7e-4 low at eps0 = 1e-6, h = 1/256.  FE functions are evaluated at the Gauss
-points from their nodal values, element by element, with samples stored
-points-major, shape (points, elements).  A piecewise-linear difference (an
-FE function alone, or the difference of a solve and a finer solve) is
-integrated exactly: its square in closed form, and eps times its constant
-slope squared from element integrals of eps by assembly's 5-point Gauss rule.
-A finer solve is compared on its own nodes plus the coarse nodes it lacks,
-found by a binary search and inserted in place; it is interpolated only at
-those.  The eps integrals of its elements are the ones its assembly stored
-(FemSolution.eps_integrals), so eps is sampled again only on the two pieces
-of each reference element that an inserted node splits.  The difference
-and both per-element norms are formed in place, and each norm is reduced by
-one sum.  Every sample of eps and of an exact solution or its derivative is
-checked: a non-finite one raises EvaluationError."""
+element (_ERR_QUAD), the package's one rule besides calculus._G5.  That
+under-resolves element tau_index, the first coarse element: the layer tail
+there, of size about h^2, decays on the scale eps inside a width of about h,
+and 5, 7 or 10 points all miss it.  On manufactured the energy error reads
+3.2 % low at eps0 = 1e-4, h = 1/16, and 1.7e-4 low at eps0 = 1e-6, h = 1/256.
+FE functions are evaluated at the Gauss points from their nodal values,
+element by element, with samples stored points-major, shape (points,
+elements).  A piecewise-linear difference (an FE function alone, or the
+difference of a solve and a finer solve) is integrated exactly: its square in
+closed form, and eps times its constant slope squared from element integrals
+of eps by _G5, the rule assembly stores them with.  A finer solve is compared
+on its own nodes plus the coarse nodes it lacks, found by a binary search and
+inserted in place; it is interpolated only at those.  The eps integrals of
+its elements are the ones its assembly stored (FemSolution.eps_integrals), so
+eps is sampled again only on the two pieces of each reference element that an
+inserted node splits.  The difference and both per-element norms are formed
+in place, and each norm is reduced by one sum.  Every sample of eps and of an
+exact solution or its derivative is checked: a non-finite one raises
+EvaluationError naming it."""
 
 import math
 
@@ -26,14 +27,13 @@ import numpy as np
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .calculus import (_finite_eval, _gauss_map, _graded, _panel_sums,
+from .calculus import (_G5, _finite_eval, _gauss_map, _graded, _panel_sums,
                        gauss_legendre, integrate, layer_integral)
 from .errors import ConfigurationError, DegenerateRegimeError, ParameterError
-from .fem import _QUAD, FemSolution, _on_elements, galerkin_solve
+from .fem import FemSolution, _on_elements, galerkin_solve
 from .mesh import LayerMesh, build_mesh
 
 _ERR_QUAD = 7
-_G5 = gauss_legendre(_QUAD)  # assembly's rule, which made FemSolution.eps_integrals
 _REFERENCE_REFINE = 16  # h / reference h when there is no closed form
 
 
@@ -42,7 +42,7 @@ def interpolate(f, mesh: LayerMesh) -> FemSolution:
     0.  interpolation_study measures the exemplars' interpolants from it.
     f is sampled on the nodes by _finite_eval: a constant return gives one
     value per node, a non-finite one raises EvaluationError."""
-    return FemSolution(mesh=mesh, coefficients=_finite_eval(f, mesh.nodes))
+    return FemSolution(mesh=mesh, coefficients=_finite_eval(f, mesh.nodes, "f"))
 
 
 def _error_on_elements(v: FemSolution, exact):
@@ -53,9 +53,9 @@ def _error_on_elements(v: FemSolution, exact):
     rule = gauss_legendre(_ERR_QUAD)
     nodes = v.mesh.nodes
     gx, half = _gauss_map(nodes[:-1], nodes[1:], rule)
-    vals, slopes = _on_elements(nodes, v.coefficients, gx)
-    return (gx, half, rule.weights, _finite_eval(exact, gx) - vals,
-            _finite_eval(exact.d, gx) - slopes)
+    vals, slopes = _on_elements(v, gx)
+    return (gx, half, rule.weights, _finite_eval(exact, gx, "exact") - vals,
+            _finite_eval(exact.d, gx, "exact'") - slopes)
 
 
 def _linear_norms(nodes, values, eps_int):
@@ -101,7 +101,7 @@ def energy_norm(v, coeffs) -> float:
     if isinstance(v, FemSolution):
         nodes = v.mesh.nodes
         l2, wg = _linear_norms(nodes, v.coefficients,
-                               _panel_sums(coeffs.eps, nodes[:-1], nodes[1:], _G5))
+                               _panel_sums(coeffs.eps, nodes[:-1], nodes[1:], "eps"))
         return math.sqrt(l2.sum() + wg.sum())
     val = integrate(lambda x: coeffs.eps(x) * v.d(x) ** 2 + v(x) ** 2, 0.0, 1.0,
                     breakpoints=_graded(1e-2 * coeffs.eps_lower, 1.0, 257))
@@ -115,7 +115,7 @@ def error_report(sol: FemSolution, scenario,
     if scenario.exact is not None and reference is None:
         gx, half, wq, d, dd = _error_on_elements(sol, scenario.exact)
         l2 = half * (wq @ (d * d))
-        wg = half * (wq @ (_finite_eval(eps_fn, gx) * dd * dd))
+        wg = half * (wq @ (_finite_eval(eps_fn, gx, "eps") * dd * dd))
         kind = "closed-form"
     elif reference is not None:
         if len(reference.mesh.nodes) < 8 * len(sol.mesh.nodes):
@@ -131,13 +131,13 @@ def error_report(sol: FemSolution, scenario,
         ref_vals = np.insert(reference.coefficients, at, reference(extra))
         eps_int = reference.eps_integrals
         if eps_int is None:
-            eps_int = _panel_sums(eps_fn, fine[:-1], fine[1:], _G5)
+            eps_int = _panel_sums(eps_fn, fine[:-1], fine[1:], "eps")
         eps_int = np.insert(eps_int, at, 0.0)
         # merged node p = at + (nodes inserted before it) splits its reference
         # element into merged elements p - 1 and p
         p = at + np.arange(len(extra))
         split = np.concatenate((p - 1, p))
-        eps_int[split] = _panel_sums(eps_fn, merged[split], merged[split + 1], _G5)
+        eps_int[split] = _panel_sums(eps_fn, merged[split], merged[split + 1], "eps")
         ref_vals -= sol(merged)
         l2, wg = _linear_norms(merged, ref_vals, eps_int)
         kind = "fine-mesh"
@@ -252,7 +252,7 @@ def interpolation_study(scenario, h_list):
 
         # the layer norms share one Gauss grid and one evaluation of E - E^I
         gx, half, wq, d, dd = _error_on_elements(interpolate(lay, msh), lay)
-        eps_g = _finite_eval(coeffs.eps, gx)
+        eps_g = _finite_eval(coeffs.eps, gx, "eps")
         e_l2 = half * (wq @ (d * d))
         e_wh1 = half * (wq @ (eps_g * dd * dd))
         e_invl2 = half * (wq @ (d * d / eps_g))  # weight 1/eps

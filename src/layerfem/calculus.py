@@ -1,24 +1,26 @@
 """Quadrature, cumulative layer integrals and monotone inversion.
 
 Everything downstream (meshing, assembly, error measurement, bound checks)
-is built on the routines in this module.  Quadrature takes one round on the
-panels its caller's breakpoints make and raises ConvergenceError when they
-do not resolve the integrand (_graded grades them), a cumulative integral
-lives on its own breakpoints [0, ..., top], and inversion takes bracketed
-Newton steps on them, reading the integral through its __call__; all use one
-5-point Gauss rule.  Integrands must accept numpy arrays of any shape and are
-evaluated on whole batches of Gauss points at once, stored points-major (one
-row per Gauss point, one column per panel); a callable that fails on array
-input raises EvaluationError, there is no point-by-point fallback.  A
-constant return value is broadcast.  Every module samples callables through
-_finite_eval, where a non-finite sample raises EvaluationError naming its x
+is built on the routines in this module, and it owns the one panel rule,
+_G5 (5-point Gauss), that integrate, CumulativeIntegral, fem's assembly and
+analysis's eps integrals use.  Quadrature takes one round on the panels its
+caller's breakpoints make and raises ConvergenceError when they do not
+resolve the integrand (_graded grades them), a cumulative integral lives on
+its own breakpoints [0, ..., top], and inversion takes bracketed Newton
+steps on them, reading the integral through its __call__.  Integrands must
+accept numpy arrays of any shape and are evaluated on whole batches of
+Gauss points at once, stored points-major (one row per Gauss point, one
+column per panel); a callable that fails on array input raises
+EvaluationError, there is no point-by-point fallback.  A constant return
+value is broadcast.  Every module samples callables through _finite_eval,
+where a non-finite sample raises EvaluationError naming the function and x
 (validate_coefficients, which reports it, alone uses _vec_eval).
 """
 
 import functools
 
 import numpy as np
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import (
@@ -99,21 +101,23 @@ def _gauss_map(lefts, rights, rule: QuadratureRule):
     return x, half
 
 
-def _finite_eval(f, x: np.ndarray) -> np.ndarray:
+def _finite_eval(f, x: np.ndarray, what: str = "integrand") -> np.ndarray:
     """_vec_eval(f, x) on any array x; a non-finite sample raises EvaluationError
-    naming the first such x in x.T's order (panel by panel if points-major)."""
+    naming what f is and the first such x in x.T's order (panel by panel if
+    points-major)."""
     y = _vec_eval(f, x)
     if not np.all(np.isfinite(y)):
         bad = x.T[~np.isfinite(y.T)]
-        raise EvaluationError(f"non-finite integrand sample at x={float(bad[0])!r}")
+        raise EvaluationError(f"non-finite {what} sample at x={float(bad[0])!r}")
     return y
 
 
-def _panel_sums(f, lefts, rights, rule: QuadratureRule) -> np.ndarray:
-    """Gauss sums of f over a batch of panels [lefts_i, rights_i]."""
+def _panel_sums(f, lefts, rights, what: str = "integrand") -> np.ndarray:
+    """_G5 sums of f over a batch of panels [lefts_i, rights_i]; what names f
+    in _finite_eval's error."""
     x, half = _gauss_map(np.asarray(lefts, dtype=float),
-                         np.asarray(rights, dtype=float), rule)
-    return (rule.weights @ _finite_eval(f, x)) * half
+                         np.asarray(rights, dtype=float), _G5)
+    return (_G5.weights @ _finite_eval(f, x, what)) * half
 
 
 def integrate(
@@ -147,7 +151,7 @@ def integrate(
     mids = 0.5 * (lefts + rights)
     wholes, left_halves, right_halves = _panel_sums(
         f, np.concatenate((lefts, lefts, mids)),
-        np.concatenate((rights, mids, rights)), _G5).reshape(3, -1)
+        np.concatenate((rights, mids, rights))).reshape(3, -1)
     fine = left_halves + right_halves
     total = float(fine.sum())
     if float(np.abs(fine - wholes).sum()) > _REL_TOL * abs(total):
@@ -160,34 +164,30 @@ def integrate(
 @dataclass(frozen=True)
 class CumulativeIntegral:
     """x -> integral of a positive integrand from 0 to x, on [0, top], where
-    top = breakpoints[-1]; build stores a partial sum at each breakpoint.
+    top = breakpoints[-1]; the breakpoints must be finite and increase from 0.
 
-    Point evaluation adds a single local Gauss panel to the nearest stored
-    sum, so repeated evaluation (meshing does thousands) is cheap.  On
-    layer_integral's breakpoints a panel spans 0.68 % of its distance from
-    0, where 1/eps of every built-in is near-polynomial: the 5-point rule
-    gives e within 1.9e-15 relative of the closed forms.
+    The constructor integrates the integrand into a partial sum at each
+    breakpoint, so the sums always belong to it.  Point evaluation adds a
+    single local Gauss panel to the nearest stored sum, so repeated
+    evaluation (meshing does thousands) is cheap.  On layer_integral's
+    breakpoints a panel spans 0.68 % of its distance from 0, where 1/eps of
+    every built-in is near-polynomial: _G5 gives e within 1.9e-15 relative
+    of the closed forms.
     """
 
-    breakpoints: np.ndarray
-    partial_sums: np.ndarray
     integrand: Callable
+    breakpoints: np.ndarray
+    partial_sums: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        bp = self.breakpoints
+        bp = np.asarray(self.breakpoints, dtype=float)
         if (bp.ndim != 1 or len(bp) < 2 or bp[0] != 0
                 or not (bp[1:] > bp[:-1]).all() or not np.isfinite(bp[-1])):
             raise ParameterError("breakpoints must be finite and increase from 0")
-
-    @classmethod
-    def build(cls, integrand, breakpoints):
-        """The integral of integrand on increasing breakpoints from 0."""
-        bp = np.asarray(breakpoints, dtype=float)
         sums = np.zeros(bp.shape)
-        # the constructor checks bp before any panel of it is integrated
-        g = cls(breakpoints=bp, partial_sums=sums, integrand=integrand)
-        np.cumsum(_panel_sums(integrand, bp[:-1], bp[1:], _G5), out=sums[1:])
-        return g
+        np.cumsum(_panel_sums(self.integrand, bp[:-1], bp[1:]), out=sums[1:])
+        object.__setattr__(self, "breakpoints", bp)
+        object.__setattr__(self, "partial_sums", sums)
 
     def __call__(self, x):
         """Evaluate at x of any shape; a 0-d or scalar x returns a float.
@@ -206,7 +206,7 @@ class CumulativeIntegral:
         idx = np.searchsorted(self.breakpoints, xq, side="right") - 1
         np.minimum(idx, len(self.breakpoints) - 2, out=idx)
         lefts = self.breakpoints[idx]
-        local = _panel_sums(self.integrand, lefts, xq, _G5)
+        local = _panel_sums(self.integrand, lefts, xq)
         out = self.partial_sums[idx] + local
         return float(out[0]) if xa.ndim == 0 else out.reshape(xa.shape)
 
@@ -225,8 +225,7 @@ def layer_integral(coeffs, kind: str) -> CumulativeIntegral:
         integrand = lambda t: 1.0 / np.sqrt(eu * eps(t))
     else:
         raise ParameterError(f"unknown layer integral kind {kind!r}")
-    return CumulativeIntegral.build(
-        integrand, _graded(_X_MIN, 1.0, _N_BREAKPOINTS - 1))
+    return CumulativeIntegral(integrand, _graded(_X_MIN, 1.0, _N_BREAKPOINTS - 1))
 
 
 def invert_monotone(g: CumulativeIntegral, target: float) -> float:
@@ -236,7 +235,7 @@ def invert_monotone(g: CumulativeIntegral, target: float) -> float:
     gives the first iterate by linear interpolation.  Newton steps with
     g' = g.integrand follow; each shrinks the bracket, and a step that would
     leave it bisects instead.  Every iterate stays in that panel, where g(x)
-    adds one 5-point panel to a stored sum, exact to roundoff on panels this
+    adds one _G5 panel to a stored sum, exact to roundoff on panels this
     narrow.  Iteration stops once the residual is within 4 ulps of target or
     the bracket is one ulp wide.
     """

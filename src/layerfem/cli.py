@@ -129,7 +129,7 @@ def cmd_solve(args):
             raise ParameterError(
                 f"scenario {scenario.name!r} has no closed-form solution")
         header.append("exact")
-        columns.append(_finite_eval(scenario.exact, msh.nodes))
+        columns.append(_finite_eval(scenario.exact, msh.nodes, "exact"))
     rows = zip(*(c.tolist() for c in columns))
     return rows, header, 0
 

@@ -2,9 +2,10 @@
 
 The bilinear form is a(v, w) = (eps v', w') - (b v', w) + (c v, w); the
 convection term keeps its minus sign and there is no stabilization -- the
-layer-adapted mesh does that job.  Each element integral is one weighted
-moment of a coefficient's Gauss samples, because the hat functions take the
-same values at the Gauss points of every element.  Samples are stored
+layer-adapted mesh does that job.  Assembly and bilinear_form integrate
+every element by calculus._G5.  Each element integral is one weighted moment
+of a coefficient's samples, because the hat functions take the same values
+at the Gauss points of every element (_HATS).  Samples are stored
 points-major, shape (points, elements), and the moments of all elements are
 one matrix product over them; the Gauss points are mapped and sampled _BLOCK
 elements at a time, so no grid of them is held for the whole mesh.  A
@@ -23,15 +24,15 @@ modules and peaks at 35 MB; importing scipy.linalg there made it 316
 modules, 58 MB and about 0.2 s more.  Runs that never solve (meshes,
 interpolation errors, the lemma and barrier checks) load no scipy at all.
 Assembly keeps the element integrals of eps that the stiffness is made from
-(5-point Gauss, half-width times the weighted sum), and galerkin_solve hands
-them on as FemSolution.eps_integrals; they belong to the eps of the scenario
-that was solved, and fine-mesh error reports reuse them in place of sampling
-eps again.  A non-finite coefficient sample (calculus._finite_eval) or const
-raises EvaluationError; an element whose width squared is below the smallest
-normal float raises AssemblyError before any division.
+(bit for bit calculus._panel_sums of eps), and galerkin_solve hands them on
+as FemSolution.eps_integrals; they belong to the eps of the scenario that
+was solved, and fine-mesh error reports reuse them in place of sampling eps
+again.  A non-finite coefficient sample (calculus._finite_eval) or const
+raises EvaluationError naming the coefficient; an element whose width
+squared is below the smallest normal float raises AssemblyError before any
+division.
 """
 
-import functools
 import importlib.util
 import math
 import os
@@ -42,7 +43,7 @@ import numpy as np
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .calculus import _finite_eval, _gauss_map, gauss_legendre
+from .calculus import _G5, _finite_eval, _gauss_map
 from .errors import (
     AssemblyError,
     EvaluationError,
@@ -52,7 +53,6 @@ from .errors import (
 )
 from .mesh import LayerMesh
 
-_QUAD = 5  # Gauss points per element in assembly and in bilinear_form
 # Elements whose Gauss points assembly maps and samples at once: a mesh of
 # h >= 1/512 (about 5,000 nodes) is one block, the h/16 references of a
 # convergence study at h <= 1/64 are several.
@@ -92,47 +92,46 @@ class FemSolution:
         return np.diff(self.coefficients) / np.diff(self.mesh.nodes)
 
 
-def _on_elements(nodes, coefficients, x):
-    """Values c_l + s (x - x_l) and slopes s, shape (n_el,), of the
-    piecewise-linear function with these nodal values at the points x of
-    every element, stored points-major with shape (k, n_el): np.interp's
-    arithmetic, without a search."""
-    c = np.asarray(coefficients, dtype=float)
-    slopes = np.diff(c) / np.diff(nodes)
-    return c[:-1] + slopes * (x - nodes[:-1]), slopes
+def _on_elements(v: FemSolution, x):
+    """Values c_l + s (x - x_l) and slopes s = v.slopes, shape (n_el,), of v
+    at the points x of every element, stored points-major with shape
+    (k, n_el): np.interp's arithmetic, without a search."""
+    slopes = v.slopes
+    return v.coefficients[:-1] + slopes * (x - v.mesh.nodes[:-1]), slopes
 
 
-@functools.lru_cache(maxsize=4)
-def _hat_moments(n):
-    """The n-point Gauss rule, and its weights times the values of the hats
-    phi_L = 1 - t, phi_R = t and their products at t = (1 + points)/2, the
-    same on every element: columns (L, R, LL, LR, RR), read-only."""
-    rule = gauss_legendre(n)
-    t = 0.5 * (1.0 + rule.points)
-    table = rule.weights[:, None] * np.column_stack(
+def _hat_table():
+    """_G5's weights times the values of the hats phi_L = 1 - t, phi_R = t
+    and their products at t = (1 + points)/2, the same on every element:
+    columns (L, R, LL, LR, RR), read-only."""
+    t = 0.5 * (1.0 + _G5.points)
+    table = _G5.weights[:, None] * np.column_stack(
         (1.0 - t, t, (1.0 - t) ** 2, (1.0 - t) * t, t * t))
     table.setflags(write=False)
-    return rule, table
+    return table
 
 
-def _moments(fn, nodes, rule, weighted):
+_HATS = _hat_table()
+
+
+def _moments(fn, nodes, weighted, what):
     """Moments weighted.T @ fn(x), shape (k, n_el), for the k columns of
-    weighted (Gauss weights times hat products) and the Gauss points x of
-    rule on the elements of nodes, mapped and sampled (by _finite_eval)
+    weighted (Gauss weights times hat products) and the _G5 points x on the
+    elements of nodes, mapped and sampled (by _finite_eval, naming fn what)
     _BLOCK elements at a time; an element integral is its half-width times the
     moment.  A constant coefficient with a finite const gives the column
     const * weighted.sum(axis=0), broadcast to (k, n_el) without a copy."""
     n_el = len(nodes) - 1
     if fn.const is not None:
         if not np.isfinite(fn.const):
-            raise EvaluationError(f"non-finite constant coefficient {fn.const!r}")
+            raise EvaluationError(f"non-finite constant {what} {fn.const!r}")
         col = fn.const * weighted.sum(axis=0)
         return np.broadcast_to(col[:, None], (len(col), n_el))
-    y = np.empty((len(rule.points), n_el))
+    y = np.empty((len(_G5.points), n_el))
     for a in range(0, n_el, _BLOCK):
         b = min(a + _BLOCK, n_el)
-        gx, _ = _gauss_map(nodes[a:b], nodes[a + 1:b + 1], rule)
-        y[:, a:b] = _finite_eval(fn, gx)
+        gx, _ = _gauss_map(nodes[a:b], nodes[a + 1:b + 1], _G5)
+        y[:, a:b] = _finite_eval(fn, gx, what)
     return weighted.T @ y
 
 
@@ -146,15 +145,14 @@ def assemble(scenario, mesh: LayerMesh) -> TridiagonalSystem:
         raise AssemblyError(
             f"element {el} has width {float(w[el])!r}, whose square is "
             "below the smallest normal float")
-    rule, hats = _hat_moments(_QUAD)
     co = scenario.coeffs
 
     # Each element integral is half times one weighted moment of a
-    # coefficient's samples (_hat_moments).
-    eps_int = _moments(co.eps, nodes, rule, rule.weights[:, None])[0]
-    m_b = _moments(co.b, nodes, rule, hats[:, :2])
-    m_c = _moments(co.c, nodes, rule, hats[:, 2:])
-    m_f = _moments(co.f, nodes, rule, hats[:, :2])
+    # coefficient's samples (_HATS).
+    eps_int = _moments(co.eps, nodes, _G5.weights[:, None], "eps")[0]
+    m_b = _moments(co.b, nodes, _HATS[:, :2], "b")
+    m_c = _moments(co.c, nodes, _HATS[:, 2:], "c")
+    m_f = _moments(co.f, nodes, _HATS[:, :2], "f")
     half = 0.5 * w  # _gauss_map's half-widths
 
     # Element entries a(trial, test), row = test function, column = trial:
@@ -294,13 +292,12 @@ def bilinear_form(v: FemSolution, w: FemSolution, scenario) -> float:
     for assembly."""
     if v.mesh is not w.mesh and not np.array_equal(v.mesh.nodes, w.mesh.nodes):
         raise MeshMismatchError("bilinear_form requires a shared mesh")
-    rule = gauss_legendre(_QUAD)
     nodes = v.mesh.nodes
-    gx, half = _gauss_map(nodes[:-1], nodes[1:], rule)
+    gx, half = _gauss_map(nodes[:-1], nodes[1:], _G5)
     co = scenario.coeffs
-    v_vals, v_slope = _on_elements(nodes, v.coefficients, gx)
-    w_vals, w_slope = _on_elements(nodes, w.coefficients, gx)
-    integrand = (_finite_eval(co.eps, gx) * v_slope * w_slope
-                 - _finite_eval(co.b, gx) * v_slope * w_vals
-                 + _finite_eval(co.c, gx) * v_vals * w_vals)
-    return float(half @ (rule.weights @ integrand))
+    v_vals, v_slope = _on_elements(v, gx)
+    w_vals, w_slope = _on_elements(w, gx)
+    integrand = (_finite_eval(co.eps, gx, "eps") * v_slope * w_slope
+                 - _finite_eval(co.b, gx, "b") * v_slope * w_vals
+                 + _finite_eval(co.c, gx, "c") * v_vals * w_vals)
+    return float(half @ (_G5.weights @ integrand))

@@ -59,21 +59,21 @@ def check_integral_lemma(coeffs, a: float, x: float, ell: int,
     if not math.isfinite(gamma_param):
         raise ParameterError("gamma must be finite")
     ts = np.linspace(a, x, _LEMMA_SAMPLES)
-    sigma0 = float(np.min(_finite_eval(coeffs.eps.d, ts)))
+    sigma0 = float(np.min(_finite_eval(coeffs.eps.d, ts, "eps'")))
     if sigma0 < 0:
         raise ParameterError("integral inequality requires eps' >= 0 on [a, x]")
     if gamma_param <= -(ell + 1) * sigma0:
         raise ParameterError("gamma must exceed -(ell + 1) * sigma0")
 
     eps = coeffs.eps
-    eps_a, eps_x = _finite_eval(eps, np.array([a, x]))
+    eps_a, eps_x = _finite_eval(eps, np.array([a, x]), "eps")
     denom = gamma_param + (ell + 1) * sigma0
     # g = 0 has no layer width eps(x) / |g|: start = x - a, one panel
     width = 0.01 * eps_x / abs(gamma_param) if gamma_param else math.inf
     start = min(max(width, 1e-14 * (x - a)), x - a)
     num = 1 + math.ceil(_LEMMA_PANELS_PER_DECADE * math.log10((x - a) / start))
-    d = CumulativeIntegral.build(lambda r: e.integrand(x - r),  # 1/eps(x - r)
-                                 _graded(start, x - a, num))
+    d = CumulativeIntegral(lambda r: e.integrand(x - r),  # 1/eps(x - r)
+                           _graded(start, x - a, num))
     lhs = integrate(lambda s: eps(x - s) ** ell * np.exp(-gamma_param * d(s)),
                     0.0, x - a, breakpoints=d.breakpoints)
     # expm1 keeps 1 - exp(-g d(x - a)) accurate when g d(x - a) is small
@@ -132,8 +132,8 @@ def check_barrier_operator(coeffs, e: CumulativeIntegral,
     xs = np.linspace(0.0, 1.0, sample_count)
     beta = coeffs.beta
     with np.errstate(under="ignore"):
-        bracket = (beta * (_finite_eval(coeffs.b, xs) - beta)
-                   / _finite_eval(coeffs.eps, xs) + _finite_eval(coeffs.c, xs))
+        bracket = (beta * (_finite_eval(coeffs.b, xs, "b") - beta)
+                   / _finite_eval(coeffs.eps, xs, "eps") + _finite_eval(coeffs.c, xs, "c"))
         vals = bracket * np.exp(-beta * e(xs))
     i = int(np.argmin(vals))
     scale = max(float(np.abs(bracket).max()), 1.0)
@@ -159,7 +159,7 @@ _BOUNDS = {
     "U0": ("e", 0, lambda co, xs, eps, e, beta: np.ones_like(eps)),
     "U1": ("e", 1, lambda co, xs, eps, e, beta: 1.0 + _decay(beta, e) / eps),
     "U2": ("e", 2, lambda co, xs, eps, e, beta: (
-        (1.0 + _finite_eval(co.eps.d, xs)) / eps
+        (1.0 + _finite_eval(co.eps.d, xs, "eps'")) / eps
         * (1.0 + _decay(beta, e) / eps))),
     "T0": ("etilde", 0, lambda co, xs, eps, et, beta: (
         1.0 + _decay(0.5 * (co.sigma + 2.0 * beta), et))),
@@ -212,7 +212,7 @@ def check_solution_bounds(scenario, reference: FemSolution, which: str,
             f"coarse (need h <= 1/{1 / _H_REF:.6g})")
     xs, dk = _derivative_samples(reference, k)
     co = scenario.coeffs
-    bound = rhs(co, xs, _finite_eval(co.eps, xs), integral(xs),
+    bound = rhs(co, xs, _finite_eval(co.eps, xs, "eps"), integral(xs),
                 beta_factor * co.beta)
     ratios = np.abs(dk) / bound
     i = int(np.argmax(ratios))

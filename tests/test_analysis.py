@@ -14,7 +14,7 @@ from layerfem.analysis import (
     interpolation_study,
     observed_rate,
 )
-from layerfem.calculus import gauss_legendre, layer_integral
+from layerfem.calculus import _panel_sums, gauss_legendre, layer_integral
 from layerfem.errors import ConfigurationError, EvaluationError, ParameterError
 from layerfem.fem import FemSolution, assemble, bilinear_form, galerkin_solve
 from layerfem.mesh import LayerMesh, build_mesh
@@ -191,17 +191,17 @@ class TestErrorReport:
     @pytest.mark.parametrize("eps0", [1e-2, 1e-6, 1e-12])
     def test_stored_eps_integrals_match_resampled(self, name, eps0):
         # a reference built by hand has no stored integrals; they are sampled
-        # by the same 5-point rule, summed in another order
+        # by the same rule, calculus._G5, in the same order of operations
         sc = get_scenario(name, eps0)
         sol = galerkin_solve(sc, ds_mesh(sc, 1.0 / 32))
         ref = galerkin_solve(sc, ds_mesh(sc, 1.0 / 512))
+        nodes = ref.mesh.nodes
+        assert np.array_equal(ref.eps_integrals,
+                              _panel_sums(sc.coeffs.eps, nodes[:-1], nodes[1:]))
         bare = FemSolution(ref.mesh, ref.coefficients)
-        assert ref.eps_integrals is not None and bare.eps_integrals is None
-        got = error_report(sol, sc, reference=ref)
-        want = error_report(sol, sc, reference=bare)
-        for field in ("energy_error", "l2_error", "weighted_grad_error"):
-            assert getattr(got, field) == pytest.approx(
-                getattr(want, field), rel=1e-14, abs=0), field
+        assert bare.eps_integrals is None
+        assert (error_report(sol, sc, reference=ref)
+                == error_report(sol, sc, reference=bare))
 
     def test_missing_reference(self):
         sc = get_scenario("eps-const", 1e-3)  # no closed-form exact
@@ -444,7 +444,8 @@ def test_nonfinite_eps_raises(entry):
     # the first three once returned energy_error = nan without an error;
     # assemble raised AssemblyError naming an element, the barrier and bound
     # checks returned a nan margin or ratio, and the lemma raised numpy's
-    # ValueError; every entry point names the first bad x as a plain float
+    # ValueError; every entry point names the function it sampled and the
+    # first bad x as a plain float
     sc = get_scenario("manufactured", 1e-4)
     bad = _poisoned_eps(sc)
     e = layer_integral(sc.coeffs, "e")
@@ -468,8 +469,10 @@ def test_nonfinite_eps_raises(entry):
         "integral lemma": lambda: check_integral_lemma(
             bad.coeffs, 0.1, 0.75, 0, 1.0, e),
     }
+    # interpolation_study first samples 1/eps, layer_integral's integrand
+    what = {"interpolate": "f", "interpolation": "integrand"}.get(entry, "eps")
     with pytest.raises(EvaluationError,
-                       match=r"^non-finite integrand sample at x=0\.7\d*$"):
+                       match=rf"^non-finite {what} sample at x=0\.7\d*$"):
         calls[entry]()
 
 
@@ -483,8 +486,9 @@ def test_nonfinite_exact_raises(field):
     bad = lambda x: np.where(np.asarray(x) > 0.5, np.nan, good(x))
     poisoned = dataclasses.replace(
         sc, exact=dataclasses.replace(sc.exact, **{field: bad}))
+    what = {"value": "exact", "deriv": "exact'"}[field]
     with pytest.raises(EvaluationError,
-                       match=r"^non-finite integrand sample at x=0\.5\d*$"):
+                       match=rf"^non-finite {what} sample at x=0\.5\d*$"):
         error_report(sol, poisoned)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from layerfem.calculus import (
-    _G5,
     CumulativeIntegral,
     _graded,
     _panel_sums,
@@ -214,7 +214,7 @@ class TestLayerIntegral:
 class TestOwnDomain:
     """An integral built on [0, 0.5] is defined there, not on [0, 1]."""
 
-    g = CumulativeIntegral.build(lambda t: 1.0 + t, np.linspace(0.0, 0.5, 9))
+    g = CumulativeIntegral(lambda t: 1.0 + t, np.linspace(0.0, 0.5, 9))
 
     def test_call_past_the_top_raises(self):
         assert self.g(0.5) == pytest.approx(0.625, rel=1e-15)
@@ -224,8 +224,7 @@ class TestOwnDomain:
                 self.g(x)
 
     def test_tolerance_scales_with_the_domain(self):
-        g = CumulativeIntegral.build(lambda t: 1.0 + 0.0 * t,
-                                     np.linspace(0.0, 1e-13, 3))
+        g = CumulativeIntegral(lambda t: 1.0 + 0.0 * t, np.linspace(0.0, 1e-13, 3))
         # 1e-12 of the domain's width, not 1e-12 absolute, past either end
         assert g(1e-13 + 1e-25) == g(1e-13)
         assert g(-1e-25) == 0.0
@@ -246,14 +245,22 @@ class TestOwnDomain:
     ])
     def test_breakpoints_must_increase_from_zero(self, breakpoints):
         with pytest.raises(ParameterError):
-            CumulativeIntegral.build(lambda t: 1.0 + t, breakpoints)
+            CumulativeIntegral(lambda t: 1.0 + t, breakpoints)
 
     def test_constructor_checks_the_breakpoints(self):
         # breakpoints from 0.25 once gave g(0.1) = -0.15, the last panel
         # integrated backwards
         with pytest.raises(ParameterError, match="increase from 0"):
-            CumulativeIntegral(np.array([0.25, 0.5, 1.0]), np.array([0.0, 0.25, 0.75]),
-                               lambda t: 1.0 + 0.0 * t)
+            CumulativeIntegral(lambda t: 1.0 + 0.0 * t, np.array([0.25, 0.5, 1.0]))
+
+    def test_sums_belong_to_the_integrand(self):
+        # the sums were once a constructor argument, and replacing the
+        # integrand kept the old integrand's sums
+        e = layer_integral(get_scenario("eps-exp", 1e-3).coeffs, "e")
+        doubled = dataclasses.replace(e, integrand=lambda t: 2 * e.integrand(t))
+        assert np.array_equal(doubled.partial_sums, 2 * e.partial_sums)
+        with pytest.raises(TypeError):
+            CumulativeIntegral(e.integrand, e.breakpoints, partial_sums=e.partial_sums)
 
 
 _positive = st.floats(1e-300, 1e300)
@@ -281,7 +288,7 @@ def old_call(g, x):
     xq = np.clip(xq, 0.0, 1.0)
     idx = np.searchsorted(g.breakpoints, xq, side="right") - 1
     idx = np.clip(idx, 0, len(g.breakpoints) - 2)
-    out = g.partial_sums[idx] + _panel_sums(g.integrand, g.breakpoints[idx], xq, _G5)
+    out = g.partial_sums[idx] + _panel_sums(g.integrand, g.breakpoints[idx], xq)
     return float(out[0]) if xa.ndim == 0 else out.reshape(xa.shape)
 
 

@@ -152,7 +152,7 @@ class TestSolve:
         code, out, err = run_cli(["solve", "--exact", "--h", "1/16",
                                   "--output", str(target)], capsys)
         assert (code, out) == (1, "")
-        assert err.startswith("error: non-finite integrand sample at x=0.5")
+        assert err.startswith("error: non-finite exact sample at x=0.5")
         assert target.read_bytes() == b"keep\n"
 
     def test_exact_column(self, capsys):

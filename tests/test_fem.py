@@ -109,7 +109,7 @@ class TestAssembly:
         mesh = uniform_mesh(n_nodes)
         el = (n_nodes - 1) // 2
         with pytest.raises(EvaluationError,
-                           match=r"^non-finite integrand sample at x=") as info:
+                           match=r"^non-finite eps sample at x=") as info:
             assemble(bad, mesh)
         x = float(str(info.value).rpartition("=")[2])
         assert mesh.nodes[el] < x < mesh.nodes[el + 1]
@@ -149,7 +149,7 @@ def test_solution_keeps_element_integrals_of_eps(name):
     sc = get_scenario(name, 1e-4)
     mesh = build_mesh(sc.coeffs, layer_integral(sc.coeffs, "e"), 1.0 / 64)
     nodes = mesh.nodes
-    rule = gauss_legendre(fem._QUAD)
+    rule = gauss_legendre(5)
     w = np.diff(nodes)
     gx = 0.5 * (nodes[:-1] + nodes[1:]) + 0.5 * np.multiply.outer(rule.points, w)
     want = 0.5 * w * (rule.weights @ sc.coeffs.eps(gx))
@@ -223,7 +223,7 @@ def assemble_by_element_entries(scenario, mesh):
     """The element-entry formulas assembly was built from: full-length
     moments (constants as outer products) and all four entries on every
     element, sliced at the end.  assemble must reproduce them bit for bit."""
-    rule = gauss_legendre(fem._QUAD)
+    rule = gauss_legendre(5)
     gx, half = fem._gauss_map(mesh.nodes[:-1], mesh.nodes[1:], rule)
     w = np.diff(mesh.nodes)
     co = scenario.coeffs
@@ -539,9 +539,10 @@ class TestGalerkinSolve:
         sc = get_scenario("eps-exp", 1e-3)
         e = layer_integral(sc.coeffs, "e")
         mesh = build_mesh(sc.coeffs, e, 1.0 / 32)
-        assert fem._QUAD == 5
+        assert len(fem._G5.points) == 5
         u5 = galerkin_solve(sc, mesh).coefficients
-        monkeypatch.setattr(fem, "_QUAD", 10)
+        monkeypatch.setattr(fem, "_G5", gauss_legendre(10))
+        monkeypatch.setattr(fem, "_HATS", fem._hat_table())
         u10 = galerkin_solve(sc, mesh).coefficients
         assert np.abs(u5 - u10).max() <= 1e-8 * max(1.0, np.abs(u10).max())
 

@@ -176,8 +176,11 @@ class CountingIntegrand:
 
 
 def counting(e):
-    """The layer integral e with an integrand that counts its points."""
-    return dataclasses.replace(e, integrand=CountingIntegrand(e.integrand))
+    """The layer integral e with an integrand that counts its points, from 0
+    after the constructor has integrated it into the partial sums."""
+    counted = dataclasses.replace(e, integrand=CountingIntegrand(e.integrand))
+    counted.integrand.points = 0
+    return counted
 
 
 def random_instances(n, seed):
