@@ -24,7 +24,7 @@ GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden.j
 
 COMMANDS = {
     **{f"verify-all@{z}": ["verify", "--suite", "all", "--eps0", z, "--format", "json"]
-       for z in ("1e-7", "1e-12")},
+       for z in ("1e-2", "1e-7", "1e-12")},
     **{f"interp-{name}@1e-6": ["interp", "--scenario", name, "--eps0", "1e-6",
                                "--format", "json"]
        for name in SCENARIO_NAMES},
@@ -32,8 +32,9 @@ COMMANDS = {
                             "--eps0", "1e-2,1e-7,1e-12",
                             "--h", "1/16,1/32,1/64,1/128,1/256", "--format", "json"]
        for name in SCENARIO_NAMES},
-    "mesh-eps-linear@1e-4": ["mesh", "--scenario", "eps-linear", "--eps0", "1e-4",
-                             "--h", "1/32", "--format", "json"],
+    **{f"mesh-{name}@1e-4": ["mesh", "--scenario", name, "--eps0", "1e-4",
+                             "--h", "1/32", "--format", "json"]
+       for name in SCENARIO_NAMES},
     "solve@1/4096": ["solve", "--h", "1/4096", "--exact", "--format", "json"],
 }
 STRIDES = {"solve@1/4096": 64}  # entries that keep every stride-th row
