@@ -1,7 +1,7 @@
 """Interpolation, energy norms, error reports and convergence studies.
 
 Error measurement against closed-form solutions uses 7-point Gauss per
-element (_ERR_QUAD), the package's one rule besides calculus._G5.  That
+element (_ERR_RULE), the package's one rule besides calculus._G5.  That
 under-resolves element tau_index, the first coarse element: the layer tail
 there, of size about h^2, decays on the scale eps inside a width of about h,
 and 5, 7 or 10 points all miss it.  On manufactured the energy error reads
@@ -33,7 +33,7 @@ from .errors import ConfigurationError, DegenerateRegimeError, ParameterError
 from .fem import FemSolution, _on_elements, galerkin_solve
 from .mesh import LayerMesh, build_mesh
 
-_ERR_QUAD = 7
+_ERR_RULE = gauss_legendre(7)
 _REFERENCE_REFINE = 16  # h / reference h when there is no closed form
 
 
@@ -50,11 +50,10 @@ def _error_on_elements(v: FemSolution, exact):
     points gx of every element of v's mesh, shape (points, elements), whose
     integral of g is half * (weights @ g).  A non-finite sample of exact or
     exact.d raises EvaluationError naming its x."""
-    rule = gauss_legendre(_ERR_QUAD)
     nodes = v.mesh.nodes
-    gx, half = _gauss_map(nodes[:-1], nodes[1:], rule)
+    gx, half = _gauss_map(nodes[:-1], nodes[1:], _ERR_RULE)
     vals, slopes = _on_elements(v, gx)
-    return (gx, half, rule.weights, _finite_eval(exact, gx, "exact") - vals,
+    return (gx, half, _ERR_RULE.weights, _finite_eval(exact, gx, "exact") - vals,
             _finite_eval(exact.d, gx, "exact'") - slopes)
 
 

@@ -17,8 +17,6 @@ where a non-finite sample raises EvaluationError naming the function and x
 (validate_coefficients, which reports it, alone uses _vec_eval).
 """
 
-import functools
-
 import numpy as np
 from dataclasses import dataclass, field
 from typing import Callable
@@ -31,7 +29,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
     """Gauss-Legendre rule on [-1, 1]."""
 
@@ -39,10 +37,9 @@ class QuadratureRule:
     weights: np.ndarray
 
 
-@functools.lru_cache(maxsize=32)
 def gauss_legendre(n: int) -> QuadratureRule:
-    """The n-point rule, built once per n; its arrays are read-only because
-    every caller shares them."""
+    """The n-point rule; its arrays are read-only, because the module-level
+    rules (_G5 here, analysis._ERR_RULE) are shared by every caller."""
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ParameterError(f"need an integer n >= 1 of quadrature points, got {n!r}")
     pts, wts = np.polynomial.legendre.leggauss(n)
@@ -161,7 +158,7 @@ def integrate(
     return total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CumulativeIntegral:
     """x -> integral of a positive integrand from 0 to x, on [0, top], where
     top = breakpoints[-1]; the breakpoints must be finite and increase from 0.

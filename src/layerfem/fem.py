@@ -59,30 +59,28 @@ from .mesh import LayerMesh
 _BLOCK = 8192
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TridiagonalSystem:
     sub: np.ndarray   # length n-1
     diag: np.ndarray  # length n
     sup: np.ndarray   # length n-1
     rhs: np.ndarray   # length n
     # per-element integrals of eps, one per mesh element
-    eps_integrals: Optional[np.ndarray] = field(
-        default=None, repr=False, compare=False)
+    eps_integrals: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def size(self) -> int:
         return len(self.diag)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FemSolution:
     """Piecewise-linear function given by nodal values on a LayerMesh."""
 
     mesh: LayerMesh
     coefficients: np.ndarray
     # per-element integrals of the solved scenario's eps (galerkin_solve only)
-    eps_integrals: Optional[np.ndarray] = field(
-        default=None, repr=False, compare=False)
+    eps_integrals: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __call__(self, x):
         return np.interp(x, self.mesh.nodes, self.coefficients)
@@ -219,11 +217,13 @@ def _max_abs(a):
 
 def solve_tridiagonal(system: TridiagonalSystem) -> np.ndarray:
     """LAPACK dgtsv (Gaussian elimination with partial pivoting) on copies of
-    the diagonals, then a residual check; the system is left unchanged.
+    the diagonals, then a residual check; the system is left unchanged.  Its
+    four arrays are read as float arrays, so lists solve as arrays do.
     SizeError unless diag is 1-D with n >= 1 entries, sub and sup have n - 1
     and rhs has shape (n,)."""
-    sub, diag, sup, rhs = system.sub, system.diag, system.sup, system.rhs
-    shapes = tuple(np.shape(a) for a in (sub, diag, sup, rhs))
+    sub, diag, sup, rhs = (np.asarray(a, dtype=float) for a in
+                           (system.sub, system.diag, system.sup, system.rhs))
+    shapes = tuple(a.shape for a in (sub, diag, sup, rhs))
     n = shapes[1][0] if len(shapes[1]) == 1 else 0
     # n = 0: a mesh of one element has no interior node
     if n == 0 or shapes != ((n - 1,), (n,), (n - 1,), (n,)):

@@ -18,7 +18,7 @@ from .errors import DegenerateRegimeError, ParameterError, ResourceError
 _MAX_NODES = 10**7  # build_mesh raises ResourceError past this node count
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LayerMesh:
     nodes: np.ndarray
     h: float

@@ -351,6 +351,15 @@ class TestTridiagonalSolve:
         with pytest.raises(AssertionError, match="^dgtsv called$"):
             solve_tridiagonal(two)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_lists_solve_as_arrays(self, n):
+        # lists passed the shape check, then raised AttributeError in _max_abs
+        lists = dict(sub=[1.0] * (n - 1), diag=[4.0] * n, sup=[1.0] * (n - 1),
+                     rhs=[1.0, 2.0][:n])
+        arrays = {key: np.array(v) for key, v in lists.items()}
+        assert (solve_tridiagonal(TridiagonalSystem(**lists)).tolist()
+                == solve_tridiagonal(TridiagonalSystem(**arrays)).tolist())
+
     def test_missing_lapack_module_names_the_directory(self, monkeypatch, tmp_path):
         monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
         monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))

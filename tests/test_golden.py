@@ -12,12 +12,21 @@ uniformity ratios to 1e-8 relative.  Barrier and uniformity worst points
 are grid nodes and match exactly; a lemma aggregate's worst point is not
 pinned, because in the equality cases its margins are roundoff of either
 sign and the worst of them is any draw.
+
+Every row's columns must come in the recorded order, and every subcommand of
+the CLI must have an entry, so golden.json is the one statement of each
+table.
 """
 
+import argparse
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
+from layerfem import cli
+from layerfem.mesh import build_mesh
 from layerfem.verify import _MAX_VARIATION
 from record_golden import GOLDEN_PATH, run, x_sha256
 
@@ -73,8 +82,9 @@ _CHECKS = {"verify": _check_verify_row, "interp": _check_interp_row,
            "solve": _check_solve_row}
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_cli_table_matches_golden(name):
+def check_entry(name):
+    """Run the command of golden entry name and assert that its table
+    matches the recorded one."""
     want = GOLDEN[name]
     code, rows = run(want["argv"])
     assert code == want["code"]
@@ -85,5 +95,30 @@ def test_cli_table_matches_golden(name):
     assert len(rows) == len(want["rows"])
     check = _CHECKS[want["argv"][0]]
     for got, ref in zip(rows, want["rows"]):
-        assert got.keys() == ref.keys()
+        assert list(got) == list(ref)
         check(got, ref)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_cli_table_matches_golden(name):
+    check_entry(name)
+
+
+def test_every_subcommand_is_pinned():
+    (subcommands,) = [a.choices for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)]
+    assert {want["argv"][0] for want in GOLDEN.values()} == set(subcommands)
+
+
+@pytest.mark.parametrize("name", ["mesh-eps-linear@1e-4", "solve@1/4096"])
+def test_one_ulp_move_of_one_node_fails(name, monkeypatch):
+    def nudged_mesh(*args):
+        mesh = build_mesh(*args)
+        nodes = mesh.nodes.copy()
+        mid = len(nodes) // 2
+        nodes[mid] = np.nextafter(nodes[mid], 1.0)
+        return dataclasses.replace(mesh, nodes=nodes)
+
+    monkeypatch.setattr(cli, "build_mesh", nudged_mesh)
+    with pytest.raises(AssertionError):
+        check_entry(name)

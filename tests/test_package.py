@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -39,6 +40,28 @@ def test_one_check_report_type():
     from layerfem import problem, verify
     assert layerfem.BoundCheckReport is problem.BoundCheckReport
     assert verify.BoundCheckReport is problem.BoundCheckReport
+
+
+def test_records_holding_arrays_compare_by_identity():
+    # a generated __eq__ compared their numpy fields inside a tuple and raised
+    # numpy's "truth value ... is ambiguous" ValueError; hash raised TypeError
+    sc = layerfem.get_scenario("eps-exp", 1e-3)
+    e = layerfem.layer_integral(sc.coeffs, "e")
+    mesh = layerfem.build_mesh(sc.coeffs, e, 1.0 / 16)
+    sol = layerfem.galerkin_solve(sc, mesh)
+    system = layerfem.assemble(sc, mesh)
+    rule = layerfem.gauss_legendre(5)
+    copies = {  # the dict hashes each record
+        e: dataclasses.replace(e),
+        mesh: dataclasses.replace(mesh, nodes=mesh.nodes.copy()),
+        sol: dataclasses.replace(sol, coefficients=sol.coefficients.copy()),
+        system: dataclasses.replace(system, rhs=system.rhs.copy()),
+        rule: dataclasses.replace(rule, points=rule.points.copy()),
+    }
+    for record, copy in copies.items():
+        assert record == record
+        assert record != copy
+        assert isinstance(hash(copy), int)
 
 
 def _run(code):
