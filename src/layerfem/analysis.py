@@ -118,7 +118,7 @@ def error_report(sol: FemSolution, scenario,
         kind = "closed-form"
     elif reference is not None:
         if len(reference.mesh.nodes) < 8 * len(sol.mesh.nodes):
-            raise ConfigurationError(
+            raise ParameterError(
                 "reference mesh must have at least 8x the node density")
         # the reference's nodes, values and eps integrals, with the coarse
         # nodes it lacks inserted in order

@@ -21,12 +21,7 @@ import numpy as np
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .errors import (
-    ConvergenceError,
-    EvaluationError,
-    OutOfRangeError,
-    ParameterError,
-)
+from .errors import ConvergenceError, EvaluationError, ParameterError
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,7 +209,8 @@ def layer_integral(coeffs, kind: str) -> CumulativeIntegral:
     kind "e"      : integral of 1/eps            (stretched layer coordinate)
     kind "etilde" : integral of 1/sqrt(eps_up*eps) (transformed-variable bounds)
     """
-    eps = coeffs.eps
+    # a non-finite eps sample raises EvaluationError naming eps
+    eps = lambda t: _finite_eval(coeffs.eps, np.asarray(t), "eps")
     if kind == "e":
         integrand = lambda t: 1.0 / eps(t)
     elif kind == "etilde":
@@ -239,7 +235,7 @@ def invert_monotone(g: CumulativeIntegral, target: float) -> float:
     # g(0) and g(top) are the first and last stored partial sums
     lo, hi = float(g.partial_sums[0]), float(g.partial_sums[-1])
     if not lo <= target <= hi:  # NaN fails too
-        raise OutOfRangeError(
+        raise ParameterError(
             f"target {target!r} outside cumulative range [{lo!r}, {hi!r}]"
         )
     if target == lo:

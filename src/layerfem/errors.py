@@ -1,4 +1,8 @@
-"""Exception hierarchy shared by all layerfem modules."""
+"""Exception hierarchy shared by all layerfem modules.
+
+Each class names one remedy, and the CLI maps it to one exit code: 2 for a
+ParameterError, 3 for a DegenerateRegimeError and 1 for every other class.
+"""
 
 
 class LayerFemError(Exception):
@@ -6,44 +10,34 @@ class LayerFemError(Exception):
 
 
 class ParameterError(LayerFemError):
-    """An argument is outside its admissible range."""
+    """An argument is outside what the call accepts: its range, its shape, a
+    shared mesh, a root-finding target or the node cap.  CLI exit code 2."""
 
 
 class ConfigurationError(LayerFemError):
-    """A required ingredient (derivative, exact solution, reference) is missing."""
+    """A required ingredient (derivative, exact solution or reference solve,
+    exemplars) is missing.  CLI exit code 1."""
 
 
 class EvaluationError(LayerFemError):
-    """A coefficient or integrand returned a non-finite value."""
+    """A coefficient or integrand failed on array input or returned a
+    non-finite value.  CLI exit code 1."""
 
 
 class ConvergenceError(LayerFemError):
-    """An iterative procedure exhausted its budget without meeting tolerance."""
-
-
-class OutOfRangeError(LayerFemError):
-    """A root-finding target lies outside the range of the monotone function."""
+    """Quadrature or an iteration did not meet its tolerance.  CLI exit
+    code 1."""
 
 
 class DegenerateRegimeError(LayerFemError):
-    """The transition point would leave the regime the mesh is designed for."""
-
-
-class ResourceError(LayerFemError):
-    """A size cap (node count) was exceeded."""
-
-
-class SizeError(LayerFemError):
-    """An input array is too short for the requested operation."""
+    """The transition point would leave the regime the mesh is designed for.
+    CLI exit code 3."""
 
 
 class AssemblyError(LayerFemError):
-    """A mesh element's width squared is below the smallest normal float."""
+    """A mesh element's width squared is below the smallest normal float.
+    CLI exit code 1."""
 
 
 class SingularSystemError(LayerFemError):
-    """The linear system is singular to working precision."""
-
-
-class MeshMismatchError(LayerFemError):
-    """Two finite element functions do not live on the same mesh."""
+    """The linear system is singular to working precision.  CLI exit code 1."""

@@ -47,9 +47,8 @@ from .calculus import _G5, _finite_eval, _gauss_map
 from .errors import (
     AssemblyError,
     EvaluationError,
-    MeshMismatchError,
+    ParameterError,
     SingularSystemError,
-    SizeError,
 )
 from .mesh import LayerMesh
 
@@ -219,7 +218,7 @@ def solve_tridiagonal(system: TridiagonalSystem) -> np.ndarray:
     """LAPACK dgtsv (Gaussian elimination with partial pivoting) on copies of
     the diagonals, then a residual check; the system is left unchanged.  Its
     four arrays are read as float arrays, so lists solve as arrays do.
-    SizeError unless diag is 1-D with n >= 1 entries, sub and sup have n - 1
+    ParameterError unless diag is 1-D with n >= 1 entries, sub and sup have n - 1
     and rhs has shape (n,)."""
     sub, diag, sup, rhs = (np.asarray(a, dtype=float) for a in
                            (system.sub, system.diag, system.sup, system.rhs))
@@ -227,7 +226,7 @@ def solve_tridiagonal(system: TridiagonalSystem) -> np.ndarray:
     n = shapes[1][0] if len(shapes[1]) == 1 else 0
     # n = 0: a mesh of one element has no interior node
     if n == 0 or shapes != ((n - 1,), (n,), (n - 1,), (n,)):
-        raise SizeError(
+        raise ParameterError(
             "need a 1-D diag of n >= 1 entries, sub and sup of n - 1 and rhs "
             f"of shape (n,); got shapes sub {shapes[0]}, diag {shapes[1]}, "
             f"sup {shapes[2]}, rhs {shapes[3]}")
@@ -291,7 +290,7 @@ def bilinear_form(v: FemSolution, w: FemSolution, scenario) -> float:
     from samples of every coefficient.  Library API, and the tests' oracle
     for assembly."""
     if v.mesh is not w.mesh and not np.array_equal(v.mesh.nodes, w.mesh.nodes):
-        raise MeshMismatchError("bilinear_form requires a shared mesh")
+        raise ParameterError("bilinear_form requires a shared mesh")
     nodes = v.mesh.nodes
     gx, half = _gauss_map(nodes[:-1], nodes[1:], _G5)
     co = scenario.coeffs

@@ -13,9 +13,9 @@ import numpy as np
 from dataclasses import dataclass
 
 from .calculus import CumulativeIntegral, invert_monotone
-from .errors import DegenerateRegimeError, ParameterError, ResourceError
+from .errors import DegenerateRegimeError, ParameterError
 
-_MAX_NODES = 10**7  # build_mesh raises ResourceError past this node count
+_MAX_NODES = 10**7  # build_mesh raises ParameterError past this node count
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,13 +74,17 @@ def build_mesh(coeffs, e: CumulativeIntegral, h: float) -> LayerMesh:
         raise ParameterError(
             f"first graded node x_1 = h * eps_lower = {x1!r} is not "
             "positive (it underflows when h * eps_lower is tiny)")
+    # refuse before allocating when the recurrence needs more than _MAX_NODES
+    # steps: each rounded product grows by at most (1 + h)(1 + 2^-53)
+    if math.log(tau_star / x1) / (math.log(1.0 + h) + 2.0**-52) > _MAX_NODES:
+        raise ParameterError(f"graded node count exceeded cap {_MAX_NODES}")
     # x_{k+1} = x_k (1 + h) up to the first node >= tau*; cumprod multiplies
     # in sequence, so it rounds as the recurrence does.  The log estimate only
     # sizes the batches (rounding may leave it short), capped at _MAX_NODES.
     graded = np.array([0.0, x1])
     while graded[-1] < tau_star:
         if len(graded) >= _MAX_NODES:
-            raise ResourceError(f"graded node count exceeded cap {_MAX_NODES}")
+            raise ParameterError(f"graded node count exceeded cap {_MAX_NODES}")
         est = math.log(tau_star / graded[-1]) / math.log1p(h)
         steps = int(min(est + 2.0, _MAX_NODES - len(graded)))
         batch = np.cumprod(np.r_[graded[-1], np.full(steps, 1.0 + h)])
@@ -96,7 +100,7 @@ def build_mesh(coeffs, e: CumulativeIntegral, h: float) -> LayerMesh:
     coarse = np.linspace(tau, 1.0, m + 1)[1:]
     nodes = np.concatenate((graded, coarse))
     if len(nodes) > _MAX_NODES:
-        raise ResourceError(f"node count exceeded cap {_MAX_NODES}")
+        raise ParameterError(f"node count exceeded cap {_MAX_NODES}")
     return LayerMesh(nodes=nodes, h=h, tau_index=tau_index, tau_star=tau_star)
 
 

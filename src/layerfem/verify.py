@@ -16,7 +16,7 @@ import numbers
 import numpy as np
 
 from .calculus import CumulativeIntegral, _finite_eval, _graded, integrate, layer_integral
-from .errors import ConfigurationError, ParameterError
+from .errors import ParameterError
 from .fem import FemSolution, galerkin_solve
 from .mesh import build_mesh
 from .problem import BoundCheckReport
@@ -207,7 +207,7 @@ def check_solution_bounds(scenario, reference: FemSolution, which: str,
     """
     _, k, rhs = _bound(which)
     if reference.mesh.h > _H_REF + 1e-12:
-        raise ConfigurationError(
+        raise ParameterError(
             f"reference solve at h = 1/{1 / reference.mesh.h:.6g} is too "
             f"coarse (need h <= 1/{1 / _H_REF:.6g})")
     xs, dk = _derivative_samples(reference, k)

@@ -211,7 +211,7 @@ class TestErrorReport:
         sc = get_scenario("eps-const", 1e-3)
         sol = galerkin_solve(sc, ds_mesh(sc, 1.0 / 32))
         ref = galerkin_solve(sc, ds_mesh(sc, 1.0 / 64))
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ParameterError):
             error_report(sol, sc, reference=ref)
 
     def test_fem_is_near_best_approximation(self):
@@ -417,8 +417,8 @@ def _poisoned_eps(sc):
 
 @pytest.mark.parametrize("entry", [
     "energy_norm", "closed-form report", "hand-built reference", "interpolation",
-    "assemble", "bilinear_form", "interpolate", "barrier", "solution bounds",
-    "integral lemma"])
+    "convergence", "assemble", "bilinear_form", "interpolate", "barrier",
+    "solution bounds", "integral lemma"])
 def test_nonfinite_eps_raises(entry):
     # the first three once returned energy_error = nan without an error;
     # assemble raised AssemblyError naming an element, the barrier and bound
@@ -438,6 +438,7 @@ def test_nonfinite_eps_raises(entry):
         "hand-built reference": lambda: error_report(
             sol, bad, reference=FemSolution(ref.mesh, ref.coefficients)),
         "interpolation": lambda: interpolation_study(bad, [h]),
+        "convergence": lambda: convergence_study(lambda eps0: bad, [h], [1e-4]),
         "assemble": lambda: assemble(bad, sol.mesh),
         "bilinear_form": lambda: bilinear_form(sol, sol, bad),
         "interpolate": lambda: interpolate(bad.coeffs.eps, sol.mesh),
@@ -448,8 +449,9 @@ def test_nonfinite_eps_raises(entry):
         "integral lemma": lambda: check_integral_lemma(
             bad.coeffs, 0.1, 0.75, 0, 1.0, e),
     }
-    # interpolation_study first samples 1/eps, layer_integral's integrand
-    what = {"interpolate": "f", "interpolation": "integrand"}.get(entry, "eps")
+    # interpolation_study and convergence_study first sample eps inside
+    # layer_integral's integrand, which names eps too
+    what = "f" if entry == "interpolate" else "eps"
     with pytest.raises(EvaluationError,
                        match=rf"^non-finite {what} sample at x=0\.7\d*$"):
         calls[entry]()

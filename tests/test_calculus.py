@@ -16,12 +16,7 @@ from layerfem.calculus import (
     invert_monotone,
     layer_integral,
 )
-from layerfem.errors import (
-    ConvergenceError,
-    EvaluationError,
-    OutOfRangeError,
-    ParameterError,
-)
+from layerfem.errors import ConvergenceError, EvaluationError, ParameterError
 from layerfem.mesh import compute_tau_star
 from layerfem.problem import builtin_scenarios, get_scenario
 
@@ -79,6 +74,11 @@ class TestIntegrate:
     def test_bad_limits(self):
         with pytest.raises(ParameterError):
             integrate(lambda t: t, 1, 0)
+
+    @pytest.mark.parametrize("a, b", [(math.nan, 1.0), (0.0, math.inf)])
+    def test_nonfinite_limit(self, a, b):
+        with pytest.raises(ParameterError, match="limits must be finite"):
+            integrate(lambda t: t, a, b)
 
     def test_nonfinite_integrand(self):
         with np.errstate(divide="ignore"), pytest.raises(EvaluationError):
@@ -368,13 +368,34 @@ class TestInvertMonotone:
 
     def test_out_of_range(self):
         e = layer_integral(get_scenario("eps-const", 0.01).coeffs, "e")
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(ParameterError):
             invert_monotone(e, e(1.0) + 1.0)
 
     def test_nan_target_is_out_of_range(self):
         e = layer_integral(get_scenario("eps-const", 0.01).coeffs, "e")
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(ParameterError):
             invert_monotone(e, math.nan)
+
+    def test_target_at_zero(self):
+        e = layer_integral(get_scenario("eps-const", 0.01).coeffs, "e")
+        assert invert_monotone(e, e(0.0)) == 0.0
+
+    def test_newton_step_leaving_the_bracket_bisects(self):
+        # one panel of exp(5 t): from the chord's iterate x = 1/2 Newton
+        # steps to 1.53, past the panel, so the bracket is bisected instead
+        g = CumulativeIntegral(lambda t: np.exp(5.0 * t), np.array([0.0, 1.0]))
+        target = 0.5 * g.partial_sums[-1]
+        x = invert_monotone(g, target)
+        assert 0.5 < x < 1.0
+        assert abs(g(x) - target) <= 4 * np.finfo(float).eps * target
+
+    def test_jump_inside_a_panel_fails_to_converge(self):
+        # g(x) = _G5 on [0, x] jumps from 0.52 to 0.59 where its last Gauss
+        # point crosses the jump at 1/2, so no x gives 0.55
+        g = CumulativeIntegral(lambda t: np.where(t < 0.5, 1.0, 2.0),
+                               np.array([0.0, 1.0]))
+        with pytest.raises(ConvergenceError, match="residual above tolerance"):
+            invert_monotone(g, 0.55)
 
     def test_round_trip(self):
         e = layer_integral(get_scenario("eps-exp", 0.01).coeffs, "e")

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from layerfem import errors
 from layerfem.calculus import layer_integral
 from layerfem.cli import main, parse_h
 from layerfem.errors import ParameterError
@@ -66,6 +67,26 @@ class TestMesh:
             ["mesh", "--h", "1e-300", "--eps0", "1e-300"], capsys)
         assert code == 2 and out == ""
         assert err.startswith("usage error: first graded node x_1")
+
+    def test_node_cap_is_usage_error(self, capsys):
+        # refused before the 1.7e7 graded nodes are built
+        code, out, err = run_cli(["mesh", "--h", "1e-6"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "usage error: graded node count exceeded cap 10000000\n"
+
+    def test_nonfinite_eps_names_eps(self, capsys, monkeypatch):
+        # the layer integral samples eps before any mesh is built
+        sc = get_scenario("manufactured", 1e-2)
+        eps = sc.coeffs.eps
+        bad = dataclasses.replace(sc, coeffs=dataclasses.replace(
+            sc.coeffs, eps=dataclasses.replace(
+                eps, value=lambda x: np.where(np.asarray(x) > 0.7, np.nan,
+                                              eps.value(x)))))
+        monkeypatch.setattr("layerfem.cli.get_scenario", lambda name, eps0: bad)
+        code, out, err = run_cli(["mesh"], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: non-finite eps sample at x=0.7")
+        assert err.count("\n") == 1
 
     def test_bad_h_exit_code(self, capsys):
         code, _, err = run_cli(
@@ -212,6 +233,22 @@ class TestConverge:
         rates = [float(line.split(",")[-1]) for line in lines[2:]]
         assert len(rates) == 3 and all(r > 0.8 for r in rates)
 
+    def test_degenerate_cell_is_skipped_on_stderr(self, capsys):
+        # eps0 = 0.1 puts tau* past 1/2 at h = 1/16: that cell is reported
+        # and left out, and the 1e-3 row is written
+        code, out, err = run_cli(["converge", "--eps0", "0.1,1e-3",
+                                  "--h", "1/16"], capsys)
+        assert code == 0
+        assert err == ("skipped eps0=0.1 h=0.0625: "
+                       "transition point tau* = 0.7411 > 1/2\n")
+        lines = out.strip().split("\n")
+        assert len(lines) == 2 and lines[1].startswith("0.001,0.0625,")
+
+    def test_empty_h_list_is_usage_error(self, capsys):
+        code, out, err = run_cli(["converge", "--h", ","], capsys)
+        assert (code, out) == (2, "")
+        assert err == "usage error: expected a comma-separated list, got ','\n"
+
     def test_json_rate_is_number_or_null(self, capsys):
         argv = ["converge", "--scenario", "manufactured", "--eps0", "0.001",
                 "--h", "1/8,1/16,1/32"]
@@ -248,6 +285,27 @@ class TestConverge:
 
 
 class TestErrorContract:
+    def test_error_classes_and_exit_codes_are_pinned(self, capsys, monkeypatch):
+        # adding an error class shows in this table, with the exit code and
+        # the stderr prefix that cli.main gives it
+        want = {
+            "AssemblyError": (1, "error"), "ConfigurationError": (1, "error"),
+            "ConvergenceError": (1, "error"),
+            "DegenerateRegimeError": (3, "degenerate regime"),
+            "EvaluationError": (1, "error"), "LayerFemError": (1, "error"),
+            "ParameterError": (2, "usage error"),
+            "SingularSystemError": (1, "error"),
+        }
+        classes = {name: obj for name, obj in vars(errors).items()
+                   if isinstance(obj, type) and issubclass(obj, errors.LayerFemError)}
+        assert sorted(classes) == list(want)
+        for name, (code, prefix) in want.items():
+            def fail(args, cls=classes[name]):
+                raise cls("boom")
+
+            monkeypatch.setattr("layerfem.cli.cmd_mesh", fail)
+            assert run_cli(["mesh"], capsys) == (code, "", f"{prefix}: boom\n"), name
+
     @pytest.mark.parametrize("bad", [["--eps0", "abc"], ["--eps0", ","],
                                      ["--h", "1/0"]])
     def test_bad_input_is_usage_error(self, capsys, bad):

@@ -16,9 +16,8 @@ from layerfem.errors import (
     AssemblyError,
     DegenerateRegimeError,
     EvaluationError,
-    MeshMismatchError,
+    ParameterError,
     SingularSystemError,
-    SizeError,
 )
 from layerfem.fem import (
     FemSolution,
@@ -74,6 +73,7 @@ class TestAssembly:
         mesh = uniform_mesh(n)
         sys_ = assemble(plain_scenario(eps=1.0), mesh)
         H = 1.0 / (n - 1)
+        assert sys_.size == n - 2  # one unknown per interior node
         assert sys_.diag == pytest.approx(np.full(n - 2, 2.0 / H), rel=1e-13)
         assert sys_.sub == pytest.approx(np.full(n - 3, -1.0 / H), rel=1e-13)
         assert sys_.sup == pytest.approx(np.full(n - 3, -1.0 / H), rel=1e-13)
@@ -439,7 +439,7 @@ class TestTridiagonalSolve:
     def test_empty_system(self):
         empty = np.zeros(0)
         sys_ = TridiagonalSystem(sub=empty, diag=empty, sup=empty, rhs=empty)
-        with pytest.raises(SizeError):
+        with pytest.raises(ParameterError):
             solve_tridiagonal(sys_)
 
     @pytest.mark.parametrize("sub, diag, rhs, shapes", [
@@ -453,7 +453,7 @@ class TestTridiagonalSolve:
     ], ids=["long-sub", "2-D-rhs", "one-unknown-with-sub", "2-D-diag"])
     def test_inconsistent_lengths(self, sub, diag, rhs, shapes):
         sys_ = TridiagonalSystem(sub=sub, diag=diag, sup=sub.copy(), rhs=rhs)
-        with pytest.raises(SizeError, match=re.escape(shapes)):
+        with pytest.raises(ParameterError, match=re.escape(shapes)):
             solve_tridiagonal(sys_)
 
     def test_zero_first_pivot_without_dense_matrix(self, monkeypatch):
@@ -510,7 +510,7 @@ class TestGalerkinSolve:
         assert np.abs(sol.coefficients).max() <= 1e-13
 
     def test_single_element_mesh_has_no_unknowns(self):
-        with pytest.raises(SizeError):
+        with pytest.raises(ParameterError):
             galerkin_solve(plain_scenario(f=1.0), uniform_mesh(2))
 
     def test_poisson_nodal_exactness(self):
@@ -561,7 +561,7 @@ class TestBilinearForm:
         sc = plain_scenario(eps=1.0)
         v = FemSolution(mesh=uniform_mesh(9), coefficients=np.zeros(9))
         w = FemSolution(mesh=uniform_mesh(10), coefficients=np.zeros(10))
-        with pytest.raises(MeshMismatchError):
+        with pytest.raises(ParameterError):
             bilinear_form(v, w, sc)
 
     def test_symmetric_part_matches_stiffness(self):

@@ -9,11 +9,7 @@ from hypothesis import strategies as st
 
 from layerfem import mesh as mesh_module
 from layerfem.calculus import layer_integral
-from layerfem.errors import (
-    DegenerateRegimeError,
-    ParameterError,
-    ResourceError,
-)
+from layerfem.errors import DegenerateRegimeError, ParameterError
 from layerfem.mesh import build_mesh, compute_tau_star, predict_cardinality
 from layerfem.problem import SCENARIO_NAMES, ScalarFunction, get_scenario
 
@@ -111,8 +107,19 @@ class TestBuildMesh:
     def test_resource_cap(self, monkeypatch):
         monkeypatch.setattr(mesh_module, "_MAX_NODES", 50)
         sc, e = scenario_e("eps-const", 1e-5)
-        with pytest.raises(ResourceError):
+        with pytest.raises(ParameterError):
             build_mesh(sc.coeffs, e, 1.0 / 64)
+
+    def test_oversize_graded_count_is_refused_before_allocating(self, monkeypatch):
+        # eps0 = 1e-3 and h = 1e-6 need about 1.7e7 graded steps
+        def no_nodes(*args, **kwargs):
+            raise AssertionError("graded nodes were allocated")
+
+        monkeypatch.setattr(mesh_module.np, "cumprod", no_nodes)
+        sc, e = scenario_e("manufactured", 1e-3)
+        with pytest.raises(ParameterError,
+                           match="^graded node count exceeded cap 10000000$"):
+            build_mesh(sc.coeffs, e, 1e-6)
 
     @pytest.mark.parametrize("eps_lower, x1", [
         (0.0, "0.0"), (-1e-6, "-6.25e-08"), (5e-324, "0.0")])
@@ -161,6 +168,12 @@ class TestPredictCardinality:
         assert got == pytest.approx(psi, rel=1e-12)
         assert psi == pytest.approx(2.0396, abs=1e-4)
 
+    @pytest.mark.parametrize("h", [0.0, 1.0, -0.5, math.nan])
+    def test_h_outside_the_unit_interval(self, h):
+        sc, _ = scenario_e("eps-const", 0.01)
+        with pytest.raises(ParameterError, match=r"must lie in \(0, 1\)"):
+            predict_cardinality(sc.coeffs, h)
+
     def test_h_too_large(self):
         sc, _ = scenario_e("eps-const", 0.01)
         with pytest.raises(ParameterError):
@@ -200,10 +213,10 @@ def test_mesh_properties(name, log10_eps0, k):
     # the graded cap is checked before the whole mesh's; at the exact count
     # nothing is raised (mock.patch: hypothesis reruns this body per example)
     with mock.patch.object(mesh_module, "_MAX_NODES", ti):
-        with pytest.raises(ResourceError, match="graded node count"):
+        with pytest.raises(ParameterError, match="graded node count"):
             build_mesh(sc.coeffs, e, h)
     with mock.patch.object(mesh_module, "_MAX_NODES", mesh.node_count - 1):
-        with pytest.raises(ResourceError, match="^node count"):
+        with pytest.raises(ParameterError, match="^node count"):
             build_mesh(sc.coeffs, e, h)
     with mock.patch.object(mesh_module, "_MAX_NODES", mesh.node_count):
         assert np.array_equal(build_mesh(sc.coeffs, e, h).nodes, nodes)

@@ -150,6 +150,19 @@ class TestManufacturedRhs:
         with pytest.raises(ConfigurationError):
             manufactured_rhs(u, make_coeffs())
 
+    def test_eps_without_derivative(self):
+        eps = ScalarFunction(value=lambda x: np.full_like(np.asarray(x, float), 0.01))
+        with pytest.raises(ConfigurationError, match="eps with a first derivative"):
+            manufactured_rhs(ScalarFunction.constant(0.0), make_coeffs(eps=eps))
+
+
+@pytest.mark.parametrize("method, message", [("d", "first"), ("d2", "second")])
+def test_missing_derivative_is_configuration_error(method, message):
+    f = ScalarFunction(value=lambda x: np.asarray(x, float))
+    with pytest.raises(ConfigurationError,
+                       match=f"^{message} derivative not available$"):
+        getattr(f, method)(0.5)
+
 
 # eps of each diffusion family, written out independently of problem._FAMILIES
 _SYMBOLIC_EPS = {

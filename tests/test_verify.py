@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from layerfem import verify
 from layerfem.calculus import integrate, layer_integral
-from layerfem.errors import ConfigurationError, ParameterError
+from layerfem.errors import ParameterError
 from layerfem.fem import FemSolution
 from layerfem.mesh import build_mesh
 from layerfem.problem import (
@@ -103,6 +103,16 @@ class TestIntegralLemma:
             const_coeffs(), eps=ScalarFunction(untouchable, untouchable))
         with pytest.raises(ParameterError):
             check_integral_lemma(coeffs, 0.0, 1.0, ell, gamma, untouchable)
+
+    def test_decreasing_eps_is_refused(self):
+        # the lemma's bound divides by g + (l + 1) s0 with s0 = min eps' >= 0
+        eps = ScalarFunction(
+            value=lambda x: 0.02 - 0.01 * np.asarray(x, float),
+            deriv=lambda x: np.full_like(np.asarray(x, float), -0.01))
+        coeffs = dataclasses.replace(const_coeffs(), eps=eps, eps_upper=0.02,
+                                     sigma=-0.01)
+        with pytest.raises(ParameterError, match=r"requires eps' >= 0 on \[a, x\]"):
+            lemma(coeffs, 0.1, 0.5, 0, 1.0)
 
     @pytest.mark.parametrize("n_tuples", [0, 2.5, 1.0, "3", None])
     def test_random_needs_an_integer_count(self, n_tuples):
@@ -365,12 +375,12 @@ class TestSolutionBounds:
         with monkeypatch.context() as m:
             m.setattr("layerfem.verify._H_REF", 1.0 / 64)
             ref = reference_solution(sc, e)
-        with pytest.raises(ConfigurationError,
+        with pytest.raises(ParameterError,
                            match=r"at h = 1/64 is too coarse \(need h <= 1/512\)$"):
             check_solution_bounds(sc, ref, "U0", e)
         # the message reads the reference h that the check holds to
         monkeypatch.setattr("layerfem.verify._H_REF", 1.0 / 256)
-        with pytest.raises(ConfigurationError, match=r"need h <= 1/256\)$"):
+        with pytest.raises(ParameterError, match=r"need h <= 1/256\)$"):
             check_solution_bounds(sc, ref, "U0", e)
 
     def test_bad_which(self):
