@@ -27,7 +27,7 @@ import numpy as np
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .calculus import (_G5, _finite_eval, _gauss_map, _graded, _panel_sums,
+from .calculus import (_finite_eval, _gauss_map, _graded, _panel_sums,
                        gauss_legendre, integrate, layer_integral)
 from .errors import ConfigurationError, DegenerateRegimeError, ParameterError
 from .fem import FemSolution, _on_elements, galerkin_solve

@@ -11,7 +11,8 @@ class LayerFemError(Exception):
 
 class ParameterError(LayerFemError):
     """An argument is outside what the call accepts: its range, its shape, a
-    shared mesh, a root-finding target or the node cap.  CLI exit code 2."""
+    shared mesh, a root-finding target, a node cap or a mesh scale that
+    underflows.  CLI exit code 2."""
 
 
 class ConfigurationError(LayerFemError):
@@ -32,11 +33,6 @@ class ConvergenceError(LayerFemError):
 class DegenerateRegimeError(LayerFemError):
     """The transition point would leave the regime the mesh is designed for.
     CLI exit code 3."""
-
-
-class AssemblyError(LayerFemError):
-    """A mesh element's width squared is below the smallest normal float.
-    CLI exit code 1."""
 
 
 class SingularSystemError(LayerFemError):

@@ -19,9 +19,8 @@ where entries near 1e308 overflow it or its scale, it is checked on copies
 scaled by powers of two.  dgtsv is the package's only use of scipy.  The
 first solve_tridiagonal call that reaches it imports the top-level scipy
 package and loads scipy.linalg._flapack, the one extension module that holds
-dgtsv, on its own, never scipy.linalg: a fresh solve at h = 1/64 adds 24
-modules and peaks at 35 MB; importing scipy.linalg there made it 316
-modules, 58 MB and about 0.2 s more.  Runs that never solve (meshes,
+dgtsv, on its own, never scipy.linalg, whose __init__ would load hundreds
+of modules that a solve does not use.  Runs that never solve (meshes,
 interpolation errors, the lemma and barrier checks) load no scipy at all.
 Assembly keeps the element integrals of eps that the stiffness is made from
 (bit for bit calculus._panel_sums of eps), and galerkin_solve hands them on
@@ -29,7 +28,7 @@ as FemSolution.eps_integrals; they belong to the eps of the scenario that
 was solved, and fine-mesh error reports reuse them in place of sampling eps
 again.  A non-finite coefficient sample (calculus._finite_eval) or const
 raises EvaluationError naming the coefficient; an element whose width
-squared is below the smallest normal float raises AssemblyError before any
+squared is below the smallest normal float raises ParameterError before any
 division.
 """
 
@@ -44,12 +43,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .calculus import _G5, _finite_eval, _gauss_map
-from .errors import (
-    AssemblyError,
-    EvaluationError,
-    ParameterError,
-    SingularSystemError,
-)
+from .errors import EvaluationError, ParameterError, SingularSystemError
 from .mesh import LayerMesh
 
 # Elements whose Gauss points assembly maps and samples at once: a mesh of
@@ -139,7 +133,7 @@ def assemble(scenario, mesh: LayerMesh) -> TridiagonalSystem:
     tiny = np.finfo(float).tiny
     if (w * w < tiny).any():
         el = int(np.argmax(w * w < tiny))
-        raise AssemblyError(
+        raise ParameterError(
             f"element {el} has width {float(w[el])!r}, whose square is "
             "below the smallest normal float")
     co = scenario.coeffs

@@ -74,21 +74,21 @@ def build_mesh(coeffs, e: CumulativeIntegral, h: float) -> LayerMesh:
         raise ParameterError(
             f"first graded node x_1 = h * eps_lower = {x1!r} is not "
             "positive (it underflows when h * eps_lower is tiny)")
-    # refuse before allocating when the recurrence needs more than _MAX_NODES
-    # steps: each rounded product grows by at most (1 + h)(1 + 2^-53)
-    if math.log(tau_star / x1) / (math.log(1.0 + h) + 2.0**-52) > _MAX_NODES:
+    # A step multiplies by fl(1 + h), then rounds: by (1 + h) e^d, |d| <~ 2^-52.
+    # So log(tau*/x_1) / (log(1 + h) + 2^-52) bounds the steps to tau* from
+    # below, refusing an oversize mesh before anything is allocated, and
+    # / (log1p(h) - 2^-52), plus one for rounding, from above: it sizes one
+    # cumprod, capped so the graded nodes stay within _MAX_NODES entries.
+    log_ratio = math.log(tau_star / x1)
+    if log_ratio / (math.log(1.0 + h) + 2.0**-52) > _MAX_NODES:
         raise ParameterError(f"graded node count exceeded cap {_MAX_NODES}")
-    # x_{k+1} = x_k (1 + h) up to the first node >= tau*; cumprod multiplies
-    # in sequence, so it rounds as the recurrence does.  The log estimate only
-    # sizes the batches (rounding may leave it short), capped at _MAX_NODES.
-    graded = np.array([0.0, x1])
-    while graded[-1] < tau_star:
-        if len(graded) >= _MAX_NODES:
-            raise ParameterError(f"graded node count exceeded cap {_MAX_NODES}")
-        est = math.log(tau_star / graded[-1]) / math.log1p(h)
-        steps = int(min(est + 2.0, _MAX_NODES - len(graded)))
-        batch = np.cumprod(np.r_[graded[-1], np.full(steps, 1.0 + h)])
-        graded = np.concatenate((graded, batch[1:]))
+    rate = math.log1p(h) - 2.0**-52  # <= 0 only for h below about 2^-52
+    bound = math.ceil(log_ratio / rate) + 1 if rate > 0.0 else _MAX_NODES
+    steps = max(0, min(bound, _MAX_NODES - 2))
+    # cumprod multiplies in sequence, so it rounds as the recurrence does
+    graded = np.r_[0.0, np.cumprod(np.r_[x1, np.full(steps, 1.0 + h)])]
+    if graded[-1] < tau_star:  # only the cap can cut the product short
+        raise ParameterError(f"graded node count exceeded cap {_MAX_NODES}")
     tau_index = 1 + int(np.searchsorted(graded[1:], tau_star))
     graded = graded[:tau_index + 1]
     tau = float(graded[-1])
@@ -97,10 +97,10 @@ def build_mesh(coeffs, e: CumulativeIntegral, h: float) -> LayerMesh:
             f"first node past tau* already reaches {tau:.4g} >= 1")
 
     m = math.ceil((1.0 - tau) / h)
+    if tau_index + 1 + m > _MAX_NODES:  # checked before the coarse nodes exist
+        raise ParameterError(f"node count exceeded cap {_MAX_NODES}")
     coarse = np.linspace(tau, 1.0, m + 1)[1:]
     nodes = np.concatenate((graded, coarse))
-    if len(nodes) > _MAX_NODES:
-        raise ParameterError(f"node count exceeded cap {_MAX_NODES}")
     return LayerMesh(nodes=nodes, h=h, tau_index=tau_index, tau_star=tau_star)
 
 

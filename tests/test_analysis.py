@@ -421,7 +421,7 @@ def _poisoned_eps(sc):
     "solution bounds", "integral lemma"])
 def test_nonfinite_eps_raises(entry):
     # the first three once returned energy_error = nan without an error;
-    # assemble raised AssemblyError naming an element, the barrier and bound
+    # assemble blamed an element's width, the barrier and bound
     # checks returned a nan margin or ratio, and the lemma raised numpy's
     # ValueError; every entry point names the function it sampled and the
     # first bad x as a plain float

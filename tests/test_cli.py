@@ -289,8 +289,7 @@ class TestErrorContract:
         # adding an error class shows in this table, with the exit code and
         # the stderr prefix that cli.main gives it
         want = {
-            "AssemblyError": (1, "error"), "ConfigurationError": (1, "error"),
-            "ConvergenceError": (1, "error"),
+            "ConfigurationError": (1, "error"), "ConvergenceError": (1, "error"),
             "DegenerateRegimeError": (3, "degenerate regime"),
             "EvaluationError": (1, "error"), "LayerFemError": (1, "error"),
             "ParameterError": (2, "usage error"),
@@ -321,19 +320,26 @@ class TestErrorContract:
         assert err == "usage error: --seed must be nonnegative, got -1\n"
 
     # a mesh element whose width squared is subnormal (w = h^2 eps0 at
-    # the first graded step) is refused before assembly divides by it; a
-    # subnormal eps0 is a usage error
-    @pytest.mark.parametrize("scenario, eps0, h", [
-        ("eps-exp", "1e-155", "1/16,1/32"),
-        ("eps-exp", "1e-160", "1/16"),
-        ("eps-linear", "1e-300", "1/16"),
-    ])
-    def test_subnormal_element_is_assembly_error(self, capsys, scenario, eps0, h):
-        code, out, err = run_cli(["converge", "--scenario", scenario,
-                                  "--eps0", eps0, "--h", h], capsys)
-        assert code == 1 and out == ""
-        assert err.startswith("error: element ") and err.count("\n") == 1
+    # the first graded step) is refused before assembly divides by it, as
+    # a usage error like the subnormal eps0 and the x_1 that underflows
+    @pytest.mark.parametrize("argv", [
+        ["converge", "--scenario", "eps-exp", "--eps0", "1e-155", "--h", "1/16,1/32"],
+        ["converge", "--scenario", "eps-exp", "--eps0", "1e-160", "--h", "1/16"],
+        ["converge", "--scenario", "eps-linear", "--eps0", "1e-300", "--h", "1/16"],
+        ["solve", "--eps0", "1e-300", "--h", "1/16"],
+    ], ids=["eps-exp-1e-155", "eps-exp-1e-160", "eps-linear-1e-300", "solve"])
+    def test_subnormal_element_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("usage error: element ") and err.count("\n") == 1
         assert "smallest normal float" in err
+
+    def test_mesh_with_subnormal_element_is_printed(self, capsys):
+        # mesh does no assembly, so nothing refuses the narrow element
+        code, out, err = run_cli(["mesh", "--eps0", "1e-300", "--h", "1/16"],
+                                 capsys)
+        assert code == 0 and err == ""
+        assert out.split("\n")[2] == "1,6.2500000000000002e-302,graded"
 
     def test_subnormal_eps0_is_usage_error(self, capsys):
         code, out, err = run_cli(["mesh", "--eps0", "1e-310", "--h", "1/16"],

@@ -13,7 +13,6 @@ from layerfem import fem
 from layerfem.analysis import energy_norm, error_report, interpolate
 from layerfem.calculus import _finite_eval, gauss_legendre, layer_integral
 from layerfem.errors import (
-    AssemblyError,
     DegenerateRegimeError,
     EvaluationError,
     ParameterError,
@@ -134,7 +133,7 @@ class TestAssembly:
         # subnormal with few significant bits; assembly refuses first
         mesh = LayerMesh(nodes=np.array(nodes), h=0.25,
                          tau_index=1, tau_star=nodes[1])
-        with pytest.raises(AssemblyError, match=f"element {el} has width"):
+        with pytest.raises(ParameterError, match=f"element {el} has width"):
             assemble(plain_scenario(eps=1.0, f=1.0), mesh)
 
     def test_smallest_normal_width_squared_assembles(self):

@@ -19,6 +19,14 @@ def scenario_e(name, eps0):
     return sc, layer_integral(sc.coeffs, "e")
 
 
+def recurrence(x1, h, tau_star):
+    """0, then x_{k+1} = x_k (1 + h) from x_1 up to the first node >= tau*."""
+    graded = [0.0, x1]
+    while graded[-1] < tau_star:
+        graded.append(graded[-1] * (1.0 + h))
+    return graded
+
+
 class TestTauStar:
     def test_constant_eps_closed_form(self):
         # e(x) = x / eps0, so tau* = -(2/beta) eps0 ln h = 0.02 ln 10
@@ -202,21 +210,37 @@ def test_mesh_properties(name, log10_eps0, k):
         assume(False)
     nodes, ti = mesh.nodes, mesh.tau_index
     # the graded nodes are the recurrence x_{k+1} = x_k (1 + h), bit for bit
-    graded = [0.0, h * sc.coeffs.eps_lower]
-    while graded[-1] < mesh.tau_star:
-        graded.append(graded[-1] * (1.0 + h))
+    graded = recurrence(h * sc.coeffs.eps_lower, h, mesh.tau_star)
     assert np.array_equal(nodes[:ti + 1], graded)
     assert mesh.n_star == ti - 1
     assert nodes[ti - 1] < mesh.tau_star <= mesh.tau
     assert math.exp(-sc.coeffs.beta * e(mesh.tau)) <= h ** 2 * (1 + 1e-12)
     assert mesh.node_count <= 4 * predict_cardinality(sc.coeffs, h)
-    # the graded cap is checked before the whole mesh's; at the exact count
-    # nothing is raised (mock.patch: hypothesis reruns this body per example)
+    # the graded cap is checked before the whole mesh's, and that before the
+    # coarse nodes are built; at the exact count nothing is raised
+    # (mock.patch: hypothesis reruns this body per example)
     with mock.patch.object(mesh_module, "_MAX_NODES", ti):
         with pytest.raises(ParameterError, match="graded node count"):
             build_mesh(sc.coeffs, e, h)
+    with mock.patch.object(mesh_module, "_MAX_NODES", ti + 1):
+        with mock.patch.object(mesh_module.np, "linspace",
+                               side_effect=AssertionError("coarse nodes built")):
+            with pytest.raises(ParameterError, match="^node count"):
+                build_mesh(sc.coeffs, e, h)
     with mock.patch.object(mesh_module, "_MAX_NODES", mesh.node_count - 1):
         with pytest.raises(ParameterError, match="^node count"):
             build_mesh(sc.coeffs, e, h)
     with mock.patch.object(mesh_module, "_MAX_NODES", mesh.node_count):
         assert np.array_equal(build_mesh(sc.coeffs, e, h).nodes, nodes)
+
+
+# 1e5 to 9.4e5 graded steps: an upper bound on the step count that fell
+# short here would raise the graded cap message instead
+@pytest.mark.parametrize("h", [2.0**-13, 2.0**-16])
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+@pytest.mark.parametrize("eps0", [1e-2, 1e-12])
+def test_long_graded_run_is_the_recurrence(eps0, name, h):
+    sc, e = scenario_e(name, eps0)
+    mesh = build_mesh(sc.coeffs, e, h)
+    graded = recurrence(h * sc.coeffs.eps_lower, h, mesh.tau_star)
+    assert np.array_equal(mesh.nodes[:mesh.tau_index + 1], graded)

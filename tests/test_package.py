@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+import glob
 import json
 import os
 import subprocess
@@ -40,6 +42,26 @@ def test_one_check_report_type():
     from layerfem import problem, verify
     assert layerfem.BoundCheckReport is problem.BoundCheckReport
     assert verify.BoundCheckReport is problem.BoundCheckReport
+
+
+def test_every_imported_name_is_read():
+    # no linter runs on src/, so an import that nothing reads shows here
+    unread = []
+    pattern = os.path.join(os.path.dirname(layerfem.__file__), "*.py")
+    for path in sorted(glob.glob(pattern)):
+        module = os.path.basename(path)[:-3]
+        if module == "__init__":
+            continue
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        imported = {alias.asname or alias.name.split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for alias in node.names}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [f"{module}: {name}" for name in sorted(imported - read)]
+    assert unread == []
 
 
 def test_records_holding_arrays_compare_by_identity():
