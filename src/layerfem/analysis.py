@@ -6,12 +6,12 @@ under-resolves element tau_index, the first coarse element: the layer tail
 there, of size about h^2, decays on the scale eps inside a width of about h,
 and 5, 7 or 10 points all miss it.  On manufactured the energy error reads
 3.2 % low at eps0 = 1e-4, h = 1/16, and 1.7e-4 low at eps0 = 1e-6, h = 1/256.
-FE functions are evaluated at the Gauss points from their nodal values,
-element by element, with samples stored points-major, shape (points,
-elements).  A piecewise-linear difference (an FE function alone, or the
-difference of a solve and a finer solve) is integrated exactly: its square in
-closed form, and eps times its constant slope squared from element integrals
-of eps by _G5, the rule assembly stores them with.  A finer solve is compared
+FE functions are evaluated at the Gauss points by FemSolution's call and
+slopes, with samples stored points-major, shape (points, elements).  A
+piecewise-linear difference (an FE function alone, or the difference of a
+solve and a finer solve) is integrated exactly: its square in closed form,
+and eps times its constant slope squared from element integrals of eps by
+_G5, the rule assembly stores them with.  A finer solve is compared
 on its own nodes plus the coarse nodes it lacks, found by a binary search and
 inserted in place; it is interpolated only at those.  The eps integrals of
 its elements are the ones its assembly stored (FemSolution.eps_integrals), so
@@ -30,7 +30,7 @@ from typing import Callable, Optional
 from .calculus import (_finite_eval, _gauss_map, _graded, _panel_sums,
                        gauss_legendre, integrate, layer_integral)
 from .errors import ConfigurationError, DegenerateRegimeError, ParameterError
-from .fem import FemSolution, _on_elements, galerkin_solve
+from .fem import FemSolution, galerkin_solve
 from .mesh import LayerMesh, build_mesh
 
 _ERR_RULE = gauss_legendre(7)
@@ -52,9 +52,8 @@ def _error_on_elements(v: FemSolution, exact):
     exact.d raises EvaluationError naming its x."""
     nodes = v.mesh.nodes
     gx, half = _gauss_map(nodes[:-1], nodes[1:], _ERR_RULE)
-    vals, slopes = _on_elements(v, gx)
-    return (gx, half, _ERR_RULE.weights, _finite_eval(exact, gx, "exact") - vals,
-            _finite_eval(exact.d, gx, "exact'") - slopes)
+    return (gx, half, _ERR_RULE.weights, _finite_eval(exact, gx, "exact") - v(gx),
+            _finite_eval(exact.d, gx, "exact'") - v.slopes)
 
 
 def _linear_norms(nodes, values, eps_int):
@@ -171,11 +170,10 @@ def convergence_study(scenario_family: Callable[[float], "object"],
     tuple of ConvergenceRow, eps0 ascending and h descending within each.
 
     Scenarios without a closed-form solution are measured against a solve of
-    the same mesh family at h/_REFERENCE_REFINE; a reference whose mesh
-    parameter is also in h_list is solved once and reused.  Degenerate
-    (h, eps0) cells are recorded as skipped, not fatal.  Repeated h values
-    raise ParameterError, since a rate between equal h is undefined, and so
-    do repeated eps0 values, which would repeat their rows.
+    the same mesh family at h/_REFERENCE_REFINE, made for each cell.
+    Degenerate (h, eps0) cells are recorded as skipped, not fatal.  Repeated
+    h values raise ParameterError, since a rate between equal h is
+    undefined, and so do repeated eps0 values, which would repeat their rows.
     """
     if len(np.unique(h_list)) < len(h_list):
         raise ParameterError("h values must be distinct")
@@ -187,22 +185,13 @@ def convergence_study(scenario_family: Callable[[float], "object"],
         e = layer_integral(scenario.coeffs, "e")
         solve = lambda h: galerkin_solve(
             scenario, build_mesh(scenario.coeffs, e, h))
-        # a reference solve whose mesh parameter is a finer h of h_list, kept
-        # until that h comes; the same h (exact float equality) builds the
-        # same mesh
-        kept = {}
         prev = None  # (h, energy_error)
         for h in sorted(h_list, reverse=True):
             try:
-                sol = kept.pop(h) if h in kept else solve(h)
-                if scenario.exact is not None:
-                    rep = error_report(sol, scenario)
-                else:
-                    h_ref = h / _REFERENCE_REFINE
-                    ref = solve(h_ref)
-                    if h_ref in h_list:
-                        kept[h_ref] = ref
-                    rep = error_report(sol, scenario, reference=ref)
+                sol = solve(h)
+                ref = (None if scenario.exact is not None
+                       else solve(h / _REFERENCE_REFINE))
+                rep = error_report(sol, scenario, reference=ref)
             except DegenerateRegimeError as exc:
                 rows.append(ConvergenceRow(
                     eps0=eps0, h=h, node_count=0, energy_error=math.nan,

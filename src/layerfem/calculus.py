@@ -209,8 +209,14 @@ def layer_integral(coeffs, kind: str) -> CumulativeIntegral:
     kind "e"      : integral of 1/eps            (stretched layer coordinate)
     kind "etilde" : integral of 1/sqrt(eps_up*eps) (transformed-variable bounds)
     """
-    # a non-finite eps sample raises EvaluationError naming eps
-    eps = lambda t: _finite_eval(coeffs.eps, np.asarray(t), "eps")
+    def eps(t):  # a non-finite or non-positive sample raises EvaluationError
+        t = np.asarray(t)
+        y = _finite_eval(coeffs.eps, t, "eps")
+        if not (y > 0.0).all():
+            bad = t.T[~(y.T > 0.0)]
+            raise EvaluationError(f"non-positive eps sample at x={float(bad[0])!r}")
+        return y
+
     if kind == "e":
         integrand = lambda t: 1.0 / eps(t)
     elif kind == "etilde":

@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 failed verification or other LayerFemError, 2 usage
 error (a ParameterError, including unparsable numbers and an --output file
-that cannot be opened), 3 degenerate mesh regime.  Any other exception is a bug and propagates with its traceback.
+that cannot be opened), 3 degenerate mesh regime.  A reader that closes
+stdout early (`| head`) ends the output quietly, with the command's own exit
+code.  Any other exception is a bug and propagates with its traceback.
 Each command returns its rows (mesh and solve a lazy zip, consumed once by
 _emit; formatting cannot raise), and --output is opened only after it
 returns, so a command that fails leaves an existing file as it was.
@@ -14,6 +16,7 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -243,6 +246,12 @@ def main(argv=None) -> int:
             raise ParameterError(f"cannot open --output: {exc}") from exc
         with out as fh:
             _emit(rows, header, args.format, _meta(args), fh)
+            fh.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`); devnull takes what is
+        # left, so the flush at interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return code
     except DegenerateRegimeError as exc:
         sys.stderr.write(f"degenerate regime: {exc}\n")

@@ -22,7 +22,8 @@ class ConfigurationError(LayerFemError):
 
 class EvaluationError(LayerFemError):
     """A coefficient or integrand failed on array input or returned a
-    non-finite value.  CLI exit code 1."""
+    non-finite value, or eps a non-positive one inside a layer integral.
+    CLI exit code 1."""
 
 
 class ConvergenceError(LayerFemError):

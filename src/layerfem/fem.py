@@ -68,12 +68,21 @@ class TridiagonalSystem:
 
 @dataclass(frozen=True, eq=False)
 class FemSolution:
-    """Piecewise-linear function given by nodal values on a LayerMesh."""
+    """Piecewise-linear function given by nodal values on a LayerMesh; a
+    non-finite value raises ParameterError naming its node."""
 
     mesh: LayerMesh
     coefficients: np.ndarray
     # per-element integrals of the solved scenario's eps (galerkin_solve only)
     eps_integrals: Optional[np.ndarray] = field(default=None, repr=False)
+
+    def __post_init__(self):
+        finite = np.isfinite(self.coefficients)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise ParameterError(
+                f"FE coefficient {i} is {float(self.coefficients[i])!r} at node "
+                f"x = {float(self.mesh.nodes[i])!r}; it must be finite")
 
     def __call__(self, x):
         return np.interp(x, self.mesh.nodes, self.coefficients)
@@ -81,14 +90,6 @@ class FemSolution:
     @property
     def slopes(self) -> np.ndarray:
         return np.diff(self.coefficients) / np.diff(self.mesh.nodes)
-
-
-def _on_elements(v: FemSolution, x):
-    """Values c_l + s (x - x_l) and slopes s = v.slopes, shape (n_el,), of v
-    at the points x of every element, stored points-major with shape
-    (k, n_el): np.interp's arithmetic, without a search."""
-    slopes = v.slopes
-    return v.coefficients[:-1] + slopes * (x - v.mesh.nodes[:-1]), slopes
 
 
 def _hat_table():
@@ -288,9 +289,8 @@ def bilinear_form(v: FemSolution, w: FemSolution, scenario) -> float:
     nodes = v.mesh.nodes
     gx, half = _gauss_map(nodes[:-1], nodes[1:], _G5)
     co = scenario.coeffs
-    v_vals, v_slope = _on_elements(v, gx)
-    w_vals, w_slope = _on_elements(w, gx)
-    integrand = (_finite_eval(co.eps, gx, "eps") * v_slope * w_slope
+    v_slope, w_vals = v.slopes, w(gx)
+    integrand = (_finite_eval(co.eps, gx, "eps") * v_slope * w.slopes
                  - _finite_eval(co.b, gx, "b") * v_slope * w_vals
-                 + _finite_eval(co.c, gx, "c") * v_vals * w_vals)
+                 + _finite_eval(co.c, gx, "c") * v(gx) * w_vals)
     return float(half @ (_G5.weights @ integrand))

@@ -275,8 +275,9 @@ class TestMatchesPointwiseOracle:
 
 
 class TestConvergenceStudy:
-    def test_repeated_mesh_parameter_is_solved_once(self, monkeypatch):
-        # the reference of h = 1/16 is the h = 1/256 solve itself
+    def test_each_cell_solves_its_own_reference(self, monkeypatch):
+        # each cell solves h and then its reference h/16, so 1/256 is solved
+        # twice: as the reference of 1/16 and as a cell
         solves = []
 
         def counting_solve(scenario, mesh):
@@ -287,7 +288,7 @@ class TestConvergenceStudy:
         hs = [1.0 / 16, 1.0 / 32, 1.0 / 64, 1.0 / 128, 1.0 / 256]
         sc = get_scenario("eps-exp", 1e-6)
         rows = convergence_study(lambda eps0: sc, hs, [1e-6])
-        assert len(solves) == 9 and solves.count(1.0 / 256) == 1
+        assert solves == [x for h in hs for x in (h, h / 16)]
         last = rows[-1]
         fine = galerkin_solve(sc, ds_mesh(sc, 1.0 / 256))
         ref = galerkin_solve(sc, ds_mesh(sc, 1.0 / 4096))

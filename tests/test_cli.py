@@ -2,10 +2,14 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import layerfem
 from layerfem import errors
 from layerfem.calculus import layer_integral
 from layerfem.cli import main, parse_h
@@ -351,6 +355,21 @@ class TestErrorContract:
         code, out, _ = run_cli(["converge", "--scenario", "eps-exp",
                                 "--eps0", "1e-100", "--h", "1/16,1/32"], capsys)
         assert code == 0 and len(out.strip().split("\n")) == 3
+
+    def test_closed_stdout_ends_quietly(self):
+        # about 473k rows, far more than a pipe holds, so the writer meets
+        # the closed pipe; neither its writes nor the flush at interpreter
+        # exit may print a traceback
+        src = os.path.dirname(os.path.dirname(os.path.abspath(layerfem.__file__)))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "layerfem.cli", "mesh", "--eps0", "1e-4",
+             "--h", "1/32768"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert proc.stdout.readline() == b"index,x,region\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (0, b"")
 
     def test_internal_value_error_is_not_usage_error(self, capsys, monkeypatch):
         def broken(*args, **kwargs):

@@ -161,6 +161,16 @@ def test_solution_keeps_element_integrals_of_eps(name):
     assert interpolate(sc.smooth_exemplar, mesh).eps_integrals is None
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_fe_function_is_refused(bad):
+    # measured, it would read as a NaN energy norm or error
+    coef = np.zeros(9)
+    coef[4] = bad
+    with pytest.raises(ParameterError,
+                       match=rf"FE coefficient 4 is {bad!r} at node x = 0.5;"):
+        FemSolution(uniform_mesh(9), coef)
+
+
 def unit_hat(mesh, i):
     coef = np.zeros(mesh.node_count)
     coef[i] = 1.0

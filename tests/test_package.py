@@ -1,15 +1,21 @@
 import ast
 import dataclasses
+import functools
 import glob
 import json
+import math
 import os
 import subprocess
 import sys
 import types
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import layerfem
+from layerfem import errors
 
 
 def test_all_names_resolve_and_none_is_a_module():
@@ -153,3 +159,96 @@ print(fem._flapack() is scipy.linalg.lapack._flapack,
       sorted(set(sys.modules) - before))
 """
     assert _run(code) == "True []"
+
+
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+# each call and input, and its bad values: NaN, +-inf, or a finite value out
+# of range
+_BAD_VALUES = {
+    "build_mesh h": st.one_of(_NON_FINITE, st.floats(max_value=0.0),
+                              st.floats(min_value=1.0)),
+    "layer_integral e": st.one_of(_NON_FINITE, st.floats(max_value=0.0)),
+    "layer_integral etilde": st.one_of(_NON_FINITE, st.floats(max_value=0.0)),
+    "integrate a": st.one_of(_NON_FINITE,
+                             st.floats(min_value=0.75, exclude_min=True)),
+    "integrate b": st.one_of(_NON_FINITE,
+                             st.floats(max_value=0.25, exclude_max=True)),
+    "assemble b": _NON_FINITE,
+    "assemble c": _NON_FINITE,
+    "assemble f": _NON_FINITE,
+    "error_report solution": _NON_FINITE,
+    "error_report reference": _NON_FINITE,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _solved():
+    """manufactured at eps0 = 1e-4: its layer integral e, and solves at
+    h = 1/16 and at the reference's h = 1/256."""
+    sc = layerfem.get_scenario("manufactured", 1e-4)
+    e = layerfem.layer_integral(sc.coeffs, "e")
+    sol, ref = (layerfem.galerkin_solve(sc, layerfem.build_mesh(sc.coeffs, e, h))
+                for h in (1.0 / 16, 1.0 / 256))
+    return sc, e, sol, ref
+
+
+def _spoiled(fn, value, at):
+    """A ScalarFunction sampling fn, whose sample at flat index at (modulo
+    the sample count) is value, unless value is None; it has no const, so
+    assembly samples it."""
+    def sample(x):
+        y = np.broadcast_to(fn(x), np.shape(x)).astype(float)
+        if value is not None:
+            y.flat[at % y.size] = value
+        return y
+    return layerfem.ScalarFunction(value=sample)
+
+
+def _call(label, value, at):
+    """The call that label names, with value as the input it names (at picks
+    one sample or coefficient); None leaves that input valid."""
+    call, what = label.split()
+    sc, e, sol, ref = _solved()
+    co = sc.coeffs
+    if call == "build_mesh":
+        layerfem.build_mesh(co, e, 1.0 / 16 if value is None else value)
+    elif call == "layer_integral":
+        layerfem.layer_integral(
+            dataclasses.replace(co, eps=_spoiled(co.eps, value, at)), what)
+    elif call == "integrate":
+        limits = {"a": 0.25, "b": 0.75}
+        if value is not None:
+            limits[what] = value
+        layerfem.integrate(np.cos, limits["a"], limits["b"])
+    elif call == "assemble":
+        spoiled = {what: _spoiled(getattr(co, what), value, at)}
+        layerfem.assemble(dataclasses.replace(
+            sc, coeffs=dataclasses.replace(co, **spoiled)), sol.mesh)
+    else:  # error_report against the closed form, or with a spoiled reference
+        v = sol if what == "solution" else ref
+        coef = v.coefficients.copy()
+        if value is not None:
+            coef[at % len(coef)] = value
+        v = layerfem.FemSolution(v.mesh, coef)
+        if what == "solution":
+            layerfem.error_report(v, sc)
+        else:
+            layerfem.error_report(sol, sc, reference=v)
+
+
+@pytest.mark.parametrize("label", _BAD_VALUES)
+def test_valid_inputs_pass_the_contract_calls(label):
+    # so that the refusals below come from the bad value alone
+    _call(label, None, 12345)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(case=st.one_of(st.tuples(st.just(label), values)
+                      for label, values in _BAD_VALUES.items()),
+       at=st.integers(0, 10**6))
+def test_bad_input_raises_a_library_error(case, at):
+    # the library's error contract: one NaN, infinite or out-of-range input
+    # to a call is refused as a LayerFemError, never returned as a NaN or
+    # raised as a bare numpy or Python error
+    with pytest.raises(errors.LayerFemError):
+        _call(*case, at)
