@@ -18,8 +18,8 @@ its elements are the ones its assembly stored (FemSolution.eps_integrals), so
 eps is sampled again only on the two pieces of each reference element that an
 inserted node splits.  The difference and both per-element norms are formed
 in place, and each norm is reduced by one sum.  Every sample of eps and of an
-exact solution or its derivative is checked: a non-finite one raises
-EvaluationError naming it."""
+exact solution or its derivative is checked: a non-finite one, or a
+non-positive eps, raises EvaluationError naming it."""
 
 import math
 
@@ -29,7 +29,7 @@ from typing import Callable, Optional
 
 from .calculus import (_finite_eval, _gauss_map, _graded, _panel_sums,
                        gauss_legendre, integrate, layer_integral)
-from .errors import ConfigurationError, DegenerateRegimeError, ParameterError
+from .errors import DegenerateRegimeError, ParameterError
 from .fem import FemSolution, galerkin_solve
 from .mesh import LayerMesh, build_mesh
 
@@ -101,7 +101,8 @@ def energy_norm(v, coeffs) -> float:
         l2, wg = _linear_norms(nodes, v.coefficients,
                                _panel_sums(coeffs.eps, nodes[:-1], nodes[1:], "eps"))
         return math.sqrt(l2.sum() + wg.sum())
-    val = integrate(lambda x: coeffs.eps(x) * v.d(x) ** 2 + v(x) ** 2, 0.0, 1.0,
+    eps = lambda x: _finite_eval(coeffs.eps, x, "eps")
+    val = integrate(lambda x: eps(x) * v.d(x) ** 2 + v(x) ** 2, 0.0, 1.0,
                     breakpoints=_graded(1e-2 * coeffs.eps_lower, 1.0, 257))
     return math.sqrt(val)
 
@@ -140,7 +141,7 @@ def error_report(sol: FemSolution, scenario,
         l2, wg = _linear_norms(merged, ref_vals, eps_int)
         kind = "fine-mesh"
     else:
-        raise ConfigurationError(
+        raise ParameterError(
             "need a closed-form exact solution or a finer reference solve")
     l2_sum, wg_sum = l2.sum(), wg.sum()
     return ErrorReport(
@@ -225,7 +226,7 @@ def interpolation_study(scenario, h_list):
     if len(np.unique(h_list)) < len(h_list):
         raise ParameterError("h values must be distinct")
     if scenario.smooth_exemplar is None or scenario.layer_exemplar is None:
-        raise ConfigurationError("scenario must supply both exemplars")
+        raise ParameterError("scenario must supply both exemplars")
     s = scenario.smooth_exemplar
     lay = scenario.layer_exemplar
     coeffs = scenario.coeffs

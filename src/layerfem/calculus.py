@@ -13,8 +13,9 @@ Gauss points at once, stored points-major (one row per Gauss point, one
 column per panel); a callable that fails on array input raises
 EvaluationError, there is no point-by-point fallback.  A constant return
 value is broadcast.  Every module samples callables through _finite_eval,
-where a non-finite sample raises EvaluationError naming the function and x
-(validate_coefficients, which reports it, alone uses _vec_eval).
+where a sample that is not finite, or of eps not positive, raises
+EvaluationError naming the function and x (validate_coefficients alone uses
+_vec_eval, since it reports a non-finite value).
 """
 
 import numpy as np
@@ -93,14 +94,21 @@ def _gauss_map(lefts, rights, rule: QuadratureRule):
     return x, half
 
 
+def _admissible(lo, hi, what: str):
+    """The sample rule, on the least and greatest sample of what or
+    elementwise: finite, and for eps positive (eps >= eps_lower > 0)."""
+    return (lo > (0.0 if what == "eps" else -np.inf)) & (hi < np.inf)
+
+
 def _finite_eval(f, x: np.ndarray, what: str = "integrand") -> np.ndarray:
-    """_vec_eval(f, x) on any array x; a non-finite sample raises EvaluationError
-    naming what f is and the first such x in x.T's order (panel by panel if
-    points-major)."""
+    """_vec_eval(f, x) on any array x; a sample that breaks _admissible raises
+    EvaluationError naming what, its kind (non-finite, or non-positive eps)
+    and the first such x in x.T's order (panel by panel if points-major)."""
     y = _vec_eval(f, x)
-    if not np.all(np.isfinite(y)):
-        bad = x.T[~np.isfinite(y.T)]
-        raise EvaluationError(f"non-finite {what} sample at x={float(bad[0])!r}")
+    if y.size and not _admissible(y.min(), y.max(), what):  # NaN fails too
+        i = int(np.argmin(_admissible(y.T, y.T, what)))
+        kind = "non-positive" if np.isfinite(y.T.flat[i]) else "non-finite"
+        raise EvaluationError(f"{kind} {what} sample at x={float(x.T.flat[i])!r}")
     return y
 
 
@@ -209,14 +217,7 @@ def layer_integral(coeffs, kind: str) -> CumulativeIntegral:
     kind "e"      : integral of 1/eps            (stretched layer coordinate)
     kind "etilde" : integral of 1/sqrt(eps_up*eps) (transformed-variable bounds)
     """
-    def eps(t):  # a non-finite or non-positive sample raises EvaluationError
-        t = np.asarray(t)
-        y = _finite_eval(coeffs.eps, t, "eps")
-        if not (y > 0.0).all():
-            bad = t.T[~(y.T > 0.0)]
-            raise EvaluationError(f"non-positive eps sample at x={float(bad[0])!r}")
-        return y
-
+    eps = lambda t: _finite_eval(coeffs.eps, np.asarray(t), "eps")
     if kind == "e":
         integrand = lambda t: 1.0 / eps(t)
     elif kind == "etilde":

@@ -10,20 +10,15 @@ class LayerFemError(Exception):
 
 
 class ParameterError(LayerFemError):
-    """An argument is outside what the call accepts: its range, its shape, a
-    shared mesh, a root-finding target, a node cap or a mesh scale that
-    underflows.  CLI exit code 2."""
-
-
-class ConfigurationError(LayerFemError):
-    """A required ingredient (derivative, exact solution or reference solve,
-    exemplars) is missing.  CLI exit code 1."""
+    """An argument is outside what the call accepts (its range, its shape, a
+    shared mesh, a root-finding target, a node cap, a mesh scale that
+    underflows) or lacks a required ingredient (a derivative, an exact
+    solution or reference solve, exemplars).  CLI exit code 2."""
 
 
 class EvaluationError(LayerFemError):
     """A coefficient or integrand failed on array input or returned a
-    non-finite value, or eps a non-positive one inside a layer integral.
-    CLI exit code 1."""
+    non-finite value, or eps a non-positive one.  CLI exit code 1."""
 
 
 class ConvergenceError(LayerFemError):

@@ -26,10 +26,10 @@ Assembly keeps the element integrals of eps that the stiffness is made from
 (bit for bit calculus._panel_sums of eps), and galerkin_solve hands them on
 as FemSolution.eps_integrals; they belong to the eps of the scenario that
 was solved, and fine-mesh error reports reuse them in place of sampling eps
-again.  A non-finite coefficient sample (calculus._finite_eval) or const
-raises EvaluationError naming the coefficient; an element whose width
-squared is below the smallest normal float raises ParameterError before any
-division.
+again.  A coefficient sample or const that is not finite, or of eps not
+positive (calculus._admissible), raises EvaluationError naming the
+coefficient; an element whose width squared is below the smallest normal
+float raises ParameterError before any division.
 """
 
 import importlib.util
@@ -42,8 +42,8 @@ import numpy as np
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .calculus import _G5, _finite_eval, _gauss_map
-from .errors import EvaluationError, ParameterError, SingularSystemError
+from .calculus import _G5, _admissible, _finite_eval, _gauss_map
+from .errors import ParameterError, SingularSystemError
 from .mesh import LayerMesh
 
 # Elements whose Gauss points assembly maps and samples at once: a mesh of
@@ -68,8 +68,8 @@ class TridiagonalSystem:
 
 @dataclass(frozen=True, eq=False)
 class FemSolution:
-    """Piecewise-linear function given by nodal values on a LayerMesh; a
-    non-finite value raises ParameterError naming its node."""
+    """Piecewise-linear function given by nodal values on a LayerMesh; values
+    not of the nodes' shape, or a non-finite value, raise ParameterError."""
 
     mesh: LayerMesh
     coefficients: np.ndarray
@@ -77,6 +77,10 @@ class FemSolution:
     eps_integrals: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
+        shapes = np.shape(self.coefficients), self.mesh.nodes.shape
+        if shapes[0] != shapes[1]:
+            raise ParameterError("FE coefficients of shape %s on mesh nodes of "
+                                 "shape %s; the shapes must match" % shapes)
         finite = np.isfinite(self.coefficients)
         if not finite.all():
             i = int(np.argmin(finite))
@@ -111,12 +115,12 @@ def _moments(fn, nodes, weighted, what):
     weighted (Gauss weights times hat products) and the _G5 points x on the
     elements of nodes, mapped and sampled (by _finite_eval, naming fn what)
     _BLOCK elements at a time; an element integral is its half-width times the
-    moment.  A constant coefficient with a finite const gives the column
-    const * weighted.sum(axis=0), broadcast to (k, n_el) without a copy."""
+    moment.  An admissible const gives the column const * weighted.sum(axis=0),
+    broadcast to (k, n_el) without a copy."""
     n_el = len(nodes) - 1
     if fn.const is not None:
-        if not np.isfinite(fn.const):
-            raise EvaluationError(f"non-finite constant {what} {fn.const!r}")
+        if not _admissible(fn.const, fn.const, what):  # raises, at nodes[0]
+            _finite_eval(lambda x: fn.const, nodes[:1], what)
         col = fn.const * weighted.sum(axis=0)
         return np.broadcast_to(col[:, None], (len(col), n_el))
     y = np.empty((len(_G5.points), n_el))

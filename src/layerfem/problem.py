@@ -15,7 +15,7 @@ from functools import partial
 from typing import Callable, Optional
 
 from .calculus import _vec_eval
-from .errors import ConfigurationError, ParameterError
+from .errors import ParameterError
 
 
 @dataclass(frozen=True)
@@ -37,12 +37,12 @@ class ScalarFunction:
 
     def d(self, x):
         if self.deriv is None:
-            raise ConfigurationError("first derivative not available")
+            raise ParameterError("first derivative not available")
         return self.deriv(x)
 
     def d2(self, x):
         if self.deriv2 is None:
-            raise ConfigurationError("second derivative not available")
+            raise ParameterError("second derivative not available")
         return self.deriv2(x)
 
     @staticmethod
@@ -149,9 +149,9 @@ def validate_coefficients(coeffs: CoefficientSet) -> tuple:
 def manufactured_rhs(u: ScalarFunction, coeffs: CoefficientSet) -> ScalarFunction:
     """Right-hand side f = -eps u'' - (b + eps') u' + c u, exact pointwise."""
     if u.deriv2 is None:
-        raise ConfigurationError("manufactured_rhs needs u with a second derivative")
+        raise ParameterError("manufactured_rhs needs u with a second derivative")
     if coeffs.eps.deriv is None:
-        raise ConfigurationError("manufactured_rhs needs eps with a first derivative")
+        raise ParameterError("manufactured_rhs needs eps with a first derivative")
     eps, b, c = coeffs.eps, coeffs.b, coeffs.c
 
     def f(x):

@@ -1,8 +1,11 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from layerfem import analysis
 from layerfem.analysis import (
@@ -14,7 +17,7 @@ from layerfem.analysis import (
     observed_rate,
 )
 from layerfem.calculus import _panel_sums, gauss_legendre, layer_integral
-from layerfem.errors import ConfigurationError, EvaluationError, ParameterError
+from layerfem.errors import EvaluationError, ParameterError
 from layerfem.fem import FemSolution, assemble, bilinear_form, galerkin_solve
 from layerfem.mesh import LayerMesh, build_mesh
 from layerfem.problem import SCENARIO_NAMES, ScalarFunction, Scenario, get_scenario
@@ -204,7 +207,8 @@ class TestErrorReport:
     def test_missing_reference(self):
         sc = get_scenario("eps-const", 1e-3)  # no closed-form exact
         mesh = ds_mesh(sc, 1.0 / 16)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ParameterError, match="^need a closed-form exact "
+                           "solution or a finer reference solve$"):
             error_report(galerkin_solve(sc, mesh), sc)
 
     def test_reference_too_coarse(self):
@@ -382,6 +386,29 @@ class TestConvergenceStudy:
         assert len(errs) == 2 and errs[0] > errs[1] > 0
 
 
+_ENERGY_H = (1.0 / 64, 1.0 / 128, 1.0 / 256)
+
+
+@functools.lru_cache(maxsize=None)
+def _energy_per_h(name, eps0):
+    """convergence_study of scenario name at eps0 over _ENERGY_H: its rates,
+    and the energy error over h at the finest h."""
+    rows = convergence_study(lambda e: get_scenario(name, e), _ENERGY_H, [eps0])
+    assert all(r.skipped_reason is None for r in rows)
+    return [r.rate for r in rows[1:]], rows[-1].energy_error / rows[-1].h
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(name=st.sampled_from(SCENARIO_NAMES), log_eps0=st.floats(-12.0, -2.0))
+def test_energy_convergence_is_first_order_and_eps_uniform(name, log_eps0):
+    # the paper's main claim: E = |||u - u_h||| converges at first order in
+    # h, with a constant that does not depend on eps; E/h is compared with
+    # the scenario's own at eps0 = 1e-12
+    rates, per_h = _energy_per_h(name, 10.0 ** log_eps0)
+    assert min(rates) >= 0.9
+    assert 1 / 1.5 <= per_h / _energy_per_h(name, 1e-12)[1] <= 1.5
+
+
 class TestInterpolationStudy:
     def test_rates(self):
         sc = get_scenario("eps-const", 1e-6)
@@ -404,7 +431,8 @@ class TestInterpolationStudy:
         sc = get_scenario("eps-const", 1e-4)
         stripped = Scenario(name="x", coeffs=sc.coeffs, exact=None,
                             smooth_exemplar=None, layer_exemplar=None)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ParameterError,
+                           match="^scenario must supply both exemplars$"):
             interpolation_study(stripped, [1.0 / 16])
 
 

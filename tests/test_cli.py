@@ -293,7 +293,7 @@ class TestErrorContract:
         # adding an error class shows in this table, with the exit code and
         # the stderr prefix that cli.main gives it
         want = {
-            "ConfigurationError": (1, "error"), "ConvergenceError": (1, "error"),
+            "ConvergenceError": (1, "error"),
             "DegenerateRegimeError": (3, "degenerate regime"),
             "EvaluationError": (1, "error"), "LayerFemError": (1, "error"),
             "ParameterError": (2, "usage error"),

@@ -78,9 +78,10 @@ class TestAssembly:
         assert sys_.sup == pytest.approx(np.full(n - 3, -1.0 / H), rel=1e-13)
 
     def test_pure_convection_stencil(self):
-        # a(v, w) = -(v', w) with b = 1: skew part only, diag vanishes
+        # a(v, w) = -(v', w) with b = 1: skew part only, diag vanishes; eps
+        # must be positive, and 1e-20 puts the stiffness below the tolerance
         mesh = uniform_mesh(9)
-        sys_ = assemble(plain_scenario(eps=0.0, b=1.0), mesh)
+        sys_ = assemble(plain_scenario(eps=1e-20, b=1.0), mesh)
         assert sys_.diag == pytest.approx(np.zeros(7), abs=1e-15)
         assert sys_.sup == pytest.approx(np.full(6, -0.5), rel=1e-13)
         assert sys_.sub == pytest.approx(np.full(6, 0.5), rel=1e-13)
@@ -113,14 +114,19 @@ class TestAssembly:
         x = float(str(info.value).rpartition("=")[2])
         assert mesh.nodes[el] < x < mesh.nodes[el + 1]
 
-    def test_nan_constant_coefficient_raises(self):
+    @pytest.mark.parametrize("what, value, kind", [
+        ("b", np.nan, "non-finite"), ("eps", -1e-4, "non-positive"),
+        ("eps", 0.0, "non-positive")])
+    def test_bad_constant_coefficient_raises(self, what, value, kind):
         # a constant coefficient is integrated without samples; its value is
-        # still checked
+        # still held to the sample rule (eps >= eps_lower > 0 for eps), and
+        # refused as its sample at the first node
         sc = plain_scenario()
         bad = dataclasses.replace(sc, coeffs=dataclasses.replace(
-            sc.coeffs, b=ScalarFunction.constant(np.nan)))
-        with pytest.raises(EvaluationError, match="non-finite constant"):
-            assemble(bad, uniform_mesh(9))
+            sc.coeffs, **{what: ScalarFunction.constant(value)}))
+        with pytest.raises(EvaluationError,
+                           match=rf"^{kind} {what} sample at x=0\.0$"):
+            galerkin_solve(bad, uniform_mesh(9))
 
 
     @pytest.mark.parametrize("nodes, el", [

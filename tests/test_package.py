@@ -50,16 +50,20 @@ def test_one_check_report_type():
     assert verify.BoundCheckReport is problem.BoundCheckReport
 
 
+def _src_trees():
+    """(module name, parsed tree) of each module of the package."""
+    pattern = os.path.join(os.path.dirname(layerfem.__file__), "*.py")
+    for path in sorted(glob.glob(pattern)):
+        with open(path) as fh:
+            yield os.path.basename(path)[:-3], ast.parse(fh.read())
+
+
 def test_every_imported_name_is_read():
     # no linter runs on src/, so an import that nothing reads shows here
     unread = []
-    pattern = os.path.join(os.path.dirname(layerfem.__file__), "*.py")
-    for path in sorted(glob.glob(pattern)):
-        module = os.path.basename(path)[:-3]
+    for module, tree in _src_trees():
         if module == "__init__":
             continue
-        with open(path) as fh:
-            tree = ast.parse(fh.read())
         imported = {alias.asname or alias.name.split(".")[0]
                     for node in ast.walk(tree)
                     if isinstance(node, (ast.Import, ast.ImportFrom))
@@ -68,6 +72,33 @@ def test_every_imported_name_is_read():
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
         unread += [f"{module}: {name}" for name in sorted(imported - read)]
     assert unread == []
+
+
+def _raised(node, where):
+    """(where, function, class name) of each raise under node; function is
+    the innermost def around it, or where[1] if there is none."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _raised(child, (where[0], child.name))
+            continue
+        if isinstance(child, ast.Raise):
+            exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+            yield where + (exc.id if isinstance(exc, ast.Name) else None,)
+        yield from _raised(child, where)
+
+
+def test_every_raise_names_a_library_error():
+    # the CLI maps each class of layerfem.errors to an exit code, so a raise
+    # of any other class (a bare re-raise included) is an error that escapes
+    # that map; only the two raises that leave the library are exempt.  A
+    # class that nothing raises is dead, and fails here too
+    library = {name for name, obj in vars(errors).items()
+               if isinstance(obj, type) and issubclass(obj, errors.LayerFemError)}
+    raises = [r for module, tree in _src_trees()
+              for r in _raised(tree, (module, "<module>"))]
+    assert [r for r in raises if r[2] not in library] == [
+        ("cli", "<module>", "SystemExit"), ("fem", "_flapack", "ImportError")]
+    assert {r[2] for r in raises} & library == library - {"LayerFemError"}
 
 
 def test_records_holding_arrays_compare_by_identity():
@@ -162,8 +193,10 @@ print(fem._flapack() is scipy.linalg.lapack._flapack,
 
 
 _NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
-# each call and input, and its bad values: NaN, +-inf, or a finite value out
-# of range
+# eps >= eps_lower > 0: a sample of eps must be finite and positive
+_BAD_EPS = st.one_of(_NON_FINITE, st.floats(max_value=0.0))
+# each call and input, and its bad values: NaN, +-inf, a finite value out
+# of range, or a count of nodal values off the mesh's by that many
 _BAD_VALUES = {
     "build_mesh h": st.one_of(_NON_FINITE, st.floats(max_value=0.0),
                               st.floats(min_value=1.0)),
@@ -176,8 +209,14 @@ _BAD_VALUES = {
     "assemble b": _NON_FINITE,
     "assemble c": _NON_FINITE,
     "assemble f": _NON_FINITE,
+    "assemble eps": _BAD_EPS,
+    "bilinear_form eps": _BAD_EPS,
+    "energy_norm eps": _BAD_EPS,
+    "check_barrier_operator eps": _BAD_EPS,
+    "error_report eps": _BAD_EPS,
     "error_report solution": _NON_FINITE,
     "error_report reference": _NON_FINITE,
+    "error_report length": st.sampled_from([-2, -1, 1, 2]),
 }
 
 
@@ -220,10 +259,24 @@ def _call(label, value, at):
         if value is not None:
             limits[what] = value
         layerfem.integrate(np.cos, limits["a"], limits["b"])
-    elif call == "assemble":
-        spoiled = {what: _spoiled(getattr(co, what), value, at)}
-        layerfem.assemble(dataclasses.replace(
-            sc, coeffs=dataclasses.replace(co, **spoiled)), sol.mesh)
+    elif what == "eps" or call == "assemble":
+        spoiled = dataclasses.replace(
+            co, **{what: _spoiled(getattr(co, what), value, at)})
+        bad = dataclasses.replace(sc, coeffs=spoiled)
+        if call == "assemble":
+            layerfem.assemble(bad, sol.mesh)
+        elif call == "bilinear_form":
+            layerfem.bilinear_form(sol, sol, bad)
+        elif call == "energy_norm":  # of the solve, or of the closed form
+            layerfem.energy_norm(sol if at % 2 else sc.exact, spoiled)
+        elif call == "check_barrier_operator":
+            layerfem.check_barrier_operator(spoiled, e)
+        else:
+            layerfem.error_report(sol, bad)
+    elif what == "length":
+        n = len(sol.coefficients) + (value or 0)
+        layerfem.error_report(
+            layerfem.FemSolution(sol.mesh, np.resize(sol.coefficients, n)), sc)
     else:  # error_report against the closed form, or with a spoiled reference
         v = sol if what == "solution" else ref
         coef = v.coefficients.copy()
@@ -239,10 +292,11 @@ def _call(label, value, at):
 @pytest.mark.parametrize("label", _BAD_VALUES)
 def test_valid_inputs_pass_the_contract_calls(label):
     # so that the refusals below come from the bad value alone
-    _call(label, None, 12345)
+    for at in (12344, 12345):
+        _call(label, None, at)
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
+@settings(derandomize=True, max_examples=240, deadline=None)
 @given(case=st.one_of(st.tuples(st.just(label), values)
                       for label, values in _BAD_VALUES.items()),
        at=st.integers(0, 10**6))

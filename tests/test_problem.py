@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from layerfem.errors import ConfigurationError, ParameterError
+from layerfem.errors import ParameterError
 from layerfem.problem import (
     BoundCheckReport,
     CoefficientSet,
@@ -147,19 +147,19 @@ class TestManufacturedRhs:
     def test_missing_second_derivative(self):
         u = ScalarFunction(value=lambda x: np.asarray(x, float),
                            deriv=lambda x: np.ones_like(np.asarray(x, float)))
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ParameterError, match="u with a second derivative"):
             manufactured_rhs(u, make_coeffs())
 
     def test_eps_without_derivative(self):
         eps = ScalarFunction(value=lambda x: np.full_like(np.asarray(x, float), 0.01))
-        with pytest.raises(ConfigurationError, match="eps with a first derivative"):
+        with pytest.raises(ParameterError, match="eps with a first derivative"):
             manufactured_rhs(ScalarFunction.constant(0.0), make_coeffs(eps=eps))
 
 
 @pytest.mark.parametrize("method, message", [("d", "first"), ("d2", "second")])
-def test_missing_derivative_is_configuration_error(method, message):
+def test_missing_derivative_is_parameter_error(method, message):
     f = ScalarFunction(value=lambda x: np.asarray(x, float))
-    with pytest.raises(ConfigurationError,
+    with pytest.raises(ParameterError,
                        match=f"^{message} derivative not available$"):
         getattr(f, method)(0.5)
 
